@@ -27,9 +27,10 @@ from .ideals import (
     TWO_SIDED,
     Ideal,
     IdealLattice,
-    additive_closure_mask,
+    additive_generators,
     enumerate_ideals,
     full_mask,
+    generator_product,
     ideal_generated_by,
     mask_elements,
 )
@@ -97,9 +98,9 @@ class RingContext:
     """Memoized quantification data for one ring.
 
     Caches the ideal lattices, principal-ideal sets, element power
-    sequences, pairwise ideal products, power-chain stabilizations and
-    individual verdicts. Everything is derived data; the context never
-    mutates its ring.
+    sequences, additive generators per mask, pairwise ideal products,
+    power-chain stabilizations and individual verdicts. Everything is
+    derived data; the context never mutates its ring.
     """
 
     def __init__(self, ring: Ring):
@@ -112,6 +113,7 @@ class RingContext:
         self._principal: dict[str, tuple[int, ...]] = {}
         self._powers: list[Optional[tuple[int, ...]]] = [None] * self.n
         self._powmask: list[Optional[int]] = [None] * self.n
+        self._generators: dict[int, tuple[int, ...]] = {}
         self._products: dict[tuple[str, int, int], int] = {}
         self._stable: dict[tuple[str, int], tuple[tuple[int, ...], int]] = {}
         self._verdicts: dict[tuple[str, int], Verdict] = {}
@@ -160,17 +162,18 @@ class RingContext:
             self._principal[kind] = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
         return self._principal[kind]
 
+    def generators(self, m: int) -> tuple[int, ...]:
+        got = self._generators.get(m)
+        if got is None:
+            got = additive_generators(self.ring, m)
+            self._generators[m] = got
+        return got
+
     def product(self, jm: int, km: int, kind: str = TWO_SIDED) -> int:
         key = (kind, jm, km)
         got = self._products.get(key)
         if got is None:
-            mul = self.ring.mul
-            prod = 0
-            for x in mask_elements(jm):
-                row = mul[x]
-                for y in mask_elements(km):
-                    prod |= 1 << row[y]
-            got = additive_closure_mask(self.ring, prod)
+            got = generator_product(self.ring, self.generators(jm), self.generators(km))
             self._products[key] = got
         return got
 

@@ -1,9 +1,15 @@
 """Ideals of finite rings: generation, arithmetic, and lattice enumeration.
 
 Ideals are stored as bitmasks over element indices together with a kind
-tag (two-sided, left, right). Generation and enumeration are fixed-point
-closures; the 2^n subset scan is kept as an independent oracle for small
-orders. Everything is immutable and pure.
+tag (two-sided, left, right). The ideal generated by a set S is the
+additive span of S, AS, SA and ASA (left ideals: S and AS; right ideals:
+S and SA); associativity makes one pass enough, and each term is an OR
+of the ring's cached Ax / xA masks. Spans grow a subgroup coset by coset
+and record the at most log2(order) generators they use. Products need
+only those: by bilinearity JK spans the same subgroup as the products
+g*h of the generators of J and K. Lattices are join closures of the
+principal ideals; the 2^n subset scan is kept as an independent oracle
+for small orders. Everything is immutable and pure.
 """
 
 from __future__ import annotations
@@ -93,49 +99,78 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown ideal kind {kind!r}")
 
 
-def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
-    """Fixed-point closure under addition, negation and side multiplications.
+def _span(r: Ring, mask: int) -> tuple[int, tuple[int, ...]]:
+    """Additive subgroup generated by a subset, with the generators used.
 
-    Worklist closure: every element, when popped, is combined with all
-    elements already absorbed, so each pair is covered exactly once. The
-    additive zero is always included.
+    Coset growth: starting from H = {0}, the least element g of the subset
+    not yet in H extends H to H + <g>, the union of the cosets H + kg for
+    k = 0, 1, ... up to the first k with kg in H. Each step at least
+    doubles |H|, so at most log2(order) generators are used, and every
+    element of the span is produced exactly once.
     """
-    add, mul, neg, n = r.add, r.mul, r.neg, r.order
-    mask |= 1
-    queue = list(mask_elements(mask))
-    members: list[int] = []
-    while queue:
-        x = queue.pop()
-        members.append(x)
-        row = add[x]
-        for y in members:
-            s = row[y]
-            if not mask >> s & 1:
-                mask |= 1 << s
-                queue.append(s)
-        nx = neg[x]
-        if not mask >> nx & 1:
-            mask |= 1 << nx
-            queue.append(nx)
-        if left:
-            for z in range(n):
-                p = mul[z][x]
-                if not mask >> p & 1:
-                    mask |= 1 << p
-                    queue.append(p)
-        if right:
-            row_m = mul[x]
-            for z in range(n):
-                p = row_m[z]
-                if not mask >> p & 1:
-                    mask |= 1 << p
-                    queue.append(p)
-    return mask
+    add = r.add
+    span = 1
+    elems = [0]
+    gens = []
+    rest = mask & ~1
+    while rest:
+        g = (rest & -rest).bit_length() - 1
+        gens.append(g)
+        base = elems[:]
+        c = g
+        while not span >> c & 1:
+            row = add[c]
+            for e in base:
+                x = row[e]
+                span |= 1 << x
+                elems.append(x)
+            c = row[g]
+        rest &= ~span
+    return span, tuple(gens)
+
+
+def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
+    """Least ideal containing the subset S, closed on the requested sides.
+
+    Two-sided: the additive span of S, AS, SA and ASA; left: S and AS;
+    right: S and SA. SA is an OR of the ring's xA masks, and A times
+    S and SA, that is AS and ASA, an OR of its Ax masks. By associativity
+    that span is already closed (A(AS) is in AS, (SA)A in SA, and so on),
+    so one pass suffices. The additive zero is always included.
+    """
+    ax, xa = r.product_masks
+    if right:
+        for x in mask_elements(mask):
+            mask |= xa[x]
+    if left:
+        for x in mask_elements(mask):
+            mask |= ax[x]
+    return _span(r, mask)[0]
+
+
+def additive_generators(r: Ring, mask: int) -> tuple[int, ...]:
+    """At most log2(order) generators of the additive span of the subset."""
+    return _span(r, mask)[1]
+
+
+def generator_product(r: Ring, jgens: tuple[int, ...], kgens: tuple[int, ...]) -> int:
+    """Mask of the product JK of the additive subgroups with these generators.
+
+    By bilinearity every product jk is a sum of products g*h of
+    generators, so JK and {g*h} span the same subgroup.
+    """
+    mul = r.mul
+    prod = 0
+    for g in jgens:
+        row = mul[g]
+        for h in kgens:
+            prod |= 1 << row[h]
+    return _span(r, prod)[0]
 
 
 def additive_closure_mask(r: Ring, mask: int) -> int:
     """Least additive subgroup containing the subset (as a mask)."""
-    return _close(r, mask, left=False, right=False)
+    return _span(r, mask)[0]
 
 
 def ideal_generated_by(r: Ring, seed: Iterable[int], kind: str = TWO_SIDED) -> Ideal:
@@ -192,20 +227,17 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     """Additive closure of the set of pairwise products.
 
-    Defined for matching kinds only: the product of two right (left,
-    two-sided) ideals is again right (left, two-sided).
+    Computed from the additive generators of both ideals, as in
+    :func:`generator_product`. Defined for matching kinds only: the
+    product of two right (left, two-sided) ideals is again right (left,
+    two-sided).
     """
     _same_ring(i, j)
     if i.kind != j.kind:
         raise ValueError(f"cannot multiply a {i.kind} ideal by a {j.kind} ideal")
     r = i.ring
-    mul = r.mul
-    prod = 0
-    for x in mask_elements(i.mask):
-        row = mul[x]
-        for y in mask_elements(j.mask):
-            prod |= 1 << row[y]
-    return Ideal(r, additive_closure_mask(r, prod), i.kind)
+    prod = generator_product(r, additive_generators(r, i.mask), additive_generators(r, j.mask))
+    return Ideal(r, prod, i.kind)
 
 
 @dataclass(frozen=True)
@@ -436,12 +468,14 @@ __all__ = [
     "RIGHT",
     "TWO_SIDED",
     "additive_closure_mask",
+    "additive_generators",
     "element_power_in",
     "elements_mask",
     "enumerate_ideals",
     "enumerate_ideals_bruteforce",
     "full_ideal",
     "full_mask",
+    "generator_product",
     "hom_image_mask",
     "ideal_generated_by",
     "ideal_product",

@@ -8,13 +8,16 @@ index is recorded in ``one`` (the order-1 ring has ``one = 0``).
 
 Every constructor returns an immutable :class:`Ring` whose negation table
 is derived once from the addition table, so later subset closures can
-negate in O(1). All functions here are pure; rings can be shared freely
-across threads.
+negate in O(1). The bitmasks of the one-element products Ax and xA are
+derived on first use and cached on the ring; computing them twice is
+harmless, so rings can still be shared freely across threads. All
+functions here are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +52,24 @@ class Ring:
     @property
     def is_unital(self) -> bool:
         return self.one is not None
+
+    @cached_property
+    def product_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bitmasks of Ax and of xA for every element x.
+
+        ``product_masks[0][x]`` has bit ``a*x`` set for every a, and
+        ``product_masks[1][x]`` has bit ``x*a`` set for every a. Built on
+        first use by one scatter into a boolean array; not a field, so
+        equality, hashing and repr ignore it.
+        """
+        n = self.order
+        mul = np.array(self.mul, dtype=np.intp)
+        idx = np.arange(n)
+        bits = np.zeros((2, n, n), dtype=bool)
+        bits[0, idx[None, :], mul] = True
+        bits[1, idx[:, None], mul] = True
+        packed = np.packbits(bits, axis=2, bitorder="little")
+        return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
     @classmethod
     def from_tables(
@@ -136,19 +157,23 @@ def hom_violations(h: Hom) -> list[str]:
 # constructors
 
 
-def make_zn(n: int) -> Ring:
+def make_zn(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Integers mod n. Unital; n = 1 gives the zero ring with one = 0."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
+    if n > size_cap:
+        raise SizeCapError(f"Z_n order {n} exceeds cap {size_cap}")
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
     return Ring.from_tables(n, add, mul, one=1 % n, label=f"Zn:{n}")
 
 
-def make_zero_mul(n: int) -> Ring:
+def make_zero_mul(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Additive group Z_n with every product equal to zero."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if n > size_cap:
+        raise SizeCapError(f"zero-multiplication ring order {n} exceeds cap {size_cap}")
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     one = 0 if n == 1 else None

@@ -80,9 +80,9 @@ class _Parser:
             raise self.error("expected a ring constructor (Zn:, M:, T:, dsum(, zmul:, quot(, file:)")
         self.pos += len(head)
         if head == "Zn:":
-            return make_zn(self.natural())
+            return make_zn(self.natural(), size_cap=self.size_cap)
         if head == "zmul:":
-            return make_zero_mul(self.natural())
+            return make_zero_mul(self.natural(), size_cap=self.size_cap)
         if head in ("M:", "T:"):
             k = self.natural()
             self.expect(":")

@@ -200,6 +200,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify", "M:2:Zn:8", "--max-order", "100")[0] == 2
 
 
+def test_oversized_cyclic_spec_exits_2_before_building(capsys):
+    # 10^10 table entries if the cap were checked only after construction
+    code, _, err = run(capsys, "classify", "Zn:100000", "--max-order", "10")
+    assert code == 2
+    assert "exceeds cap 10" in err
+
+
 def test_env_max_order(capsys, monkeypatch):
     monkeypatch.setenv("NILARY_MAX_ORDER", "4")
     code, out, _ = run(capsys, "verify", "--builtin", "--json")

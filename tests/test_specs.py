@@ -71,6 +71,19 @@ def test_parse_respects_size_cap():
         parse_ring_spec("M:2:Zn:8", size_cap=1000)
 
 
+@pytest.mark.parametrize("text", ["Zn:50", "zmul:50", "quot(Zn:50,gen(5))"])
+def test_cyclic_specs_respect_size_cap(text):
+    with pytest.raises(SizeCapError):
+        parse_ring_spec(text, size_cap=20)
+    assert parse_ring_spec(text, size_cap=50).order <= 50
+
+
+@pytest.mark.parametrize("maker", [make_zn, make_zero_mul])
+def test_cyclic_constructors_check_cap_before_building(maker):
+    with pytest.raises(SizeCapError):
+        maker(10**9, size_cap=10)  # a table of 10^18 entries if built
+
+
 def test_file_round_trip(tmp_path):
     ring = make_direct_sum(make_zn(2), make_zn(4))
     path = tmp_path / "ring.txt"
