@@ -8,6 +8,17 @@ reproducible. Predicates over "ideals" range over the full two-sided
 lattice; predicates over "(principal) ideals" range over principal
 two-sided ideals only.
 
+Every pair predicate is one of two searches. Element-pair predicates
+(completely prime, nilary, right/left primary) call ``_element_pair``;
+ideal-pair predicates (prime, nilary, p-nilary, right/left primary and
+their principal forms, the weakly nilary family) call ``_ideal_pair``.
+A predicate first filters each side of its domain by that side's excuse,
+"not inside I" or "no power inside I", computed once per element or
+ideal, and then searches the filtered lists for the first pair whose
+product lies in I (and is nonzero for the weakly family). Filtering keeps
+the domain's order and drops only pairs that are excused anyway, so the
+first pair found is the least witness of the full scan.
+
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
 improper ideals too (trivially true there); the weakly-* family is
@@ -26,7 +37,6 @@ from .ideals import (
     RIGHT,
     TWO_SIDED,
     Ideal,
-    IdealLattice,
     additive_generators,
     enumerate_ideals,
     full_mask,
@@ -99,8 +109,10 @@ class RingContext:
 
     Caches the ideal lattices, principal-ideal sets, element power
     sequences, additive generators per mask, pairwise ideal products,
-    power-chain stabilizations and individual verdicts. Everything is
-    derived data; the context never mutates its ring.
+    power-chain stabilizations and individual verdicts. Products and
+    chains are keyed by masks alone: the product of two additive subgroups
+    is the same whatever kind of ideal they are. Everything is derived
+    data; the context never mutates its ring.
     """
 
     def __init__(self, ring: Ring):
@@ -114,8 +126,8 @@ class RingContext:
         self._powers: list[Optional[tuple[int, ...]]] = [None] * self.n
         self._powmask: list[Optional[int]] = [None] * self.n
         self._generators: dict[int, tuple[int, ...]] = {}
-        self._products: dict[tuple[str, int, int], int] = {}
-        self._stable: dict[tuple[str, int], tuple[tuple[int, ...], int]] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._chains: dict[int, tuple[tuple[int, ...], int]] = {}
         self._verdicts: dict[tuple[str, int], Verdict] = {}
 
     # element power data -------------------------------------------------
@@ -150,12 +162,6 @@ class RingContext:
                 self._lattices[kind] = enumerate_ideals(self.ring, kind).masks()
         return self._lattices[kind]
 
-    def lattice(self, kind: str = TWO_SIDED) -> IdealLattice:
-        masks = self.lattice_masks(kind)
-        return IdealLattice(
-            self.ring, kind, tuple(Ideal(self.ring, m, kind) for m in masks)
-        )
-
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
         if kind not in self._principal:
             seen = {ideal_generated_by(self.ring, (a,), kind).mask for a in range(self.n)}
@@ -169,35 +175,31 @@ class RingContext:
             self._generators[m] = got
         return got
 
-    def product(self, jm: int, km: int, kind: str = TWO_SIDED) -> int:
-        key = (kind, jm, km)
+    def product(self, jm: int, km: int) -> int:
+        key = (jm, km)
         got = self._products.get(key)
         if got is None:
             got = generator_product(self.ring, self.generators(jm), self.generators(km))
             self._products[key] = got
         return got
 
-    def chain(self, m: int, kind: str = TWO_SIDED) -> tuple[tuple[int, ...], int]:
+    def chain(self, m: int) -> tuple[tuple[int, ...], int]:
         """Masks of I, I^2, ... to stabilization, plus the stable mask."""
-        key = (kind, m)
-        got = self._stable.get(key)
+        got = self._chains.get(m)
         if got is None:
             powers = [m]
             while True:
-                nxt = self.product(powers[-1], m, kind)
+                nxt = self.product(powers[-1], m)
                 if nxt == powers[-1]:
                     break
                 powers.append(nxt)
             got = (tuple(powers), powers[-1])
-            self._stable[key] = got
+            self._chains[m] = got
         return got
 
-    def stable_mask(self, m: int, kind: str = TWO_SIDED) -> int:
-        return self.chain(m, kind)[1]
-
-    def power_in(self, jm: int, target: int, kind: str = TWO_SIDED) -> bool:
+    def power_in(self, jm: int, target: int) -> bool:
         """Whether some power of the ideal mask lands inside target."""
-        return not self.stable_mask(jm, kind) & ~target
+        return not self.chain(jm)[1] & ~target
 
     # verdicts -------------------------------------------------------------
     def verdict(self, name: str, ideal_mask: int) -> Verdict:
@@ -222,28 +224,69 @@ def clear_caches() -> None:
 # predicate implementations (ctx, ideal mask) -> Verdict
 
 
+def _outside_elements(ctx: RingContext, m: int) -> list[int]:
+    return [a for a in range(ctx.n) if not m >> a & 1]
+
+
+def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
+    return [a for a in range(ctx.n) if not ctx.powmask(a) & m]
+
+
+def _outside_ideals(domain: tuple[int, ...], m: int) -> list[int]:
+    return [jm for jm in domain if jm & ~m]
+
+
+def _powerless_ideals(ctx: RingContext, domain: tuple[int, ...], m: int) -> list[int]:
+    return [jm for jm in domain if not ctx.power_in(jm, m)]
+
+
+def _element_pair(
+    ctx: RingContext, m: int, first: list[int], second: list[int]
+) -> Optional[tuple[int, int]]:
+    """First (a, b) in index order with a in first, b in second and ab in I."""
+    mul = ctx.ring.mul
+    for a in first:
+        row = mul[a]
+        for b in second:
+            if m >> row[b] & 1:
+                return a, b
+    return None
+
+
+def _ideal_pair(
+    ctx: RingContext, m: int, js: list[int], ks: list[int], nonzero: bool = False
+) -> Optional[tuple[int, int]]:
+    """First (J, K) in lattice order from js x ks with JK inside I.
+
+    With nonzero set, pairs with JK = 0 are skipped.
+    """
+    for jm in js:
+        for km in ks:
+            prod = ctx.product(jm, km)
+            if not prod & ~m and not (nonzero and prod == 1):
+                return jm, km
+    return None
+
+
+def _refuted(pair: Optional[tuple[int, int]], witness: Callable[[int, int], Witness]) -> Verdict:
+    return _TRUE if pair is None else Verdict(False, witness(*pair))
+
+
+def _wit_ideals(jm: int, km: int) -> Witness:
+    return Witness.ideals(mask_elements(jm), mask_elements(km))
+
+
 def _completely_prime(ctx: RingContext, m: int) -> Verdict:
     """ab in I implies a in I or b in I; requires a proper ideal."""
     if m == ctx.full_mask:
         return Verdict(False, Witness.none())
-    mul = ctx.ring.mul
-    for a in range(ctx.n):
-        if m >> a & 1:
-            continue
-        row = mul[a]
-        for b in range(ctx.n):
-            if m >> b & 1:
-                continue
-            if m >> row[b] & 1:
-                return Verdict(False, Witness.pair(a, b))
-    return _TRUE
+    out = _outside_elements(ctx, m)
+    return _refuted(_element_pair(ctx, m, out, out), Witness.pair)
 
 
 def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
     """a^n in I for some n implies a in I."""
-    for a in range(ctx.n):
-        if m >> a & 1:
-            continue
+    for a in _outside_elements(ctx, m):
         if ctx.powmask(a) & m:
             return Verdict(False, Witness.element(a, n=ctx.least_power_in(a, m)))
     return _TRUE
@@ -251,65 +294,28 @@ def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
 
 def _completely_nilary(ctx: RingContext, m: int) -> Verdict:
     """ab in I implies some power of a or of b lies in I."""
-    mul = ctx.ring.mul
-    hopeless = [a for a in range(ctx.n) if not ctx.powmask(a) & m]
-    hopeless_set = set(hopeless)
-    for a in hopeless:
-        row = mul[a]
-        for b in range(ctx.n):
-            if b in hopeless_set and m >> row[b] & 1:
-                return Verdict(False, Witness.pair(a, b))
-    return _TRUE
+    free = _powerless_elements(ctx, m)
+    return _refuted(_element_pair(ctx, m, free, free), Witness.pair)
 
 
 def _completely_right_primary(ctx: RingContext, m: int) -> Verdict:
     """ab in I implies a in I or some power of b lies in I."""
-    mul = ctx.ring.mul
-    for a in range(ctx.n):
-        if m >> a & 1:
-            continue
-        row = mul[a]
-        for b in range(ctx.n):
-            if ctx.powmask(b) & m:
-                continue
-            if m >> row[b] & 1:
-                return Verdict(False, Witness.pair(a, b))
-    return _TRUE
+    pair = _element_pair(ctx, m, _outside_elements(ctx, m), _powerless_elements(ctx, m))
+    return _refuted(pair, Witness.pair)
 
 
 def _completely_left_primary(ctx: RingContext, m: int) -> Verdict:
     """ab in I implies b in I or some power of a lies in I."""
-    mul = ctx.ring.mul
-    for a in range(ctx.n):
-        if ctx.powmask(a) & m:
-            continue
-        row = mul[a]
-        for b in range(ctx.n):
-            if m >> b & 1:
-                continue
-            if m >> row[b] & 1:
-                return Verdict(False, Witness.pair(a, b))
-    return _TRUE
-
-
-def _wit_ideals(jm: int, km: int) -> Witness:
-    return Witness.ideals(mask_elements(jm), mask_elements(km))
+    pair = _element_pair(ctx, m, _powerless_elements(ctx, m), _outside_elements(ctx, m))
+    return _refuted(pair, Witness.pair)
 
 
 def _prime(ctx: RingContext, m: int) -> Verdict:
     """JK inside I implies J inside I or K inside I; requires proper I."""
     if m == ctx.full_mask:
         return Verdict(False, Witness.none())
-    lat = ctx.lattice_masks(TWO_SIDED)
-    for jm in lat:
-        if not jm & ~m:
-            continue
-        for km in lat:
-            if not km & ~m:
-                continue
-            if not ctx.product(jm, km) & ~m:
-                return Verdict(False, _wit_ideals(jm, km))
-    return _TRUE
+    out = _outside_ideals(ctx.lattice_masks(TWO_SIDED), m)
+    return _refuted(_ideal_pair(ctx, m, out, out), _wit_ideals)
 
 
 def _semiprime(ctx: RingContext, m: int) -> Verdict:
@@ -320,15 +326,11 @@ def _semiprime(ctx: RingContext, m: int) -> Verdict:
     return _TRUE
 
 
-def _nilary_over(ctx: RingContext, m: int, domain: tuple[int, ...]) -> Verdict:
-    for jm in domain:
-        for km in domain:
-            if ctx.product(jm, km) & ~m:
-                continue
-            if ctx.power_in(jm, m) or ctx.power_in(km, m):
-                continue
-            return Verdict(False, _wit_ideals(jm, km))
-    return _TRUE
+def _nilary_over(
+    ctx: RingContext, m: int, domain: tuple[int, ...], nonzero: bool = False
+) -> Verdict:
+    free = _powerless_ideals(ctx, domain, m)
+    return _refuted(_ideal_pair(ctx, m, free, free, nonzero), _wit_ideals)
 
 
 def _nilary(ctx: RingContext, m: int) -> Verdict:
@@ -342,18 +344,9 @@ def _p_nilary(ctx: RingContext, m: int) -> Verdict:
 
 
 def _primary_over(ctx: RingContext, m: int, domain: tuple[int, ...], right: bool) -> Verdict:
-    for jm in domain:
-        for km in domain:
-            if ctx.product(jm, km) & ~m:
-                continue
-            if right:
-                if not jm & ~m or ctx.power_in(km, m):
-                    continue
-            else:
-                if not km & ~m or ctx.power_in(jm, m):
-                    continue
-            return Verdict(False, _wit_ideals(jm, km))
-    return _TRUE
+    out, free = _outside_ideals(domain, m), _powerless_ideals(ctx, domain, m)
+    pair = _ideal_pair(ctx, m, out, free) if right else _ideal_pair(ctx, m, free, out)
+    return _refuted(pair, _wit_ideals)
 
 
 def _right_primary(ctx: RingContext, m: int) -> Verdict:
@@ -374,34 +367,26 @@ def _p_left_primary(ctx: RingContext, m: int) -> Verdict:
     return _primary_over(ctx, m, ctx.principal_masks(TWO_SIDED), right=False)
 
 
-def _weakly_over(ctx: RingContext, m: int, domain: tuple[int, ...], kind: str) -> Verdict:
+def _weakly_over(ctx: RingContext, m: int, domain: tuple[int, ...]) -> Verdict:
     if m == ctx.full_mask:
         return _NA
-    for jm in domain:
-        for km in domain:
-            prod = ctx.product(jm, km, kind)
-            if prod == 1 or prod & ~m:
-                continue
-            if ctx.power_in(jm, m, kind) or ctx.power_in(km, m, kind):
-                continue
-            return Verdict(False, _wit_ideals(jm, km))
-    return _TRUE
+    return _nilary_over(ctx, m, domain, nonzero=True)
 
 
 def _weakly_nilary(ctx: RingContext, m: int) -> Verdict:
     """0 != JK inside proper I implies some power of J or of K inside I."""
-    return _weakly_over(ctx, m, ctx.lattice_masks(TWO_SIDED), TWO_SIDED)
+    return _weakly_over(ctx, m, ctx.lattice_masks(TWO_SIDED))
 
 
 def _weakly_p_nilary(ctx: RingContext, m: int) -> Verdict:
-    return _weakly_over(ctx, m, ctx.principal_masks(TWO_SIDED), TWO_SIDED)
+    return _weakly_over(ctx, m, ctx.principal_masks(TWO_SIDED))
 
 
 def _weakly_onesided(ctx: RingContext, m: int, side: str, principal: bool) -> Verdict:
     if not ctx.unital:
         return _NA
     domain = ctx.principal_masks(side) if principal else ctx.lattice_masks(side)
-    return _weakly_over(ctx, m, domain, side)
+    return _weakly_over(ctx, m, domain)
 
 
 def _weakly_nilary_right(ctx: RingContext, m: int) -> Verdict:

@@ -22,7 +22,7 @@ from .ideals import (
     enumerate_ideals_bruteforce,
     ideal_generated_by,
 )
-from .rings import DEFAULT_SIZE_CAP, SizeCapError
+from .rings import DEFAULT_SIZE_CAP
 from .specs import parse_ring_spec
 from .theorems import CASE_IDS, render_table, report_json, run_all
 
@@ -88,10 +88,9 @@ def _corpus_rings(args) -> tuple[list, CorpusConfig]:
 def _parse_single(args):
     """Parse one ring spec, with the order cap applied at construction time."""
     cap = _max_order(args)
-    ring = parse_ring_spec(args.spec, size_cap=min(cap or DEFAULT_SIZE_CAP, DEFAULT_SIZE_CAP))
-    if cap is not None and ring.order > cap:
-        raise SizeCapError(f"ring order {ring.order} exceeds --max-order {cap}")
-    return ring
+    if cap is None or cap > DEFAULT_SIZE_CAP:
+        cap = DEFAULT_SIZE_CAP
+    return parse_ring_spec(args.spec, size_cap=cap)
 
 
 def _query_atoms(node: tuple) -> set[str]:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .classify import PREDICATE_NAMES
 from .rings import DEFAULT_SIZE_CAP, Ring
 from .specs import parse_ring_spec
 
@@ -42,7 +43,10 @@ def build_builtin_corpus(max_order: Optional[int] = None) -> CorpusConfig:
 
 
 def load_corpus_file(path: str | Path) -> CorpusConfig:
-    """Read a corpus file: a JSON list of specs, or an object with caps."""
+    """Read a corpus file: a JSON list of specs, or an object with caps.
+
+    Every key is checked; a value of the wrong type or range raises ValueError.
+    """
     data = json.loads(Path(path).read_text())
     if isinstance(data, list):
         data = {"specs": data}
@@ -51,12 +55,24 @@ def load_corpus_file(path: str | Path) -> CorpusConfig:
     specs = data["specs"]
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ValueError(f"{path}: 'specs' must be a list of strings")
+    for key in ("max_order", "max_lattice"):
+        cap = data.get(key)
+        if cap is not None and (type(cap) is not int or cap < 0):
+            raise ValueError(f"{path}: {key!r} must be a non-negative integer or null")
+    predicates = data.get("predicates")
+    if predicates is not None and (
+        not isinstance(predicates, list) or not all(p in PREDICATE_NAMES for p in predicates)
+    ):
+        raise ValueError(f"{path}: 'predicates' must be a list of predicate names (see --help)")
+    fmt = data.get("format", "text")
+    if fmt not in ("text", "json"):
+        raise ValueError(f"{path}: 'format' must be 'text' or 'json'")
     return CorpusConfig(
         specs=tuple(specs),
         max_order=data.get("max_order"),
         max_lattice=data.get("max_lattice"),
-        predicates=tuple(data["predicates"]) if "predicates" in data else None,
-        format=data.get("format", "text"),
+        predicates=None if predicates is None else tuple(predicates),
+        format=fmt,
     )
 
 

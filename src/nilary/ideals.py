@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .rings import Hom, Ring, SizeCapError
+from .rings import Hom, Ring, SizeCapError, element_powers
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -281,20 +281,12 @@ def some_power_contained(j: Ideal, i: Ideal) -> Optional[int]:
 
 
 def element_power_in(r: Ring, a: int, i: Ideal) -> Optional[int]:
-    """Least n >= 1 with a^n in I, or None; powers iterated with cycle detection."""
+    """Least n >= 1 with a^n in I, or None."""
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
-    if not 0 <= a < r.order:
-        raise ValueError(f"element {a} out of range")
-    seen = set()
-    p = a
-    exp = 1
-    while p not in seen:
+    for exp, p in enumerate(element_powers(r, a), start=1):
         if i.mask >> p & 1:
             return exp
-        seen.add(p)
-        p = r.mul[p][a]
-        exp += 1
     return None
 
 
@@ -309,13 +301,7 @@ def is_nil(i: Ideal) -> tuple[bool, Optional[int]]:
 
 def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
     """Least m with I^m = {0}, or None."""
-    chain = power_chain(i)
-    if not chain.stable_value.is_zero:
-        return None
-    for exp, p in enumerate(chain.powers, start=1):
-        if p.is_zero:
-            return exp
-    raise AssertionError("zero stable value but no zero chain power")
+    return some_power_contained(i, zero_ideal(i.ring, i.kind))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ class _Parser:
         path = self.text[start:self.pos].strip()
         if not path:
             raise self.error("expected a file path")
-        return load_ring_file(path)
+        return load_ring_file(path, size_cap=self.size_cap)
 
 
 def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
@@ -141,8 +141,12 @@ def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     return ring
 
 
-def load_ring_file(path: str | Path) -> Ring:
-    """Load a ring from the table file format, validating all axioms."""
+def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
+    """Load a ring from the table file format, validating all axioms.
+
+    The order on the first line is checked against the cap before any
+    table row is parsed.
+    """
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -153,6 +157,8 @@ def load_ring_file(path: str | Path) -> Ring:
         raise ValueError(f"{path}: first line must be the ring order") from None
     if n < 1:
         raise ValueError(f"{path}: order must be >= 1")
+    if n > size_cap:
+        raise SizeCapError(f"{path}: ring order {n} exceeds cap {size_cap}")
     if len(lines) < 1 + 2 * n:
         raise ValueError(f"{path}: expected {2 * n} table rows, found {len(lines) - 1}")
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from nilary import Ring
-from nilary.ideals import mask_elements
+from nilary import LEFT, RIGHT, TWO_SIDED, Ring
+from nilary.ideals import enumerate_ideals, mask_elements
 
 
 def find_isomorphism(r: Ring, s: Ring) -> Optional[tuple[int, ...]]:
@@ -84,3 +84,138 @@ def product_by_elements(r: Ring, jm: int, km: int) -> int:
         for y in mask_elements(km):
             prod |= 1 << row[y]
     return close_by_worklist(r, prod, left=False, right=False)
+
+
+class PredicateScan:
+    """Every predicate by its definition, scanning every pair of its domain in order.
+
+    No pair is filtered out up front: each pair (a, b) or (J, K) is tested
+    against the full condition, in index or lattice order, and the first
+    failing pair is the witness. Products are element-wise and powers are
+    iterated up to the ring's order. Verdicts come back in the
+    ``Verdict.to_json`` shape.
+    """
+
+    def __init__(self, r: Ring):
+        self.r = r
+        self._products: dict[tuple[int, int], int] = {}
+        self._domains: dict[tuple[str, bool], list[int]] = {}
+
+    def product(self, jm: int, km: int) -> int:
+        key = (jm, km)
+        if key not in self._products:
+            self._products[key] = product_by_elements(self.r, jm, km)
+        return self._products[key]
+
+    def element_power_in(self, a: int, m: int) -> bool:
+        p = a
+        for _ in range(self.r.order):  # every distinct power shows up within order steps
+            if m >> p & 1:
+                return True
+            p = self.r.mul[p][a]
+        return False
+
+    def ideal_power_in(self, jm: int, m: int) -> bool:
+        p = jm
+        for _ in range(self.r.order):  # J, J^2, ... descends strictly until it is stable
+            if not p & ~m:
+                return True
+            p = self.product(p, jm)
+        return False
+
+    def domain(self, kind: str, principal: bool) -> list[int]:
+        key = (kind, principal)
+        if key not in self._domains:
+            if principal:
+                left, right = kind != RIGHT, kind != LEFT
+                masks = {close_by_worklist(self.r, 1 << a, left, right) for a in range(self.r.order)}
+            else:
+                masks = set(enumerate_ideals(self.r, kind).masks())
+            self._domains[key] = sorted(masks, key=lambda x: (x.bit_count(), x))
+        return self._domains[key]
+
+    def verdict(self, name: str, m: int) -> dict:
+        r = self.r
+        none = {"variant": "none"}
+
+        def inside(a: int) -> bool:
+            return bool(m >> a & 1)
+
+        def power(a: int) -> bool:
+            return self.element_power_in(a, m)
+
+        def sub(jm: int) -> bool:
+            return not jm & ~m
+
+        def ideal_power(jm: int) -> bool:
+            return self.ideal_power_in(jm, m)
+
+        def refuted(witness: dict) -> dict:
+            return {"holds": False, "witness": witness, "na": False}
+
+        holds = {"holds": True, "witness": none, "na": False}
+        if name in ("completely_prime", "prime") and m == (1 << r.order) - 1:
+            return refuted(none)
+        if name.startswith("weakly_") and (
+            m == (1 << r.order) - 1
+            or (name in ("weakly_nilary_right", "weakly_nilary_left") and r.one is None)
+        ):
+            return {"holds": False, "witness": none, "na": True}
+
+        if name == "completely_semiprime":
+            for a in range(r.order):
+                p = a
+                for n in range(1, r.order + 1):
+                    if not inside(a) and inside(p):
+                        return refuted({"variant": "element", "a": a, "n": n})
+                    p = r.mul[p][a]
+            return holds
+
+        element_excuses = {
+            "completely_prime": lambda a, b: inside(a) or inside(b),
+            "completely_nilary": lambda a, b: power(a) or power(b),
+            "completely_right_primary": lambda a, b: inside(a) or power(b),
+            "completely_left_primary": lambda a, b: inside(b) or power(a),
+        }
+        if name in element_excuses:
+            excuse = element_excuses[name]
+            for a in range(r.order):
+                for b in range(r.order):
+                    if inside(r.mul[a][b]) and not excuse(a, b):
+                        return refuted({"variant": "element-pair", "a": a, "b": b})
+            return holds
+
+        def no_power(j: int, k: int) -> bool:
+            return ideal_power(j) or ideal_power(k)
+
+        def right_primary(j: int, k: int) -> bool:
+            return sub(j) or ideal_power(k)
+
+        def left_primary(j: int, k: int) -> bool:
+            return sub(k) or ideal_power(j)
+
+        ideal_rules = {  # name: (excuse, kind of the domain, principal ideals only)
+            "prime": (lambda j, k: sub(j) or sub(k), TWO_SIDED, False),
+            "semiprime": (lambda j, k: j != k or sub(j), TWO_SIDED, False),
+            "nilary": (no_power, TWO_SIDED, False),
+            "p_nilary": (no_power, TWO_SIDED, True),
+            "right_primary": (right_primary, TWO_SIDED, False),
+            "left_primary": (left_primary, TWO_SIDED, False),
+            "p_right_primary": (right_primary, TWO_SIDED, True),
+            "p_left_primary": (left_primary, TWO_SIDED, True),
+            "weakly_nilary": (no_power, TWO_SIDED, False),
+            "weakly_p_nilary": (no_power, TWO_SIDED, True),
+            "weakly_nilary_right": (no_power, RIGHT, False),
+            "weakly_nilary_left": (no_power, LEFT, False),
+        }
+        excuse, kind, principal = ideal_rules[name]
+        domain = self.domain(kind, principal)
+        for jm in domain:
+            for km in domain:
+                prod = self.product(jm, km)
+                if name.startswith("weakly_") and prod == 1:
+                    continue
+                if sub(prod) and not excuse(jm, km):
+                    j, k = list(mask_elements(jm)), list(mask_elements(km))
+                    return refuted({"variant": "ideal-pair", "j": j, "k": k})
+        return holds

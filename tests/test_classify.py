@@ -2,10 +2,12 @@
 
 import pytest
 
+from _oracles import PredicateScan
 from nilary import (
     LEFT,
     RIGHT,
     Ideal,
+    builtin_specs,
     classify_ring,
     enumerate_ideals,
     full_report,
@@ -26,6 +28,7 @@ from nilary import (
     make_zero_mul,
     make_zn,
     matrix_entry_index,
+    parse_ring_spec,
     principal_ideal,
     zero_ideal,
 )
@@ -254,3 +257,14 @@ def test_verdicts_are_isomorphism_invariant(small_rings):
         perm = [0] + rng.sample(range(1, r.order), r.order - 1)
         other = _relabeled(r, perm)
         assert _verdict_profile(other) == _verdict_profile(r), r.label
+
+
+@pytest.mark.parametrize("spec", list(builtin_specs()) + ["T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3"])
+def test_pair_searches_match_plain_scan(spec):
+    """Filtered pair searches give the plain scan's verdict and least witness."""
+    r = parse_ring_spec(spec)
+    ctx = ring_context(r)
+    scan = PredicateScan(r)
+    for m in enumerate_ideals(r).masks():
+        for name in PREDICATE_NAMES:
+            assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)

@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from nilary.cli import main
 
@@ -207,6 +208,17 @@ def test_oversized_cyclic_spec_exits_2_before_building(capsys):
     assert "exceeds cap 10" in err
 
 
+def test_zero_max_order_is_the_construction_cap(capsys, monkeypatch):
+    # a cap of 0 is a cap, not "no cap": construction refuses before building
+    code, _, err = run(capsys, "classify", "Zn:1500", "--max-order", "0")
+    assert code == 2
+    assert "exceeds cap 0" in err and "--max-order" not in err
+    monkeypatch.setenv("NILARY_MAX_ORDER", "0")
+    code, _, err = run(capsys, "ideals", "Zn:1500")
+    assert code == 2
+    assert "exceeds cap 0" in err and "--max-order" not in err
+
+
 def test_env_max_order(capsys, monkeypatch):
     monkeypatch.setenv("NILARY_MAX_ORDER", "4")
     code, out, _ = run(capsys, "verify", "--builtin", "--json")
@@ -253,6 +265,26 @@ def test_corpus_file_lattice_cap(capsys, tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"specs": ["Zn:12"], "max_lattice": 3}))
     assert run(capsys, "verify", "--corpus", str(corpus))[0] == 2  # 6 ideals > 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_order", "10"),
+        ("max_order", True),
+        ("max_order", -1),
+        ("max_lattice", "x"),
+        ("predicates", 5),
+        ("predicates", ["nilary", "no_such_predicate"]),
+        ("format", "xml"),
+    ],
+)
+def test_corpus_file_bad_key_exits_2(capsys, tmp_path, key, value):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"specs": ["Zn:4"], key: value}))
+    code, _, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2
+    assert repr(key) in err
 
 
 def test_corpus_with_ring_file(capsys, tmp_path):

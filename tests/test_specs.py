@@ -84,6 +84,18 @@ def test_cyclic_constructors_check_cap_before_building(maker):
         maker(10**9, size_cap=10)  # a table of 10^18 entries if built
 
 
+def test_file_loader_checks_cap_at_header(tmp_path):
+    path = tmp_path / "z8.txt"
+    write_ring_file(make_zn(8), path)
+    with pytest.raises(SizeCapError, match="order 8 exceeds cap 4"):
+        parse_ring_spec(f"file:{path}", size_cap=4)
+    assert parse_ring_spec(f"file:{path}", size_cap=8).order == 8
+    header_only = tmp_path / "huge.txt"
+    header_only.write_text("100000\n")  # no rows: only the header can be read
+    with pytest.raises(SizeCapError, match="exceeds cap 10"):
+        load_ring_file(header_only, size_cap=10)
+
+
 def test_file_round_trip(tmp_path):
     ring = make_direct_sum(make_zn(2), make_zn(4))
     path = tmp_path / "ring.txt"

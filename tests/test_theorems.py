@@ -93,8 +93,8 @@ def test_corrupted_engine_is_caught(monkeypatch):
 
     honest = RingContext.product
 
-    def corrupted(self, jm, km, kind="two-sided"):
-        return honest(self, jm | km, jm | km, kind) | jm | km
+    def corrupted(self, jm, km):
+        return honest(self, jm | km, jm | km) | jm | km
 
     clear_caches()
     monkeypatch.setattr(RingContext, "product", corrupted)
