@@ -9,6 +9,7 @@ propositions over a ring corpus.
 
 from .classify import (
     PREDICATE_NAMES,
+    PowerChain,
     PropertyReport,
     Verdict,
     Witness,
@@ -16,6 +17,7 @@ from .classify import (
     classify_ring,
     clear_caches,
     full_report,
+    ideal_product,
     is_completely_left_primary,
     is_completely_nilary,
     is_completely_prime,
@@ -23,6 +25,7 @@ from .classify import (
     is_completely_semiprime,
     is_left_primary,
     is_nilary,
+    is_nilpotent_ideal,
     is_p_left_primary,
     is_p_nilary,
     is_p_right_primary,
@@ -32,7 +35,9 @@ from .classify import (
     is_weakly_nilary,
     is_weakly_nilary_onesided,
     is_weakly_p_nilary,
+    power_chain,
     ring_context,
+    some_power_contained,
 )
 from .corpus import CorpusConfig, build_builtin_corpus, build_rings, builtin_specs
 from .hunt import HuntMatch, HuntQuery, parse_query, run_hunt
@@ -43,20 +48,15 @@ from .ideals import (
     TWO_SIDED,
     Ideal,
     IdealLattice,
-    PowerChain,
     element_power_in,
     enumerate_ideals,
     enumerate_ideals_bruteforce,
     full_ideal,
     ideal_generated_by,
-    ideal_product,
     ideal_sum,
     is_nil,
-    is_nilpotent_ideal,
     make_quotient,
-    power_chain,
     principal_ideal,
-    some_power_contained,
     zero_ideal,
 )
 from .replay import replay_report, replay_verdict

@@ -37,14 +37,19 @@ from .ideals import (
     RIGHT,
     TWO_SIDED,
     Ideal,
+    _same_ring,
     additive_generators,
+    element_power_in,
+    elements_mask,
     enumerate_ideals,
     full_mask,
     generator_product,
     ideal_generated_by,
+    make_quotient,
     mask_elements,
+    zero_ideal,
 )
-from .rings import Characteristic, Ring, characteristic, element_powers, is_commutative
+from .rings import Characteristic, Hom, Ring, characteristic, element_powers, is_commutative
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,17 @@ _NA = Verdict(False, Witness.none(), na=True)
 
 
 class RingContext:
-    """Memoized quantification data for one ring.
+    """Memoized quantification data for one ring: its one mask algebra.
 
     Caches the ideal lattices, principal-ideal sets, element power
-    sequences, additive generators per mask, pairwise ideal products,
-    power-chain stabilizations and individual verdicts. Products and
-    chains are keyed by masks alone: the product of two additive subgroups
-    is the same whatever kind of ideal they are. Everything is derived
-    data; the context never mutates its ring.
+    masks, additive generators per mask, pairwise ideal products,
+    power chains, quotients by two-sided ideals (each with its own
+    context) and individual verdicts. Products and chains are keyed by
+    masks alone: the product of two additive subgroups is the same
+    whatever kind of ideal they are. Everything is derived data and
+    deterministic; the context never mutates its ring, and two threads
+    racing on one entry only compute it twice (a quotient is built twice,
+    but both callers get the one stored first).
     """
 
     def __init__(self, ring: Ring):
@@ -123,35 +131,21 @@ class RingContext:
         self.unital = ring.one is not None
         self._lattices: dict[str, tuple[int, ...]] = {}
         self._principal: dict[str, tuple[int, ...]] = {}
-        self._powers: list[Optional[tuple[int, ...]]] = [None] * self.n
         self._powmask: list[Optional[int]] = [None] * self.n
         self._generators: dict[int, tuple[int, ...]] = {}
         self._products: dict[tuple[int, int], int] = {}
-        self._chains: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._chains: dict[int, tuple[int, ...]] = {}
+        self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._verdicts: dict[tuple[str, int], Verdict] = {}
 
     # element power data -------------------------------------------------
-    def powers(self, a: int) -> tuple[int, ...]:
-        p = self._powers[a]
-        if p is None:
-            p = element_powers(self.ring, a)
-            self._powers[a] = p
-        return p
-
     def powmask(self, a: int) -> int:
+        """Mask of the powers a, a^2, ... of one element."""
         m = self._powmask[a]
         if m is None:
-            m = 0
-            for p in self.powers(a):
-                m |= 1 << p
+            m = elements_mask(element_powers(self.ring, a))
             self._powmask[a] = m
         return m
-
-    def least_power_in(self, a: int, mask: int) -> Optional[int]:
-        for exp, p in enumerate(self.powers(a), start=1):
-            if mask >> p & 1:
-                return exp
-        return None
 
     # ideal data ----------------------------------------------------------
     def lattice_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
@@ -183,23 +177,31 @@ class RingContext:
             self._products[key] = got
         return got
 
-    def chain(self, m: int) -> tuple[tuple[int, ...], int]:
-        """Masks of I, I^2, ... to stabilization, plus the stable mask."""
+    def chain(self, m: int) -> tuple[int, ...]:
+        """Masks of I, I^2, ... up to the first that equals the next.
+
+        The chain descends, so it stops within |I| steps at its stable value.
+        """
         got = self._chains.get(m)
         if got is None:
             powers = [m]
-            while True:
-                nxt = self.product(powers[-1], m)
-                if nxt == powers[-1]:
-                    break
+            while (nxt := self.product(powers[-1], m)) != powers[-1]:
                 powers.append(nxt)
-            got = (tuple(powers), powers[-1])
+            got = tuple(powers)
             self._chains[m] = got
         return got
 
     def power_in(self, jm: int, target: int) -> bool:
         """Whether some power of the ideal mask lands inside target."""
-        return not self.chain(jm)[1] & ~target
+        return not self.chain(jm)[-1] & ~target
+
+    def quotient(self, m: int) -> tuple[RingContext, Hom]:
+        """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I."""
+        got = self._quotients.get(m)
+        if got is None:
+            quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
+            got = self._quotients.setdefault(m, (RingContext(quot), hom))
+        return got
 
     # verdicts -------------------------------------------------------------
     def verdict(self, name: str, ideal_mask: int) -> Verdict:
@@ -218,6 +220,52 @@ def ring_context(ring: Ring) -> RingContext:
 
 def clear_caches() -> None:
     ring_context.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# ideal arithmetic: Ideal-level views of the context's products and chains
+
+
+def ideal_product(i: Ideal, j: Ideal) -> Ideal:
+    """Additive closure of the set of pairwise products.
+
+    Defined for matching kinds only: the product of two right (left,
+    two-sided) ideals is again right (left, two-sided).
+    """
+    _same_ring(i, j)
+    if i.kind != j.kind:
+        raise ValueError(f"cannot multiply a {i.kind} ideal by a {j.kind} ideal")
+    return Ideal(i.ring, ring_context(i.ring).product(i.mask, j.mask), i.kind)
+
+
+@dataclass(frozen=True)
+class PowerChain:
+    """Descending chain I, I^2, ... up to its stabilization point."""
+
+    base: Ideal
+    powers: tuple[Ideal, ...]
+    stable_index: int
+    stable_value: Ideal
+
+
+def power_chain(i: Ideal) -> PowerChain:
+    """I, I^2, ... until two consecutive powers coincide."""
+    powers = tuple(Ideal(i.ring, m, i.kind) for m in ring_context(i.ring).chain(i.mask))
+    return PowerChain(i, powers, len(powers), powers[-1])
+
+
+def some_power_contained(j: Ideal, i: Ideal) -> Optional[int]:
+    """Least m with J^m inside I, or None; powers past the chain's end equal its last."""
+    _same_ring(j, i)
+    for exp, p in enumerate(ring_context(j.ring).chain(j.mask), start=1):
+        if not p & ~i.mask:
+            return exp
+    return None
+
+
+def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
+    """Least m with I^m = {0}, or None."""
+    return some_power_contained(i, zero_ideal(i.ring, i.kind))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +336,8 @@ def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
     """a^n in I for some n implies a in I."""
     for a in _outside_elements(ctx, m):
         if ctx.powmask(a) & m:
-            return Verdict(False, Witness.element(a, n=ctx.least_power_in(a, m)))
+            n = element_power_in(ctx.ring, a, Ideal(ctx.ring, m))
+            return Verdict(False, Witness.element(a, n=n))
     return _TRUE
 
 
@@ -562,6 +611,7 @@ def full_report(r: Ring) -> list[PropertyReport]:
 
 __all__ = [
     "PREDICATE_NAMES",
+    "PowerChain",
     "PropertyReport",
     "REGISTRY",
     "RingContext",
@@ -571,6 +621,7 @@ __all__ = [
     "classify_ring",
     "clear_caches",
     "full_report",
+    "ideal_product",
     "is_completely_left_primary",
     "is_completely_nilary",
     "is_completely_prime",
@@ -578,6 +629,7 @@ __all__ = [
     "is_completely_semiprime",
     "is_left_primary",
     "is_nilary",
+    "is_nilpotent_ideal",
     "is_p_left_primary",
     "is_p_nilary",
     "is_p_right_primary",
@@ -587,5 +639,7 @@ __all__ = [
     "is_weakly_nilary",
     "is_weakly_nilary_onesided",
     "is_weakly_p_nilary",
+    "power_chain",
     "ring_context",
+    "some_power_contained",
 ]

@@ -61,10 +61,15 @@ def _epilog() -> str:
 
 
 def _max_order(args) -> Optional[int]:
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("NILARY_MAX_ORDER")
-    return int(env) if env else None
+    """--max-order, else NILARY_MAX_ORDER when set, as a non-negative integer."""
+    name, value = "--max-order", args.max_order
+    if value is None:
+        name, value = "NILARY_MAX_ORDER", os.environ.get("NILARY_MAX_ORDER")
+    if value in (None, ""):
+        return None
+    if not str(value).strip().isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _corpus_rings(args) -> tuple[list, CorpusConfig]:

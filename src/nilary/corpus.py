@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from .classify import PREDICATE_NAMES
-from .rings import DEFAULT_SIZE_CAP, Ring
+from .rings import DEFAULT_SIZE_CAP, Ring, SizeCapError
 from .specs import parse_ring_spec
 
 
@@ -45,13 +45,17 @@ def build_builtin_corpus(max_order: Optional[int] = None) -> CorpusConfig:
 def load_corpus_file(path: str | Path) -> CorpusConfig:
     """Read a corpus file: a JSON list of specs, or an object with caps.
 
-    Every key is checked; a value of the wrong type or range raises ValueError.
+    Every key is checked; an unknown key or a value of the wrong type or
+    range raises ValueError. The keys are the fields of CorpusConfig.
     """
     data = json.loads(Path(path).read_text())
     if isinstance(data, list):
         data = {"specs": data}
     if not isinstance(data, dict) or "specs" not in data:
         raise ValueError(f"{path}: expected a JSON list of specs or an object with 'specs'")
+    unknown = sorted(set(data) - {f.name for f in fields(CorpusConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
     specs = data["specs"]
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ValueError(f"{path}: 'specs' must be a list of strings")
@@ -77,10 +81,19 @@ def load_corpus_file(path: str | Path) -> CorpusConfig:
 
 
 def build_rings(config: CorpusConfig, size_cap: int = DEFAULT_SIZE_CAP) -> list[Ring]:
-    """Parse every spec up front, then drop rings above the order cap."""
-    rings = [parse_ring_spec(s, size_cap=size_cap) for s in config.specs]
-    if config.max_order is not None:
-        rings = [r for r in rings if r.order <= config.max_order]
+    """Parse every spec, with max_order as the construction cap when it is lower.
+
+    A spec is dropped when any ring built for it is above max_order; one
+    above size_cap alone raises SizeCapError.
+    """
+    cap = size_cap if config.max_order is None else min(config.max_order, size_cap)
+    rings = []
+    for spec in config.specs:
+        try:
+            rings.append(parse_ring_spec(spec, size_cap=cap))
+        except SizeCapError:
+            if cap == size_cap:
+                raise
     return rings
 
 

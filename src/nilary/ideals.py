@@ -1,15 +1,18 @@
-"""Ideals of finite rings: generation, arithmetic, and lattice enumeration.
+"""Ideals of finite rings: the mask kernel.
 
 Ideals are stored as bitmasks over element indices together with a kind
-tag (two-sided, left, right). The ideal generated by a set S is the
-additive span of S, AS, SA and ASA (left ideals: S and AS; right ideals:
-S and SA); associativity makes one pass enough, and each term is an OR
-of the ring's cached Ax / xA masks. Spans grow a subgroup coset by coset
-and record the at most log2(order) generators they use. Products need
-only those: by bilinearity JK spans the same subgroup as the products
-g*h of the generators of J and K. Lattices are join closures of the
+tag (two-sided, left, right). This module holds the kernel: additive
+spans, ideal closures, generator products, sums, lattices and quotients.
+The ideal generated by a set S is the additive span of S, AS, SA and ASA
+(left ideals: S and AS; right ideals: S and SA); associativity makes one
+pass enough, and each term is an OR of the ring's cached Ax / xA masks.
+Spans grow a subgroup coset by coset and record the at most log2(order)
+generators they use. A product needs only those: by bilinearity JK spans
+the same subgroup as the products g*h of the generators of J and K.
+Memoized products, power chains and quotients live on
+:class:`nilary.classify.RingContext`. Lattices are join closures of the
 principal ideals; the 2^n subset scan is kept as an independent oracle
-for small orders. Everything is immutable and pure.
+for small orders. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .rings import Hom, Ring, SizeCapError, element_powers
+from .rings import Hom, Ring, SizeCapError, element_is_nilpotent, element_powers
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -224,62 +227,6 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(i.ring, additive_closure_mask(i.ring, i.mask | j.mask), i.kind)
 
 
-def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """Additive closure of the set of pairwise products.
-
-    Computed from the additive generators of both ideals, as in
-    :func:`generator_product`. Defined for matching kinds only: the
-    product of two right (left, two-sided) ideals is again right (left,
-    two-sided).
-    """
-    _same_ring(i, j)
-    if i.kind != j.kind:
-        raise ValueError(f"cannot multiply a {i.kind} ideal by a {j.kind} ideal")
-    r = i.ring
-    prod = generator_product(r, additive_generators(r, i.mask), additive_generators(r, j.mask))
-    return Ideal(r, prod, i.kind)
-
-
-@dataclass(frozen=True)
-class PowerChain:
-    """Descending chain I, I^2, ... up to its stabilization point."""
-
-    base: Ideal
-    powers: tuple[Ideal, ...]
-    stable_index: int
-    stable_value: Ideal
-
-
-def power_chain(i: Ideal) -> PowerChain:
-    """Compute I, I^2, ... until two consecutive powers coincide.
-
-    The chain descends (I^(k+1) is contained in I^k since I is closed
-    under its side multiplications), so it stabilizes within |I| steps.
-    """
-    powers = [i]
-    while True:
-        nxt = ideal_product(powers[-1], i)
-        if nxt.mask == powers[-1].mask:
-            return PowerChain(i, tuple(powers), len(powers), powers[-1])
-        powers.append(nxt)
-
-
-def some_power_contained(j: Ideal, i: Ideal) -> Optional[int]:
-    """Least m with J^m inside I, or None.
-
-    Decidable via chain stabilization: a power of J lands in I iff the
-    stable value does.
-    """
-    _same_ring(j, i)
-    chain = power_chain(j)
-    if chain.stable_value.mask & ~i.mask:
-        return None
-    for exp, p in enumerate(chain.powers, start=1):
-        if not p.mask & ~i.mask:
-            return exp
-    raise AssertionError("stable power contained but no chain power found")
-
-
 def element_power_in(r: Ring, a: int, i: Ideal) -> Optional[int]:
     """Least n >= 1 with a^n in I, or None."""
     if i.ring != r:
@@ -292,16 +239,10 @@ def element_power_in(r: Ring, a: int, i: Ideal) -> Optional[int]:
 
 def is_nil(i: Ideal) -> tuple[bool, Optional[int]]:
     """Whether every element of I is nilpotent; witness is the first that is not."""
-    r = i.ring
     for a in i.elements:
-        if element_power_in(r, a, zero_ideal(r, i.kind)) is None:
+        if element_is_nilpotent(i.ring, a) is None:
             return False, a
     return True, None
-
-
-def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
-    """Least m with I^m = {0}, or None."""
-    return some_power_contained(i, zero_ideal(i.ring, i.kind))
 
 
 @dataclass(frozen=True)
@@ -450,7 +391,6 @@ __all__ = [
     "IdealLattice",
     "KINDS",
     "LEFT",
-    "PowerChain",
     "RIGHT",
     "TWO_SIDED",
     "additive_closure_mask",
@@ -464,15 +404,11 @@ __all__ = [
     "generator_product",
     "hom_image_mask",
     "ideal_generated_by",
-    "ideal_product",
     "ideal_sum",
     "is_ideal_mask",
     "is_nil",
-    "is_nilpotent_ideal",
     "make_quotient",
     "mask_elements",
-    "power_chain",
     "principal_ideal",
-    "some_power_contained",
     "zero_ideal",
 ]

@@ -144,38 +144,39 @@ def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
 def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Load a ring from the table file format, validating all axioms.
 
-    The order on the first line is checked against the cap before any
-    table row is parsed.
+    The order on the first non-blank line is checked against the cap
+    before the rest of the file is read.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty ring file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the ring order") from None
-    if n < 1:
-        raise ValueError(f"{path}: order must be >= 1")
-    if n > size_cap:
-        raise SizeCapError(f"{path}: ring order {n} exceeds cap {size_cap}")
-    if len(lines) < 1 + 2 * n:
-        raise ValueError(f"{path}: expected {2 * n} table rows, found {len(lines) - 1}")
-
-    def row(line_no: int) -> tuple[int, ...]:
-        parts = lines[line_no].split()
+    with Path(path).open("rb") as fh:
+        header = next((ln for ln in fh if ln.strip()), None)
+        if header is None:
+            raise ValueError(f"{path}: empty ring file")
         try:
-            vals = tuple(int(p) for p in parts)
+            n = int(header)
         except ValueError:
-            raise ValueError(f"{path}: line {line_no + 1} is not a table row") from None
+            raise ValueError(f"{path}: first line must be the ring order") from None
+        if n < 1:
+            raise ValueError(f"{path}: order must be >= 1")
+        if n > size_cap:
+            raise SizeCapError(f"{path}: ring order {n} exceeds cap {size_cap}")
+        rows = [ln for ln in (raw.strip() for raw in fh.read().decode().splitlines()) if ln]
+    if len(rows) < 2 * n:
+        raise ValueError(f"{path}: expected {2 * n} table rows, found {len(rows)}")
+
+    def row(i: int) -> tuple[int, ...]:
+        line_no = i + 2  # among the non-blank lines, after the header
+        try:
+            vals = tuple(int(p) for p in rows[i].split())
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no} is not a table row") from None
         if len(vals) != n:
-            raise ValueError(f"{path}: line {line_no + 1} has {len(vals)} entries, expected {n}")
+            raise ValueError(f"{path}: line {line_no} has {len(vals)} entries, expected {n}")
         return vals
 
-    add = tuple(row(1 + i) for i in range(n))
-    mul = tuple(row(1 + n + i) for i in range(n))
+    add = tuple(row(i) for i in range(n))
+    mul = tuple(row(n + i) for i in range(n))
     one = None
-    rest = lines[1 + 2 * n:]
+    rest = rows[2 * n:]
     if rest:
         parts = rest[0].split()
         if len(rest) > 1 or len(parts) != 2 or parts[0] != "one":

@@ -21,8 +21,8 @@ from .classify import (
     is_weakly_nilary_onesided,
     ring_context,
 )
-from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, hom_image_mask, make_quotient, mask_elements
-from .rings import Hom, Ring, characteristic, matrix_entry_index
+from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, elements_mask, hom_image_mask, mask_elements
+from .rings import Ring, characteristic, matrix_entry_index
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,6 @@ def _proper_masks(ctx: RingContext) -> list[int]:
     return [m for m in ctx.lattice_masks(TWO_SIDED) if m != ctx.full_mask]
 
 
-def _quotient_of(r: Ring, mask: int) -> tuple[Ring, Hom]:
-    return make_quotient(r, Ideal(r, mask, TWO_SIDED))
-
-
 # ---------------------------------------------------------------------------
 # cases
 
@@ -192,8 +188,7 @@ def check_P1_3_nilary_quot(rings: Sequence[Ring]) -> TheoremResult:
                     continue
                 seen.add(power)
                 run.instance(True)
-                quot, _ = _quotient_of(r, power)
-                v = ring_context(quot).verdict("nilary", 1)
+                v = ctx.quotient(power)[0].verdict("nilary", 1)
                 if not v.holds:
                     run.violate(
                         r,
@@ -212,8 +207,7 @@ def check_Pquot(rings: Sequence[Ring]) -> TheoremResult:
         for m in _proper_masks(ctx):
             run.instance(True)
             cn = ctx.verdict("completely_nilary", m)
-            quot, _ = _quotient_of(r, m)
-            qcn = ring_context(quot).verdict("completely_nilary", 1)
+            qcn = ctx.quotient(m)[0].verdict("completely_nilary", 1)
             if cn.holds != qcn.holds:
                 run.violate(
                     r,
@@ -230,8 +224,7 @@ def _hom_pairs(r: Ring):
     ctx = ring_context(r)
     lat = ctx.lattice_masks(TWO_SIDED)
     for km in lat:
-        quot, hom = _quotient_of(r, km)
-        qctx = ring_context(quot)
+        qctx, hom = ctx.quotient(km)
         for im in lat:
             if km & ~im:
                 continue
@@ -302,8 +295,7 @@ def check_Pnil_lift(rings: Sequence[Ring]) -> TheoremResult:
         for m in ctx.lattice_masks(TWO_SIDED):
             hyp = all(ctx.powmask(a) & 1 for a in mask_elements(m))
             if hyp:
-                quot, _ = _quotient_of(r, m)
-                hyp = ring_context(quot).verdict("completely_nilary", 1).holds
+                hyp = ctx.quotient(m)[0].verdict("completely_nilary", 1).holds
             if not run.instance(hyp):
                 continue
             v = ctx.verdict("completely_nilary", 1)
@@ -433,12 +425,9 @@ def check_E2_2(rings: Sequence[Ring]) -> TheoremResult:
         if w.variant != "ideal-pair" or {w.j, w.k} != {(0, 2, 4), (0, 3)}:
             run.violate(r, f"nilary counter-witness should be the pair <2>,<3>, got {w}",
                         (0,), [("nilary", ni)])
-        else:
-            jm = sum(1 << e for e in w.j)
-            km = sum(1 << e for e in w.k)
-            if ctx.product(jm, km) != 1:
-                run.violate(r, "nilary counter-witness pair should multiply to {0}",
-                            (0,), [("nilary", ni)])
+        elif ctx.product(elements_mask(w.j), elements_mask(w.k)) != 1:
+            run.violate(r, "nilary counter-witness pair should multiply to {0}",
+                        (0,), [("nilary", ni)])
     return run.result()
 
 

@@ -32,7 +32,7 @@ from nilary import (
     principal_ideal,
     zero_ideal,
 )
-from nilary.classify import PREDICATE_NAMES, ring_context
+from nilary.classify import PREDICATE_NAMES, RingContext, ring_context
 from nilary.ideals import full_mask
 
 # implication chains over proper ideals; each pair (weaker <- stronger)
@@ -268,3 +268,16 @@ def test_pair_searches_match_plain_scan(spec):
     for m in enumerate_ideals(r).masks():
         for name in PREDICATE_NAMES:
             assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+
+
+def test_quotient_memo_matches_fresh_quotients(builtin_rings):
+    for r in builtin_rings:
+        ctx = RingContext(r)
+        for m in ctx.lattice_masks():
+            qctx, hom = ctx.quotient(m)
+            assert ctx.quotient(m)[0] is qctx, (r.label, m)
+            quot, fresh_hom = make_quotient(r, Ideal(r, m))
+            assert qctx.ring == quot and hom.map == fresh_hom.map, (r.label, m)
+            fresh = RingContext(quot)
+            for name in ("completely_nilary", "nilary"):
+                assert qctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, m, name)

@@ -277,6 +277,7 @@ def test_corpus_file_lattice_cap(capsys, tmp_path):
         ("predicates", 5),
         ("predicates", ["nilary", "no_such_predicate"]),
         ("format", "xml"),
+        ("max_ordr", 1),
     ],
 )
 def test_corpus_file_bad_key_exits_2(capsys, tmp_path, key, value):
@@ -285,6 +286,34 @@ def test_corpus_file_bad_key_exits_2(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "verify", "--corpus", str(corpus))
     assert code == 2
     assert repr(key) in err
+
+
+def test_corpus_max_order_caps_construction(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    # Zn:5000 is above max_order: dropped without being built
+    corpus.write_text(json.dumps({"specs": ["Zn:5000", "Zn:4"], "max_order": 10}))
+    code, out, _ = run(capsys, "verify", "--corpus", str(corpus), "--json")
+    assert code == 0
+    assert json.loads(out)["corpus"]["rings"] == ["Zn:4"]
+    # no max_order, or one at or above the construction cap: Zn:5000 is an error
+    for extra in ({}, {"max_order": 4096}, {"max_order": 6000}):
+        corpus.write_text(json.dumps({"specs": ["Zn:5000", "Zn:4"], **extra}))
+        code, _, err = run(capsys, "verify", "--corpus", str(corpus))
+        assert code == 2 and "exceeds cap 4096" in err, extra
+
+
+@pytest.mark.parametrize("value", ["-3", "abc", "1.5"])
+def test_bad_env_max_order_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("NILARY_MAX_ORDER", value)
+    for argv in (["verify", "--builtin"], ["classify", "Zn:4"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "NILARY_MAX_ORDER" in err and repr(value) in err, argv
+
+
+def test_negative_max_order_flag_exits_2(capsys):
+    for argv in (["verify", "--builtin"], ["ideals", "Zn:4"]):
+        code, _, err = run(capsys, *argv, "--max-order", "-3")
+        assert code == 2 and "--max-order" in err, argv
 
 
 def test_corpus_with_ring_file(capsys, tmp_path):

@@ -96,6 +96,13 @@ def test_file_loader_checks_cap_at_header(tmp_path):
         load_ring_file(header_only, size_cap=10)
 
 
+def test_file_loader_reads_no_further_than_an_oversized_header(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_bytes(b"\n100000\n\xff\xfe not text\n")
+    with pytest.raises(SizeCapError, match="exceeds cap 10"):
+        load_ring_file(path, size_cap=10)
+
+
 def test_file_round_trip(tmp_path):
     ring = make_direct_sum(make_zn(2), make_zn(4))
     path = tmp_path / "ring.txt"

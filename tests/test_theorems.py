@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilary import clear_caches, parse_ring_spec, replay_verdict
+from nilary import clear_caches, parse_ring_spec, replay_verdict, ring_context
 from nilary.classify import REGISTRY, Verdict, Witness
 from nilary.theorems import (
     CASE_IDS,
@@ -85,6 +85,18 @@ def test_report_shape(harness_rings):
     assert [c["id"] for c in data["cases"]] == list(CASE_IDS)
     for c in data["cases"]:
         assert {"id", "pass", "instances", "hypothesis_instances", "violations"} <= set(c)
+
+
+def test_quotients_stay_out_of_the_context_cache(builtin_rings):
+    """Quotient contexts live on their ring's context, not in the global cache."""
+    clear_caches()
+    try:
+        cold = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
+        assert ring_context.cache_info().misses <= len(builtin_rings)
+        warm = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
+        assert warm == cold
+    finally:
+        clear_caches()
 
 
 def test_corrupted_engine_is_caught(monkeypatch):
