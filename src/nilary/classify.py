@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .ideals import (
+    DEFAULT_LATTICE_COUNT_CAP,
     LEFT,
     RIGHT,
     TWO_SIDED,
@@ -148,13 +149,15 @@ class RingContext:
         return m
 
     # ideal data ----------------------------------------------------------
-    def lattice_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
-        if kind not in self._lattices:
-            if self.commutative and kind != TWO_SIDED:
-                self._lattices[kind] = self.lattice_masks(TWO_SIDED)
-            else:
-                self._lattices[kind] = enumerate_ideals(self.ring, kind).masks()
-        return self._lattices[kind]
+    def lattice_masks(
+        self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
+    ) -> tuple[int, ...]:
+        if self.commutative:
+            kind = TWO_SIDED  # one-sided ideals are the two-sided ones
+        got = self._lattices.get(kind)
+        if got is None or len(got) > max_ideals:  # then enumeration raises SizeCapError
+            got = self._lattices[kind] = enumerate_ideals(self.ring, kind, max_ideals=max_ideals).masks()
+        return got
 
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
         if kind not in self._principal:

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .classify import PREDICATE_NAMES, PropertyReport, classify_ideal, full_report
+from .classify import PREDICATE_NAMES, PropertyReport, classify_ideal, full_report, ring_context
 from .corpus import CorpusConfig, build_builtin_corpus, build_rings, load_corpus_file
 from .hunt import FACT_ATOMS, parse_query, run_hunt
 from .ideals import (
@@ -84,9 +84,9 @@ def _corpus_rings(args) -> tuple[list, CorpusConfig]:
         config = dataclasses.replace(config, max_order=cap)
     rings = build_rings(config)
     if config.max_lattice is not None:
-        # pre-flight: reject the corpus before any classification starts
+        # pre-flight before any classification; the run reuses the lattices
         for r in rings:
-            enumerate_ideals(r, max_ideals=config.max_lattice)
+            ring_context(r).lattice_masks(max_ideals=config.max_lattice)
     return rings, config
 
 

@@ -6,9 +6,12 @@ additive zero; constructors and the file loader enforce this. Rings need
 not be commutative and need not contain a unity; when a unity exists its
 index is recorded in ``one`` (the order-1 ring has ``one = 0``).
 
-Every constructor returns an immutable :class:`Ring` whose negation table
-is derived once from the addition table, so later subset closures can
-negate in O(1). The bitmasks of the one-element products Ax and xA are
+Constructors build whole tables at once: each element is decoded into
+digit arrays, and every entry of all sums and products is one numpy
+gather over all pairs, in int16 (up to order 2**15). :meth:`Ring.from_tables`
+checks the arrays, derives the negation table once (so closures negate in
+O(1)) and stores tuples of Python ints; a Ring keeps no numpy arrays.
+The bitmasks of the one-element products Ax and xA, and the hash, are
 derived on first use and cached on the ring; computing them twice is
 harmless, so rings can still be shared freely across threads. All
 functions here are pure.
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from math import prod
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +75,14 @@ class Ring:
         packed = np.packbits(bits, axis=2, bitorder="little")
         return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.order, self.add, self.mul, self.one, self.label, self.neg))
+
+    def __hash__(self) -> int:
+        # the dataclass hash would re-hash both tables on every call
+        return self._hash
+
     @classmethod
     def from_tables(
         cls,
@@ -80,46 +92,45 @@ class Ring:
         one: Optional[int] = None,
         label: str = "ring",
     ) -> "Ring":
-        """Build a Ring from raw tables, checking shape, range and zero row.
+        """Build a Ring from raw tables: nested sequences or 2-D arrays.
 
         Structural defects (wrong shape, out-of-range entry, element 0 not
-        the additive zero, missing additive inverse) raise ValueError.
-        Axiom-level defects are the business of :func:`validate_ring`.
+        the additive zero, missing additive inverse, unity out of range)
+        raise ValueError; axiom-level ones are :func:`validate_ring`'s.
         """
         if order < 1:
             raise ValueError(f"ring order must be >= 1, got {order}")
-        add_t = _normalize_table(order, add, "addition")
-        mul_t = _normalize_table(order, mul, "multiplication")
-        for a in range(order):
-            if add_t[0][a] != a or add_t[a][0] != a:
-                raise ValueError("element 0 must be the additive zero")
-        neg = []
-        for a in range(order):
-            row = add_t[a]
-            for b in range(order):
-                if row[b] == 0:
-                    neg.append(b)
-                    break
-            else:
-                raise ValueError(f"element {a} has no additive inverse")
+        add_a = _table_array(order, add, "addition")
+        mul_a = _table_array(order, mul, "multiplication")
+        idx = np.arange(order)
+        if (add_a[0] != idx).any() or (add_a[:, 0] != idx).any():
+            raise ValueError("element 0 must be the additive zero")
+        zero = add_a == 0
+        if not zero.any(axis=1).all():
+            raise ValueError(f"element {int(zero.any(axis=1).argmin())} has no additive inverse")
         if one is not None and not 0 <= one < order:
             raise ValueError(f"unity index {one} out of range")
-        return cls(order, add_t, mul_t, one, label, tuple(neg))
+        add_t, mul_t = (tuple(tuple(row.tolist()) for row in t) for t in (add_a, mul_a))
+        return cls(order, add_t, mul_t, one, label, tuple(zero.argmax(axis=1).tolist()))
 
 
-def _normalize_table(order: int, table: Sequence[Sequence[int]], what: str) -> Table:
+def _index_dtype(order: int) -> type:
+    """Narrowest signed dtype that holds every element index of the order."""
+    return np.int16 if order <= 1 << 15 else np.int32
+
+
+def _table_array(order: int, table, what: str) -> np.ndarray:
     if len(table) != order:
         raise ValueError(f"{what} table has {len(table)} rows, expected {order}")
-    rows = []
     for i, row in enumerate(table):
-        r = tuple(int(x) for x in row)
-        if len(r) != order:
-            raise ValueError(f"{what} table row {i} has length {len(r)}, expected {order}")
-        for x in r:
-            if not 0 <= x < order:
-                raise ValueError(f"{what} table entry {x} out of range [0, {order})")
-        rows.append(r)
-    return tuple(rows)
+        if len(row) != order:
+            raise ValueError(f"{what} table row {i} has length {len(row)}, expected {order}")
+    t = np.asarray(table)  # object dtype if an entry does not fit int64
+    bad = (t < 0) | (t >= order)
+    if bad.any():
+        x = int(t.flat[bad.argmax()])
+        raise ValueError(f"{what} table entry {x} out of range [0, {order})")
+    return t.astype(_index_dtype(order), copy=False)
 
 
 @dataclass(frozen=True)
@@ -157,14 +168,30 @@ def hom_violations(h: Hom) -> list[str]:
 # constructors
 
 
+def _cyclic(n: int, op: np.ufunc) -> np.ndarray:
+    t = op.outer(*[np.arange(n, dtype=np.int32 if n <= 1 << 15 else np.int64)] * 2)
+    t %= n  # (n - 1)**2 fits the wide type
+    return t.astype(_index_dtype(n))
+
+
+def _digits(order: int, radices: Sequence[int]) -> list[np.ndarray]:
+    """Mixed-radix digits of every index below order, least significant first."""
+    idx = np.arange(order, dtype=_index_dtype(order))
+    return [idx // prod(radices[:e]) % radix for e, radix in enumerate(radices)]
+
+
+def _numeral(digit_tables: Iterable[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """The inverse of _digits, entrywise over tables of digits."""
+    return sum(t * prod(radices[:e]) for e, t in enumerate(digit_tables))
+
+
 def make_zn(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Integers mod n. Unital; n = 1 gives the zero ring with one = 0."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n > size_cap:
         raise SizeCapError(f"Z_n order {n} exceeds cap {size_cap}")
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
+    add, mul = _cyclic(n, np.add), _cyclic(n, np.multiply)
     return Ring.from_tables(n, add, mul, one=1 % n, label=f"Zn:{n}")
 
 
@@ -174,10 +201,9 @@ def make_zero_mul(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > size_cap:
         raise SizeCapError(f"zero-multiplication ring order {n} exceeds cap {size_cap}")
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    mul = np.zeros((n, n), dtype=_index_dtype(n))
     one = 0 if n == 1 else None
-    return Ring.from_tables(n, add, mul, one=one, label=f"zmul:{n}")
+    return Ring.from_tables(n, _cyclic(n, np.add), mul, one=one, label=f"zmul:{n}")
 
 
 def make_direct_sum(r: Ring, s: Ring, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
@@ -190,78 +216,47 @@ def make_direct_sum(r: Ring, s: Ring, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     order = r.order * s.order
     if order > size_cap:
         raise SizeCapError(f"direct sum order {order} exceeds cap {size_cap}")
-    ro = r.order
+    dt, radices = _index_dtype(order), (r.order, s.order)
+    digits = _digits(order, radices)
 
-    def enc(a: int, b: int) -> int:
-        return a + ro * b
+    def table(*tables: Table) -> np.ndarray:
+        return _numeral((np.array(t, dtype=dt)[d[:, None], d] for t, d in zip(tables, digits)), radices)
 
-    add = []
-    mul = []
-    for i in range(order):
-        a1, b1 = i % ro, i // ro
-        arow = []
-        mrow = []
-        for j in range(order):
-            a2, b2 = j % ro, j // ro
-            arow.append(enc(r.add[a1][a2], s.add[b1][b2]))
-            mrow.append(enc(r.mul[a1][a2], s.mul[b1][b2]))
-        add.append(tuple(arow))
-        mul.append(tuple(mrow))
-    one = None
-    if r.one is not None and s.one is not None:
-        one = enc(r.one, s.one)
-    return Ring.from_tables(
-        order, tuple(add), tuple(mul), one=one, label=f"dsum({r.label},{s.label})"
-    )
+    one = None if r.one is None or s.one is None else r.one + r.order * s.one
+    label = f"dsum({r.label},{s.label})"
+    return Ring.from_tables(order, table(r.add, s.add), table(r.mul, s.mul), one=one, label=label)
 
 
 def _matrix_tables(base: Ring, k: int, positions: list[tuple[int, int]], order: int):
     """Cayley tables for matrices supported on the given (row, col) positions.
 
     Element indices are mixed-radix numerals over base.order with the first
-    position as the least significant digit.
+    position as the least significant digit. Each element is decoded once,
+    into its entries and into a code per row and per column; ``dot`` is the
+    base-ring dot product of two codes. Each entry of all sums or products
+    is then one gather over every pair of elements.
     """
-    q = base.order
-    npos = len(positions)
-    pos_index = {p: i for i, p in enumerate(positions)}
+    q, radices = base.order, [base.order] * len(positions)
+    badd, bmul = (np.array(t, dtype=_index_dtype(order)) for t in (base.add, base.mul))
+    digits, zero = dict(zip(positions, _digits(order, radices))), np.zeros(order, dtype=np.int8)
+    vec = _digits(q**k, [q] * k)
+    dot = bmul[vec[0][:, None], vec[0]]
+    for l in range(1, k):
+        dot = badd[dot, bmul[vec[l][:, None], vec[l]]]
 
-    def decode(idx: int):
-        m = [[0] * k for _ in range(k)]
-        for (i, j) in positions:
-            m[i][j] = idx % q
-            idx //= q
-        return m
+    def code(cells: list[tuple[int, int]]) -> np.ndarray:  # the cells' entries as k digits
+        return _numeral((digits.get(c, zero).astype(np.intp) for c in cells), [q] * k)
 
-    def encode(m) -> int:
-        idx = 0
-        for p in reversed(positions):
-            idx = idx * q + m[p[0]][p[1]]
-        return idx
-
-    mats = [decode(i) for i in range(order)]
-    add = []
-    mul = []
-    badd, bmul = base.add, base.mul
-    for a in mats:
-        arow = []
-        mrow = []
-        for b in mats:
-            s = [[badd[a[i][j]][b[i][j]] for j in range(k)] for i in range(k)]
-            arow.append(encode(s))
-            p = [[0] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    acc = 0
-                    for l in range(k):
-                        acc = badd[acc][bmul[a[i][l]][b[l][j]]]
-                    if acc and (i, j) not in pos_index:
-                        raise ValueError("product left the supported positions")
-                    p[i][j] = acc
-            mrow.append(encode(p))
-        add.append(tuple(arow))
-        mul.append(tuple(mrow))
-    ident = [[base.one if i == j else 0 for j in range(k)] for i in range(k)]
-    return tuple(add), tuple(mul), encode(ident)
+    rows = [code([(i, l) for l in range(k)]) for i in range(k)]
+    cols = [code([(l, j) for l in range(k)]) for j in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if (i, j) not in digits and dot[rows[i][:, None], cols[j]].any():
+                raise ValueError("product left the supported positions")
+    add = _numeral((badd[d[:, None], d] for d in digits.values()), radices)
+    mul = _numeral((dot[rows[i][:, None], cols[j]] for i, j in positions), radices)
+    one = sum(base.one * q**e for e, (i, j) in enumerate(positions) if i == j)
+    return add, mul, one
 
 
 def make_matrix_ring(base: Ring, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
@@ -346,6 +341,8 @@ def validate_ring(r: Ring, max_violations: int = 25) -> ValidationReport:
             out.append((f"{name}-table-malformed", ()))
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
+    # narrow, so the (chunk, n, n) temporaries below are narrow too
+    add, mul = add.astype(_index_dtype(n)), mul.astype(_index_dtype(n))
 
     rng = np.arange(n)
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])

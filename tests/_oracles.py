@@ -86,6 +86,91 @@ def product_by_elements(r: Ring, jm: int, km: int) -> int:
     return close_by_worklist(r, prod, left=False, right=False)
 
 
+def ring_by_elements(order: int, add, mul, one: Optional[int], label: str) -> Ring:
+    """A Ring straight from element-wise tables, negation found by a row scan."""
+    neg = tuple(next(b for b in range(order) if add[a][b] == 0) for a in range(order))
+    return Ring(order, tuple(map(tuple, add)), tuple(map(tuple, mul)), one, label, neg)
+
+
+# Element-wise constructors with the signatures of those in nilary.rings; the
+# size cap is the real constructors' business and is ignored here.
+
+
+def zn_by_elements(n: int, size_cap: int = 0) -> Ring:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    return ring_by_elements(n, add, mul, 1 % n, f"Zn:{n}")
+
+
+def zero_mul_by_elements(n: int, size_cap: int = 0) -> Ring:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return ring_by_elements(n, add, [[0] * n for _ in range(n)], 0 if n == 1 else None, f"zmul:{n}")
+
+
+def direct_sum_by_elements(r: Ring, s: Ring, size_cap: int = 0) -> Ring:
+    order, ro = r.order * s.order, r.order
+    add, mul = [], []
+    for i in range(order):
+        a1, b1 = i % ro, i // ro
+        add.append([r.add[a1][j % ro] + ro * s.add[b1][j // ro] for j in range(order)])
+        mul.append([r.mul[a1][j % ro] + ro * s.mul[b1][j // ro] for j in range(order)])
+    one = None if r.one is None or s.one is None else r.one + ro * s.one
+    return ring_by_elements(order, add, mul, one, f"dsum({r.label},{s.label})")
+
+
+def matrix_tables_by_elements(base: Ring, k: int, positions: list[tuple[int, int]], order: int):
+    """Sum and product of every pair of matrices, entry by entry."""
+    q = base.order
+    badd, bmul = base.add, base.mul
+
+    def decode(idx: int):
+        m = [[0] * k for _ in range(k)]
+        for (i, j) in positions:
+            m[i][j] = idx % q
+            idx //= q
+        return m
+
+    def encode(m) -> int:
+        idx = 0
+        for (i, j) in reversed(positions):
+            idx = idx * q + m[i][j]
+        return idx
+
+    mats = [decode(i) for i in range(order)]
+    add, mul = [], []
+    for a in mats:
+        add.append([encode([[badd[a[i][j]][b[i][j]] for j in range(k)] for i in range(k)]) for b in mats])
+        mrow = []
+        for b in mats:
+            p = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(k):
+                    acc = 0
+                    for l in range(k):
+                        acc = badd[acc][bmul[a[i][l]][b[l][j]]]
+                    if acc and (i, j) not in positions:
+                        raise ValueError("product left the supported positions")
+                    p[i][j] = acc
+            mrow.append(encode(p))
+        mul.append(mrow)
+    ident = [[base.one if i == j else 0 for j in range(k)] for i in range(k)]
+    return add, mul, encode(ident)
+
+
+def matrix_ring_by_elements(base: Ring, k: int, size_cap: int = 0) -> Ring:
+    positions = [(i, j) for i in range(k) for j in range(k)]
+    order = base.order ** len(positions)
+    add, mul, one = matrix_tables_by_elements(base, k, positions, order)
+    return ring_by_elements(order, add, mul, one, f"M:{k}:{base.label}")
+
+
+def upper_triangular_by_elements(base: Ring, k: int, size_cap: int = 0) -> Ring:
+    positions = [(i, j) for i in range(k) for j in range(i, k)]
+    order = base.order ** len(positions)
+    add, mul, one = matrix_tables_by_elements(base, k, positions, order)
+    return ring_by_elements(order, add, mul, one, f"T:{k}:{base.label}")
+
+
 class PredicateScan:
     """Every predicate by its definition, scanning every pair of its domain in order.
 

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+from nilary import classify, cli
 from nilary.cli import main
 
 WITNESS_SCHEMA = {
@@ -265,6 +266,37 @@ def test_corpus_file_lattice_cap(capsys, tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"specs": ["Zn:12"], "max_lattice": 3}))
     assert run(capsys, "verify", "--corpus", str(corpus))[0] == 2  # 6 ideals > 3
+
+
+def test_lattice_cap_preflight_enumerates_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    enumerate_ideals = classify.enumerate_ideals
+
+    def counted(r, *args, **kwargs):
+        calls.append((r.label, kwargs.get("max_ideals")))
+        return enumerate_ideals(r, *args, **kwargs)
+
+    for module in (cli, classify):
+        monkeypatch.setattr(module, "enumerate_ideals", counted)
+    classify.clear_caches()
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"specs": ["M:2:Zn:3", "T:2:Zn:4"], "max_lattice": 100000}))
+    code, _, _ = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
+    assert code == 0
+    assert sorted(calls) == [("M:2:Zn:3", 100000), ("T:2:Zn:4", 100000)]
+    # over the cap: the enumeration itself stops at the cap, so a huge lattice is never
+    # enumerated in full
+    corpus.write_text(json.dumps({"specs": ["M:2:Zn:3", "T:2:Zn:4"], "max_lattice": 3}))
+    code, _, err = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
+    assert code == 2 and "lattice exceeds count cap 3" in err
+    assert calls[-1] == ("T:2:Zn:4", 3)
+
+
+def test_table_file_entry_beyond_int64_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.tbl"
+    path.write_text(f"2\n0 1\n1 {10**30}\n0 0\n0 1\n")
+    code, _, err = run(capsys, "classify", f"file:{path}")
+    assert code == 2 and f"entry {10**30} out of range" in err
 
 
 @pytest.mark.parametrize(

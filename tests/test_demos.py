@@ -1,18 +1,23 @@
 """The narrative demo scripts must stay runnable."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the scripts import nilary from src/, as the tests do
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -19,11 +19,41 @@ from nilary import (
     make_zero_mul,
     make_zn,
     matrix_entry_index,
+    parse_ring_spec,
     validate_ring,
 )
-from nilary.rings import hom_violations
+from nilary import classify, specs
+from nilary.classify import clear_caches, ring_context
+from nilary.corpus import builtin_specs
+from nilary.rings import _matrix_tables, hom_violations
 
-from _oracles import find_isomorphism, nilpotency_by_direct_powers
+from _oracles import (
+    direct_sum_by_elements,
+    find_isomorphism,
+    matrix_ring_by_elements,
+    matrix_tables_by_elements,
+    nilpotency_by_direct_powers,
+    upper_triangular_by_elements,
+    zero_mul_by_elements,
+    zn_by_elements,
+)
+
+# The builtins, the benchmark's classify ladder and hunt shapes, the
+# degenerate sizes and the largest shapes at the default cap.
+ORACLE_SPECS = tuple(dict.fromkeys(builtin_specs() + (
+    "Zn:64", "Zn:210", "T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,Zn:12)", "M:2:Zn:4",
+    "T:2:dsum(Zn:2,Zn:2)", "dsum(M:2:Zn:2,zmul:8)", "dsum(T:2:Zn:3,zmul:4)",
+    "dsum(T:3:Zn:2,zmul:2)", "T:2:Zn:2", "T:2:Zn:3", "M:2:Zn:2", "dsum(T:2:Zn:2,Zn:3)",
+    "dsum(T:2:Zn:2,zmul:4)", "dsum(M:2:Zn:2,zmul:2)", "quot(T:2:Zn:4,gen(3))",
+    "Zn:1", "zmul:1", "M:1:Zn:5", "T:1:Zn:5", "T:2:Zn:8", "M:3:Zn:2",
+)))
+ORACLE_CONSTRUCTORS = {
+    "make_zn": zn_by_elements,
+    "make_zero_mul": zero_mul_by_elements,
+    "make_direct_sum": direct_sum_by_elements,
+    "make_matrix_ring": matrix_ring_by_elements,
+    "make_upper_triangular": upper_triangular_by_elements,
+}
 
 
 def test_zn_tables():
@@ -84,6 +114,64 @@ def test_from_tables_rejects_bad_zero():
 def test_from_tables_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Ring.from_tables(2, ((0, 1), (1, 5)), ((0, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_constructors_match_elementwise_oracle(spec, monkeypatch):
+    ring = parse_ring_spec(spec)
+    with monkeypatch.context() as m:
+        for name, oracle in ORACLE_CONSTRUCTORS.items():
+            m.setattr(specs, name, oracle)
+        expected = parse_ring_spec(spec)
+    for field in ("order", "add", "mul", "one", "label", "neg"):
+        assert getattr(ring, field) == getattr(expected, field), (spec, field)
+    for table in (ring.add, ring.mul, (ring.neg,)):
+        assert all(type(x) is int for row in table for x in row), spec
+
+
+def test_matrix_tables_reject_an_unclosed_support():
+    z2 = make_zn(2)
+    support = [(0, 1), (1, 0)]  # E01 * E10 = E00 is outside
+    for build in (_matrix_tables, matrix_tables_by_elements):
+        with pytest.raises(ValueError, match="product left the supported positions"):
+            build(z2, 2, support, 4)
+
+
+@pytest.mark.parametrize(
+    "add, mul, one, message",
+    [
+        (((0, 1), (1, 10**30)), ((0, 0), (0, 1)), None, "addition table entry 10{30} out of range"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 10**30)), None, "multiplication table entry 10{30} out of"),
+        (((0, 1), (1, -1)), ((0, 0), (0, 1)), None, r"addition table entry -1 out of range \[0, 2\)"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 2)), None, r"multiplication table entry 2 out of range"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 1, 1)), None, "multiplication table row 1 has length 3"),
+        (((0, 1), (1, 0)), ((0, 0),), None, "multiplication table has 1 rows, expected 2"),
+        (((0, 1),), ((0, 0), (0, 1)), None, "addition table has 1 rows, expected 2"),
+        (((0, 1), (1, 1)), ((0, 0), (0, 1)), None, "element 1 has no additive inverse"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 1)), 2, "unity index 2 out of range"),
+    ],
+)
+def test_from_tables_structural_errors(add, mul, one, message):
+    with pytest.raises(ValueError, match=message):
+        Ring.from_tables(2, add, mul, one=one)
+
+
+def test_equal_rings_share_one_context():
+    clear_caches()
+    a, b = make_zn(12), parse_ring_spec("Zn:12")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert ring_context(a) is ring_context(b)
+    assert classify.ring_context.cache_info().misses == 1
+
+
+def test_hash_reads_the_tables_once():
+    class Unhashable(tuple):
+        __hash__ = None
+
+    r = make_zn(9)
+    first = hash(r)
+    object.__setattr__(r, "add", Unhashable(r.add))
+    assert hash(r) == first
 
 
 def test_zero_mul_ring():
