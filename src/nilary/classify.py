@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 from .ideals import (
     DEFAULT_LATTICE_COUNT_CAP,
+    DEFAULT_LATTICE_ORDER_CAP,
     LEFT,
     RIGHT,
     TWO_SIDED,
@@ -45,9 +46,9 @@ from .ideals import (
     enumerate_ideals,
     full_mask,
     generator_product,
-    ideal_generated_by,
     make_quotient,
     mask_elements,
+    principal_of,
     zero_ideal,
 )
 from .rings import Characteristic, Hom, Ring, characteristic, element_powers, is_commutative
@@ -113,8 +114,9 @@ _NA = Verdict(False, Witness.none(), na=True)
 class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
-    Caches the ideal lattices, principal-ideal sets, element power
-    masks, additive generators per mask, pairwise ideal products,
+    Caches the ideal lattices, the principal ideal of every element (one
+    pass per kind, for the principal-ideal sets and the lattices), element
+    power masks, additive generators per mask, pairwise ideal products,
     power chains, quotients by two-sided ideals (each with its own
     context) and individual verdicts. Products and chains are keyed by
     masks alone: the product of two additive subgroups is the same
@@ -131,6 +133,7 @@ class RingContext:
         self.commutative = is_commutative(ring)
         self.unital = ring.one is not None
         self._lattices: dict[str, tuple[int, ...]] = {}
+        self._principal_of: dict[str, tuple[int, ...]] = {}
         self._principal: dict[str, tuple[int, ...]] = {}
         self._powmask: list[Optional[int]] = [None] * self.n
         self._generators: dict[int, tuple[int, ...]] = {}
@@ -156,12 +159,21 @@ class RingContext:
             kind = TWO_SIDED  # one-sided ideals are the two-sided ones
         got = self._lattices.get(kind)
         if got is None or len(got) > max_ideals:  # then enumeration raises SizeCapError
-            got = self._lattices[kind] = enumerate_ideals(self.ring, kind, max_ideals=max_ideals).masks()
+            # over the order cap enumeration raises at once, before any principal ideal
+            of = self.principal_of(kind) if self.n <= DEFAULT_LATTICE_ORDER_CAP else None
+            got = self._lattices[kind] = enumerate_ideals(
+                self.ring, kind, max_ideals=max_ideals, principal=of).masks()
         return got
+
+    def principal_of(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
+        """Mask of the principal ideal (a) for every element a."""
+        if kind not in self._principal_of:
+            self._principal_of[kind] = principal_of(self.ring, kind)
+        return self._principal_of[kind]
 
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
         if kind not in self._principal:
-            seen = {ideal_generated_by(self.ring, (a,), kind).mask for a in range(self.n)}
+            seen = set(self.principal_of(kind))
             self._principal[kind] = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
         return self._principal[kind]
 
@@ -479,68 +491,30 @@ def _require_two_sided(i: Ideal) -> RingContext:
     return ring_context(i.ring)
 
 
-def _eval(i: Ideal, name: str) -> Verdict:
-    return _require_two_sided(i).verdict(name, i.mask)
+def _public(name: str) -> Callable[[Ideal], Verdict]:
+    """The registered predicate ``name`` as a function of a two-sided Ideal."""
+
+    def check(i: Ideal) -> Verdict:
+        return _require_two_sided(i).verdict(name, i.mask)
+
+    return check
 
 
-def is_completely_prime(i: Ideal) -> Verdict:
-    return _eval(i, "completely_prime")
-
-
-def is_completely_semiprime(i: Ideal) -> Verdict:
-    return _eval(i, "completely_semiprime")
-
-
-def is_completely_nilary(i: Ideal) -> Verdict:
-    return _eval(i, "completely_nilary")
-
-
-def is_prime_ideal(i: Ideal) -> Verdict:
-    return _eval(i, "prime")
-
-
-def is_semiprime_ideal(i: Ideal) -> Verdict:
-    return _eval(i, "semiprime")
-
-
-def is_nilary(i: Ideal) -> Verdict:
-    return _eval(i, "nilary")
-
-
-def is_p_nilary(i: Ideal) -> Verdict:
-    return _eval(i, "p_nilary")
-
-
-def is_right_primary(i: Ideal) -> Verdict:
-    return _eval(i, "right_primary")
-
-
-def is_left_primary(i: Ideal) -> Verdict:
-    return _eval(i, "left_primary")
-
-
-def is_p_right_primary(i: Ideal) -> Verdict:
-    return _eval(i, "p_right_primary")
-
-
-def is_p_left_primary(i: Ideal) -> Verdict:
-    return _eval(i, "p_left_primary")
-
-
-def is_completely_right_primary(i: Ideal) -> Verdict:
-    return _eval(i, "completely_right_primary")
-
-
-def is_completely_left_primary(i: Ideal) -> Verdict:
-    return _eval(i, "completely_left_primary")
-
-
-def is_weakly_nilary(i: Ideal) -> Verdict:
-    return _eval(i, "weakly_nilary")
-
-
-def is_weakly_p_nilary(i: Ideal) -> Verdict:
-    return _eval(i, "weakly_p_nilary")
+is_completely_prime = _public("completely_prime")
+is_completely_semiprime = _public("completely_semiprime")
+is_completely_nilary = _public("completely_nilary")
+is_prime_ideal = _public("prime")
+is_semiprime_ideal = _public("semiprime")
+is_nilary = _public("nilary")
+is_p_nilary = _public("p_nilary")
+is_right_primary = _public("right_primary")
+is_left_primary = _public("left_primary")
+is_p_right_primary = _public("p_right_primary")
+is_p_left_primary = _public("p_left_primary")
+is_completely_right_primary = _public("completely_right_primary")
+is_completely_left_primary = _public("completely_left_primary")
+is_weakly_nilary = _public("weakly_nilary")
+is_weakly_p_nilary = _public("weakly_p_nilary")
 
 
 def is_weakly_nilary_onesided(l: Ideal, side: str, principal: bool = False) -> Verdict:

@@ -17,6 +17,7 @@ from .classify import PREDICATE_NAMES, PropertyReport, classify_ideal, full_repo
 from .corpus import CorpusConfig, build_builtin_corpus, build_rings, load_corpus_file
 from .hunt import FACT_ATOMS, parse_query, run_hunt
 from .ideals import (
+    BRUTE_FORCE_ORDER_CAP,
     TWO_SIDED,
     enumerate_ideals,
     enumerate_ideals_bruteforce,
@@ -155,10 +156,9 @@ def cmd_classify(args) -> int:
 def cmd_ideals(args) -> int:
     ring = _parse_single(args)
     lattice = enumerate_ideals(ring, args.kind)
-    oracle_checked = False
-    oracle_note = None
+    oracle_checked, oracle_note = False, None
     if args.oracle:
-        if ring.order <= 16:
+        if ring.order <= BRUTE_FORCE_ORDER_CAP:
             oracle = enumerate_ideals_bruteforce(ring, args.kind)
             if oracle.masks() != lattice.masks():
                 print(
@@ -167,9 +167,9 @@ def cmd_ideals(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            oracle_checked = True
+            oracle_checked, oracle_note = True, "oracle: subset scan agrees"
         else:
-            oracle_note = f"oracle skipped: order {ring.order} > 16"
+            oracle_note = f"oracle skipped: order {ring.order} > {BRUTE_FORCE_ORDER_CAP}"
     if args.json:
         print(
             json.dumps(
@@ -188,8 +188,6 @@ def cmd_ideals(args) -> int:
     print(f"ring {ring.label}  kind {args.kind}  {len(lattice)} ideal(s)")
     for i in lattice:
         print(f"  size {i.size:>3}  {_ideal_text(i.elements)}")
-    if oracle_checked:
-        print("oracle: subset scan agrees")
     if oracle_note:
         print(oracle_note)
     return 0

@@ -9,15 +9,16 @@ pass enough, and each term is an OR of the ring's cached Ax / xA masks.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
-Memoized products, power chains and quotients live on
-:class:`nilary.classify.RingContext`. Lattices are join closures of the
-principal ideals; the 2^n subset scan is kept as an independent oracle
-for small orders. Everything here is immutable and pure.
+Memoized products, power chains, quotients and principal ideals live on
+:class:`nilary.classify.RingContext`. Lattices are the principal ideals
+closed under coset-wise joins; the 2^n subset scan is kept as an
+independent oracle for small orders. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -102,20 +103,22 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown ideal kind {kind!r}")
 
 
-def _span(r: Ring, mask: int) -> tuple[int, tuple[int, ...]]:
-    """Additive subgroup generated by a subset, with the generators used.
+def _span(
+    r: Ring, mask: int, start: Optional[tuple[int, list[int]]] = None
+) -> tuple[int, list[int], tuple[int, ...]]:
+    """Additive subgroup generated by a subset: its mask, elements and generators used.
 
-    Coset growth: starting from H = {0}, the least element g of the subset
+    Coset growth: starting from H = {0}, or from the subgroup ``start``
+    given by its mask and element list, the least element g of the subset
     not yet in H extends H to H + <g>, the union of the cosets H + kg for
     k = 0, 1, ... up to the first k with kg in H. Each step at least
     doubles |H|, so at most log2(order) generators are used, and every
-    element of the span is produced exactly once.
+    element of the span is listed exactly once.
     """
     add = r.add
-    span = 1
-    elems = [0]
+    span, elems = (1, [0]) if start is None else (start[0], list(start[1]))
     gens = []
-    rest = mask & ~1
+    rest = mask & ~span
     while rest:
         g = (rest & -rest).bit_length() - 1
         gens.append(g)
@@ -129,7 +132,7 @@ def _span(r: Ring, mask: int) -> tuple[int, tuple[int, ...]]:
                 elems.append(x)
             c = row[g]
         rest &= ~span
-    return span, tuple(gens)
+    return span, elems, tuple(gens)
 
 
 def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
@@ -153,7 +156,7 @@ def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
 
 def additive_generators(r: Ring, mask: int) -> tuple[int, ...]:
     """At most log2(order) generators of the additive span of the subset."""
-    return _span(r, mask)[1]
+    return _span(r, mask)[2]
 
 
 def generator_product(r: Ring, jgens: tuple[int, ...], kgens: tuple[int, ...]) -> int:
@@ -268,39 +271,71 @@ def _sorted_lattice(r: Ring, kind: str, masks: Iterable[int]) -> IdealLattice:
     return IdealLattice(r, kind, tuple(Ideal(r, m, kind) for m in ordered))
 
 
+def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
+    """Mask of the principal ideal (a) of the kind, for every element a.
+
+    (a) spans {a} + Aa + aA + A(aA) (left: {a} + Aa; right: {a} + aA). Spans
+    are memoized by that pre-span and A(aA) by aA, since elements share
+    them: Zn:210 has 16 distinct pre-spans among 210 elements.
+    """
+    _check_kind(kind)
+    ax, xa = r.product_masks
+    left, right = kind != RIGHT, kind != LEFT
+    spans, outer = {}, {}  # pre-span -> (a); aA -> A(aA), the OR of Ax over x in aA
+    of = []
+    for a in range(r.order):
+        pre = 1 << a | (ax[a] if left else 0) | (xa[a] if right else 0)
+        if left and right:
+            t = xa[a]
+            if t not in outer:
+                outer[t] = reduce(int.__or__, (ax[x] for x in mask_elements(t)), 0)
+            pre |= outer[t]
+        if pre not in spans:
+            spans[pre] = _span(r, pre)[0]
+        of.append(spans[pre])
+    return tuple(of)
+
+
 def enumerate_ideals(
     r: Ring,
     kind: str = TWO_SIDED,
     max_order: int = DEFAULT_LATTICE_ORDER_CAP,
     max_ideals: int = DEFAULT_LATTICE_COUNT_CAP,
+    *,
+    principal: Optional[tuple[int, ...]] = None,
 ) -> IdealLattice:
-    """All ideals of the kind, via join closure of the principal ideals.
+    """All ideals of the kind: the principal ones closed under the joins I + (a).
 
-    Every ideal is the sum of the principal ideals of its members, so the
-    set of all ideals is the closure of the principal ones under pairwise
-    join (additive closure of the union).
+    Every ideal is a sum of principal ideals. I + (a) depends only on the
+    coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
+    with each distinct (a) over one representative a per coset outside it,
+    by growing its own cosets (a seeded span). ``principal`` is
+    :func:`principal_of` of this ring and kind, when the caller holds it.
     """
     _check_kind(kind)
     if r.order > max_order:
         raise SizeCapError(f"lattice enumeration capped at order {max_order}, got {r.order}")
-    masks = {1}
-    for a in r.elements:
-        masks.add(ideal_generated_by(r, (a,), kind).mask)
-    if len(masks) > max_ideals:
-        raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
-    queue = list(masks)
+    of = principal_of(r, kind) if principal is None else principal
+    found = set(of)
+    queue = [(m, mask_elements(m)) for m in found]
     while queue:
-        m = queue.pop()
-        for m2 in list(masks):
-            if not m & ~m2 or not m2 & ~m:
-                continue  # comparable: join is the larger, already present
-            j = additive_closure_mask(r, m | m2)
-            if j not in masks:
-                masks.add(j)
-                queue.append(j)
-                if len(masks) > max_ideals:
-                    raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
-    return _sorted_lattice(r, kind, masks)
+        if len(found) > max_ideals:
+            raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
+        im, ielems = queue.pop()
+        joined, covered = set(), im
+        while rest := full_mask(r) & ~covered:
+            a = (rest & -rest).bit_length() - 1
+            row = r.add[a]
+            for x in ielems:
+                covered |= 1 << row[x]
+            if of[a] in joined or not im & ~of[a]:
+                continue  # joined already, or I inside (a): the join is (a)
+            joined.add(of[a])
+            jm, jelems, _ = _span(r, of[a], (im, ielems))
+            if jm not in found:
+                found.add(jm)
+                queue.append((jm, jelems))
+    return _sorted_lattice(r, kind, found)
 
 
 def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
@@ -349,30 +384,22 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     """
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
-    if i.kind != TWO_SIDED or not is_ideal_mask(r, i.mask, TWO_SIDED):
+    if i.kind != TWO_SIDED or _close(r, i.mask, True, True) != i.mask:
         raise ValueError(f"{i!r} is not a two-sided ideal of {r.label}")
-    n = r.order
     ideal_elems = i.elements
-    coset_rep = [-1] * n
+    q_of = [-1] * r.order  # coset index of every element
     reps: list[int] = []
-    for a in range(n):
-        if coset_rep[a] < 0:
-            reps.append(a)
+    for a, row in enumerate(r.add):
+        if q_of[a] < 0:
             for x in ideal_elems:
-                coset_rep[r.add[a][x]] = a
-    index_of = {rep: q for q, rep in enumerate(reps)}
-    qn = len(reps)
-    qadd = tuple(
-        tuple(index_of[coset_rep[r.add[a][b]]] for b in reps) for a in reps
-    )
-    qmul = tuple(
-        tuple(index_of[coset_rep[r.mul[a][b]]] for b in reps) for a in reps
-    )
-    qone = index_of[coset_rep[r.one]] if r.one is not None else None
+                q_of[row[x]] = len(reps)
+            reps.append(a)
+    qadd = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.add[a] for a in reps))
+    qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
+    qone = q_of[r.one] if r.one is not None else None
     label = f"{r.label}/{{{','.join(map(str, ideal_elems))}}}"
-    q = Ring.from_tables(qn, qadd, qmul, one=qone, label=label)
-    hom = Hom(r, q, tuple(index_of[coset_rep[a]] for a in range(n)), surjective=True)
-    return q, hom
+    q = Ring.from_tables(len(reps), qadd, qmul, one=qone, label=label)
+    return q, Hom(r, q, tuple(q_of), surjective=True)
 
 
 def hom_image_mask(h: Hom, mask: int) -> int:
@@ -410,5 +437,6 @@ __all__ = [
     "make_quotient",
     "mask_elements",
     "principal_ideal",
+    "principal_of",
     "zero_ideal",
 ]

@@ -6,7 +6,12 @@ import itertools
 from typing import Optional
 
 from nilary import LEFT, RIGHT, TWO_SIDED, Ring
-from nilary.ideals import enumerate_ideals, mask_elements
+from nilary.ideals import (
+    additive_closure_mask,
+    enumerate_ideals,
+    ideal_generated_by,
+    mask_elements,
+)
 
 
 def find_isomorphism(r: Ring, s: Ring) -> Optional[tuple[int, ...]]:
@@ -74,6 +79,26 @@ def close_by_worklist(r: Ring, mask: int, left: bool, right: bool) -> int:
                     mask |= 1 << p
                     queue.append(p)
     return mask
+
+
+def enumerate_by_pairwise_joins(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
+    """Ideal masks in (size, mask) order: the principal ideals closed under pairwise join.
+
+    Every new ideal is joined with every known one by re-spanning the union
+    of the two masks; comparable pairs are skipped, their join is the larger.
+    """
+    masks = {ideal_generated_by(r, (a,), kind).mask for a in range(r.order)}
+    queue = list(masks)
+    while queue:
+        m = queue.pop()
+        for m2 in list(masks):
+            if not m & ~m2 or not m2 & ~m:
+                continue
+            j = additive_closure_mask(r, m | m2)
+            if j not in masks:
+                masks.add(j)
+                queue.append(j)
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 def product_by_elements(r: Ring, jm: int, km: int) -> int:

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from nilary import build_builtin_corpus, build_rings, parse_ring_spec
+
+# Reproducible property tests: the same examples on every run, no example database.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=40, deadline=None)
+settings.load_profile("tier1")
 
 # Orders all <= 16 so the subset-scan oracle applies everywhere.
 SMALL_SPECS = [

@@ -301,6 +301,20 @@ def test_quotient_rejects_one_sided(m2z2):
         make_quotient(m2z2, right)
 
 
+@pytest.mark.parametrize("spec", ["Zn:8", "zmul:4", "dsum(Zn:2,Zn:4)", "T:2:Zn:2"])
+def test_quotient_accepts_exactly_the_two_sided_ideals(spec):
+    """Every subset, even a one-sided ideal, passed as a two-sided Ideal."""
+    from nilary import make_quotient, parse_ring_spec
+
+    r = parse_ring_spec(spec)
+    for mask in range(1 << r.order):
+        if is_ideal_mask(r, mask, TWO_SIDED):
+            assert make_quotient(r, Ideal(r, mask))[0].order == r.order // mask.bit_count()
+        else:
+            with pytest.raises(ValueError, match="not a two-sided ideal"):
+                make_quotient(r, Ideal(r, mask))
+
+
 def test_lattice_scales_past_subset_range():
     z100 = make_zn(100)
     sizes = [i.size for i in enumerate_ideals(z100)]
