@@ -14,8 +14,8 @@ import sys
 from typing import Optional, Sequence
 
 from .classify import PREDICATE_NAMES, PropertyReport, classify_ideal, full_report, ring_context
-from .corpus import CorpusConfig, build_builtin_corpus, build_rings, load_corpus_file
-from .hunt import FACT_ATOMS, parse_query, run_hunt
+from .corpus import build_builtin_corpus, build_rings, load_corpus_file
+from .hunt import parse_query, run_hunt
 from .ideals import (
     BRUTE_FORCE_ORDER_CAP,
     TWO_SIDED,
@@ -73,7 +73,7 @@ def _max_order(args) -> Optional[int]:
     return int(value)
 
 
-def _corpus_rings(args) -> tuple[list, CorpusConfig]:
+def _corpus_rings(args) -> list:
     if args.corpus:
         config = load_corpus_file(args.corpus)
     elif args.builtin:
@@ -88,7 +88,7 @@ def _corpus_rings(args) -> tuple[list, CorpusConfig]:
         # pre-flight before any classification; the run reuses the lattices
         for r in rings:
             ring_context(r).lattice_masks(max_ideals=config.max_lattice)
-    return rings, config
+    return rings
 
 
 def _parse_single(args):
@@ -97,12 +97,6 @@ def _parse_single(args):
     if cap is None or cap > DEFAULT_SIZE_CAP:
         cap = DEFAULT_SIZE_CAP
     return parse_ring_spec(args.spec, size_cap=cap)
-
-
-def _query_atoms(node: tuple) -> set[str]:
-    if node[0] == "atom":
-        return {node[1]}
-    return set().union(*(_query_atoms(child) for child in node[1:]))
 
 
 def _ideal_text(elements: Sequence[int]) -> str:
@@ -194,10 +188,10 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rings, config = _corpus_rings(args)
+    rings = _corpus_rings(args)
     case_ids = args.case if args.case else None
     results = run_all(rings, case_ids)
-    if args.json or config.format == "json":
+    if args.json:
         print(json.dumps(report_json(results, rings), indent=2, sort_keys=True))
     else:
         print(render_table(results))
@@ -207,17 +201,9 @@ def cmd_verify(args) -> int:
 def cmd_hunt(args) -> int:
     target = "any-ideal" if args.target == "any" else "ring-zero-ideal"
     query = parse_query(args.query, target)
-    rings, config = _corpus_rings(args)
-    if config.predicates is not None:
-        allowed = set(config.predicates) | set(FACT_ATOMS)
-        used = _query_atoms(query.expression)
-        blocked = sorted(used - allowed)
-        if blocked:
-            raise ValueError(
-                f"predicate(s) {', '.join(blocked)} not in the corpus predicate filter"
-            )
+    rings = _corpus_rings(args)
     matches = list(run_hunt(rings, query))
-    if args.json or config.format == "json":
+    if args.json:
         print(
             json.dumps(
                 {

@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .classify import PREDICATE_NAMES
 from .rings import DEFAULT_SIZE_CAP, Ring, SizeCapError
 from .specs import parse_ring_spec
 
@@ -19,8 +18,6 @@ class CorpusConfig:
     specs: tuple[str, ...]
     max_order: Optional[int] = None
     max_lattice: Optional[int] = None
-    predicates: Optional[tuple[str, ...]] = None
-    format: str = "text"
 
 
 def builtin_specs() -> tuple[str, ...]:
@@ -63,20 +60,10 @@ def load_corpus_file(path: str | Path) -> CorpusConfig:
         cap = data.get(key)
         if cap is not None and (type(cap) is not int or cap < 0):
             raise ValueError(f"{path}: {key!r} must be a non-negative integer or null")
-    predicates = data.get("predicates")
-    if predicates is not None and (
-        not isinstance(predicates, list) or not all(p in PREDICATE_NAMES for p in predicates)
-    ):
-        raise ValueError(f"{path}: 'predicates' must be a list of predicate names (see --help)")
-    fmt = data.get("format", "text")
-    if fmt not in ("text", "json"):
-        raise ValueError(f"{path}: 'format' must be 'text' or 'json'")
     return CorpusConfig(
         specs=tuple(specs),
         max_order=data.get("max_order"),
         max_lattice=data.get("max_lattice"),
-        predicates=None if predicates is None else tuple(predicates),
-        format=fmt,
     )
 
 

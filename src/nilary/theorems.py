@@ -5,6 +5,17 @@ reports every violating instance with replayable witnesses. Implications
 are checked per instance (skipped when the hypothesis fails) and the
 number of hypothesis-satisfying instances is reported separately, so a
 vacuous pass is visible as such.
+
+A case is a body ``body(run, ctx)`` over one ring's context, and
+:func:`_case` is the one driver that sweeps it over the corpus: it starts
+the run, points ``run.ring`` at each ring in turn, calls the body with that
+ring's context and returns the run's result. The run does the counting
+and the timing. A body only reports: ``run.instance(hypothesis)`` once per
+instance, ``run.violate(description, ideal_mask, witnesses)`` per failure
+(the run adds the ring and turns the mask into elements), and an early
+``return`` skips a ring whose hypothesis fails outright. A case built with
+``own=`` checks the one ring that ``own()`` builds instead of the corpus,
+so the worked examples of the paper run whatever corpus is given.
 """
 
 from __future__ import annotations
@@ -22,21 +33,21 @@ from .classify import (
     ring_context,
 )
 from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, elements_mask, hom_image_mask, mask_elements
-from .rings import Ring, characteristic, matrix_entry_index
+from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
 @dataclass(frozen=True)
 class Violation:
     ring_label: str
     description: str
-    ideal_elements: Optional[tuple[int, ...]]
+    ideal_elements: tuple[int, ...]
     witnesses: tuple[tuple[str, Witness], ...]
     ring: Ring = field(compare=False)
 
     def to_json(self) -> dict:
         return {
             "ring": self.ring_label,
-            "ideal": list(self.ideal_elements) if self.ideal_elements is not None else None,
+            "ideal": list(self.ideal_elements),
             "description": self.description,
             "witnesses": [
                 {"predicate": name, "witness": w.to_json()} for name, w in self.witnesses
@@ -71,6 +82,7 @@ class TheoremResult:
 class _Run:
     def __init__(self, case_id: str):
         self.case_id = case_id
+        self.ring: Optional[Ring] = None  # the ring the body is visiting
         self.instances = 0
         self.hypothesis_instances = 0
         self.violations: list[Violation] = []
@@ -84,25 +96,40 @@ class _Run:
 
     def violate(
         self,
-        ring: Ring,
         description: str,
-        ideal_elements: Optional[tuple[int, ...]] = None,
+        ideal_mask: int,
         witnesses: Sequence[tuple[str, Verdict]] = (),
     ) -> None:
         pairs = tuple((name, v.witness) for name, v in witnesses)
         self.violations.append(
-            Violation(ring.label, description, ideal_elements, pairs, ring)
+            Violation(self.ring.label, description, mask_elements(ideal_mask), pairs, self.ring)
         )
 
-    def result(self, warning: Optional[str] = None) -> TheoremResult:
+    def result(self) -> TheoremResult:
         return TheoremResult(
             self.case_id,
             self.instances,
             self.hypothesis_instances,
             self.violations,
             time.perf_counter() - self._t0,
-            warning,
         )
+
+
+def _case(
+    case_id: str,
+    body: Callable[[_Run, RingContext], None],
+    own: Optional[Callable[[], Ring]] = None,
+) -> Callable[[Sequence[Ring]], TheoremResult]:
+    """The sweep of body over a corpus, or over the one ring own() builds."""
+
+    def sweep(rings: Sequence[Ring]) -> TheoremResult:
+        run = _Run(case_id)
+        for r in rings if own is None else (own(),):
+            run.ring = r
+            body(run, ring_context(r))
+        return run.result()
+
+    return sweep
 
 
 def _proper_masks(ctx: RingContext) -> list[int]:
@@ -110,32 +137,27 @@ def _proper_masks(ctx: RingContext) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cases
+# case bodies, in registry order
 
 
-def check_P1_2(rings: Sequence[Ring]) -> TheoremResult:
+def _p1_2(run: _Run, ctx: RingContext) -> None:
     """Completely prime iff completely semiprime and completely nilary."""
-    run = _Run("P1.2")
-    for r in rings:
-        ctx = ring_context(r)
-        for m in _proper_masks(ctx):
-            cp = ctx.verdict("completely_prime", m)
-            csp = ctx.verdict("completely_semiprime", m)
-            cn = ctx.verdict("completely_nilary", m)
-            run.instance(True)
-            if cp.holds != (csp.holds and cn.holds):
-                run.violate(
-                    r,
-                    f"completely_prime={cp.holds} vs completely_semiprime={csp.holds} "
-                    f"and completely_nilary={cn.holds}",
-                    mask_elements(m),
-                    [("completely_prime", cp), ("completely_semiprime", csp),
-                     ("completely_nilary", cn)],
-                )
-    return run.result()
+    for m in _proper_masks(ctx):
+        cp = ctx.verdict("completely_prime", m)
+        csp = ctx.verdict("completely_semiprime", m)
+        cn = ctx.verdict("completely_nilary", m)
+        run.instance(True)
+        if cp.holds != (csp.holds and cn.holds):
+            run.violate(
+                f"completely_prime={cp.holds} vs completely_semiprime={csp.holds} "
+                f"and completely_nilary={cn.holds}",
+                m,
+                [("completely_prime", cp), ("completely_semiprime", csp),
+                 ("completely_nilary", cn)],
+            )
 
 
-def check_P1_3(rings: Sequence[Ring]) -> TheoremResult:
+def _p1_3(run: _Run, ctx: RingContext) -> None:
     """Products Q_1...Q_n of completely nilary ideals stay completely nilary.
 
     Hypothesis: some Q_k has a power inside the intersection of all Q_i
@@ -143,85 +165,69 @@ def check_P1_3(rings: Sequence[Ring]) -> TheoremResult:
     to length 3 are tested; the diagonal tuples (Q, Q, Q) exercise the
     Q^n clause.
     """
-    run = _Run("P1.3")
-    for r in rings:
-        ctx = ring_context(r)
-        cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
-                if ctx.verdict("completely_nilary", m).holds]
-        for n in (1, 2, 3):
-            for tup in itertools.product(cnil, repeat=n):
-                inter = ctx.full_mask
-                for q in tup:
-                    inter &= q
-                hyp = any(ctx.power_in(q, inter) for q in set(tup))
-                if not run.instance(hyp):
-                    continue
-                prod = tup[0]
-                for q in tup[1:]:
-                    prod = ctx.product(prod, q)
-                v = ctx.verdict("completely_nilary", prod)
-                if not v.holds:
-                    run.violate(
-                        r,
-                        f"product of completely nilary ideals {[mask_elements(q) for q in tup]} "
-                        "is not completely nilary",
-                        mask_elements(prod),
-                        [("completely_nilary", v)],
-                    )
-    return run.result()
-
-
-def check_P1_3_nilary_quot(rings: Sequence[Ring]) -> TheoremResult:
-    """A/Q^n is a nilary ring for every completely nilary Q and n <= 3."""
-    run = _Run("P1.3-nilary-quot")
-    for r in rings:
-        ctx = ring_context(r)
-        cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
-                if ctx.verdict("completely_nilary", m).holds]
-        for q in cnil:
-            power = q
-            seen = set()
-            for n in (1, 2, 3):
-                if n > 1:
-                    power = ctx.product(power, q)
-                if power in seen:
-                    continue
-                seen.add(power)
-                run.instance(True)
-                v = ctx.quotient(power)[0].verdict("nilary", 1)
-                if not v.holds:
-                    run.violate(
-                        r,
-                        f"quotient by Q^{n} of Q={mask_elements(q)} is not a nilary ring",
-                        mask_elements(power),
-                        [("nilary", v)],
-                    )
-    return run.result()
-
-
-def check_Pquot(rings: Sequence[Ring]) -> TheoremResult:
-    """I completely nilary iff A/I is a completely nilary ring."""
-    run = _Run("Pquot")
-    for r in rings:
-        ctx = ring_context(r)
-        for m in _proper_masks(ctx):
-            run.instance(True)
-            cn = ctx.verdict("completely_nilary", m)
-            qcn = ctx.quotient(m)[0].verdict("completely_nilary", 1)
-            if cn.holds != qcn.holds:
+    cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
+            if ctx.verdict("completely_nilary", m).holds]
+    for n in (1, 2, 3):
+        for tup in itertools.product(cnil, repeat=n):
+            inter = ctx.full_mask
+            for q in tup:
+                inter &= q
+            hyp = any(ctx.power_in(q, inter) for q in set(tup))
+            if not run.instance(hyp):
+                continue
+            prod = tup[0]
+            for q in tup[1:]:
+                prod = ctx.product(prod, q)
+            v = ctx.verdict("completely_nilary", prod)
+            if not v.holds:
                 run.violate(
-                    r,
-                    f"ideal completely_nilary={cn.holds} but quotient ring "
-                    f"completely_nilary={qcn.holds}",
-                    mask_elements(m),
-                    [("completely_nilary", cn), ("completely_nilary", qcn)],
+                    f"product of completely nilary ideals {[mask_elements(q) for q in tup]} "
+                    "is not completely nilary",
+                    prod,
+                    [("completely_nilary", v)],
                 )
-    return run.result()
 
 
-def _hom_pairs(r: Ring):
+def _p1_3_nilary_quot(run: _Run, ctx: RingContext) -> None:
+    """A/Q^n is a nilary ring for every completely nilary Q and n <= 3."""
+    cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
+            if ctx.verdict("completely_nilary", m).holds]
+    for q in cnil:
+        power = q
+        seen = set()
+        for n in (1, 2, 3):
+            if n > 1:
+                power = ctx.product(power, q)
+            if power in seen:
+                continue
+            seen.add(power)
+            run.instance(True)
+            v = ctx.quotient(power)[0].verdict("nilary", 1)
+            if not v.holds:
+                run.violate(
+                    f"quotient by Q^{n} of Q={mask_elements(q)} is not a nilary ring",
+                    power,
+                    [("nilary", v)],
+                )
+
+
+def _pquot(run: _Run, ctx: RingContext) -> None:
+    """I completely nilary iff A/I is a completely nilary ring."""
+    for m in _proper_masks(ctx):
+        run.instance(True)
+        cn = ctx.verdict("completely_nilary", m)
+        qcn = ctx.quotient(m)[0].verdict("completely_nilary", 1)
+        if cn.holds != qcn.holds:
+            run.violate(
+                f"ideal completely_nilary={cn.holds} but quotient ring "
+                f"completely_nilary={qcn.holds}",
+                m,
+                [("completely_nilary", cn), ("completely_nilary", qcn)],
+            )
+
+
+def _hom_pairs(ctx: RingContext):
     """Canonical-surjection instances: (K, I, verdict on I, verdict on phi(I))."""
-    ctx = ring_context(r)
     lat = ctx.lattice_masks(TWO_SIDED)
     for km in lat:
         qctx, hom = ctx.quotient(km)
@@ -234,318 +240,247 @@ def _hom_pairs(r: Ring):
             )
 
 
-def check_Phom_fwd(rings: Sequence[Ring]) -> TheoremResult:
+def _phom_fwd(run: _Run, ctx: RingContext) -> None:
     """Surjections forward: I completely nilary implies phi(I) completely nilary."""
-    run = _Run("Phom-fwd")
-    for r in rings:
-        for km, im, v, qv in _hom_pairs(r):
-            if not run.instance(v.holds):
-                continue
-            if not qv.holds:
-                run.violate(
-                    r,
-                    f"image of completely nilary ideal under quotient by {mask_elements(km)} "
-                    "is not completely nilary",
-                    mask_elements(im),
-                    [("completely_nilary", v), ("completely_nilary", qv)],
-                )
-    return run.result()
+    for km, im, v, qv in _hom_pairs(ctx):
+        if run.instance(v.holds) and not qv.holds:
+            run.violate(
+                f"image of completely nilary ideal under quotient by {mask_elements(km)} "
+                "is not completely nilary",
+                im,
+                [("completely_nilary", v), ("completely_nilary", qv)],
+            )
 
 
-def check_Phom_back(rings: Sequence[Ring]) -> TheoremResult:
+def _phom_back(run: _Run, ctx: RingContext) -> None:
     """Surjections backward: phi(I) completely nilary implies I completely nilary."""
-    run = _Run("Phom-back")
-    for r in rings:
-        for km, im, v, qv in _hom_pairs(r):
-            if not run.instance(qv.holds):
-                continue
-            if not v.holds:
-                run.violate(
-                    r,
-                    f"preimage of completely nilary image (kernel {mask_elements(km)}) "
-                    "is not completely nilary",
-                    mask_elements(im),
-                    [("completely_nilary", qv), ("completely_nilary", v)],
-                )
-    return run.result()
+    for km, im, v, qv in _hom_pairs(ctx):
+        if run.instance(qv.holds) and not v.holds:
+            run.violate(
+                f"preimage of completely nilary image (kernel {mask_elements(km)}) "
+                "is not completely nilary",
+                im,
+                [("completely_nilary", qv), ("completely_nilary", v)],
+            )
 
 
-def check_Cquot_corr(rings: Sequence[Ring]) -> TheoremResult:
+def _cquot_corr(run: _Run, ctx: RingContext) -> None:
     """Corollary: I completely nilary in A iff I/K completely nilary in A/K."""
-    run = _Run("Cquot-corr")
-    for r in rings:
-        for km, im, v, qv in _hom_pairs(r):
-            run.instance(True)
-            if v.holds != qv.holds:
-                run.violate(
-                    r,
-                    f"biconditional fails for kernel {mask_elements(km)}: "
-                    f"ideal={v.holds}, image={qv.holds}",
-                    mask_elements(im),
-                    [("completely_nilary", v), ("completely_nilary", qv)],
-                )
-    return run.result()
+    for km, im, v, qv in _hom_pairs(ctx):
+        run.instance(True)
+        if v.holds != qv.holds:
+            run.violate(
+                f"biconditional fails for kernel {mask_elements(km)}: "
+                f"ideal={v.holds}, image={qv.holds}",
+                im,
+                [("completely_nilary", v), ("completely_nilary", qv)],
+            )
 
 
-def check_Pnil_lift(rings: Sequence[Ring]) -> TheoremResult:
+def _pnil_lift(run: _Run, ctx: RingContext) -> None:
     """A/I completely nilary with I nil forces A completely nilary."""
-    run = _Run("Pnil-lift")
-    for r in rings:
-        ctx = ring_context(r)
-        for m in ctx.lattice_masks(TWO_SIDED):
-            hyp = all(ctx.powmask(a) & 1 for a in mask_elements(m))
-            if hyp:
-                hyp = ctx.quotient(m)[0].verdict("completely_nilary", 1).holds
-            if not run.instance(hyp):
-                continue
-            v = ctx.verdict("completely_nilary", 1)
-            if not v.holds:
-                run.violate(
-                    r,
-                    "ring is not completely nilary despite a nil ideal with "
-                    "completely nilary quotient",
-                    mask_elements(m),
-                    [("completely_nilary", v)],
-                )
-    return run.result()
+    for m in ctx.lattice_masks(TWO_SIDED):
+        hyp = all(ctx.powmask(a) & 1 for a in mask_elements(m))
+        if hyp:
+            hyp = ctx.quotient(m)[0].verdict("completely_nilary", 1).holds
+        if not run.instance(hyp):
+            continue
+        v = ctx.verdict("completely_nilary", 1)
+        if not v.holds:
+            run.violate(
+                "ring is not completely nilary despite a nil ideal with "
+                "completely nilary quotient",
+                m,
+                [("completely_nilary", v)],
+            )
 
 
-def check_Pcomm(rings: Sequence[Ring]) -> TheoremResult:
+def _pcomm(run: _Run, ctx: RingContext) -> None:
     """Over a commutative quotient, p-nilary iff completely nilary."""
-    run = _Run("Pcomm-pnilary")
-    for r in rings:
-        ctx = ring_context(r)
-        add, mul, neg = r.add, r.mul, r.neg
-        for m in ctx.lattice_masks(TWO_SIDED):
-            if ctx.commutative:
-                comm = True
-            else:
-                comm = all(
-                    m >> add[mul[a][b]][neg[mul[b][a]]] & 1
-                    for a in range(ctx.n)
-                    for b in range(a + 1, ctx.n)
-                )
-            if not run.instance(comm):
-                continue
-            pn = ctx.verdict("p_nilary", m)
-            cn = ctx.verdict("completely_nilary", m)
-            if pn.holds != cn.holds:
-                run.violate(
-                    r,
-                    f"commutative quotient but p_nilary={pn.holds}, "
-                    f"completely_nilary={cn.holds}",
-                    mask_elements(m),
-                    [("p_nilary", pn), ("completely_nilary", cn)],
-                )
-    return run.result()
+    add, mul, neg = ctx.ring.add, ctx.ring.mul, ctx.ring.neg
+    for m in ctx.lattice_masks(TWO_SIDED):
+        if ctx.commutative:
+            comm = True
+        else:
+            comm = all(
+                m >> add[mul[a][b]][neg[mul[b][a]]] & 1
+                for a in range(ctx.n)
+                for b in range(a + 1, ctx.n)
+            )
+        if not run.instance(comm):
+            continue
+        pn = ctx.verdict("p_nilary", m)
+        cn = ctx.verdict("completely_nilary", m)
+        if pn.holds != cn.holds:
+            run.violate(
+                f"commutative quotient but p_nilary={pn.holds}, "
+                f"completely_nilary={cn.holds}",
+                m,
+                [("p_nilary", pn), ("completely_nilary", cn)],
+            )
 
 
-def check_Pnilnilpotent(rings: Sequence[Ring]) -> TheoremResult:
+def _pnil_nilpotent(run: _Run, ctx: RingContext) -> None:
     """Completely nilary or p-nilary forces nilary (finite rings: nil => nilpotent)."""
-    run = _Run("Pnil-nilpotent")
-    for r in rings:
-        ctx = ring_context(r)
-        cn = ctx.verdict("completely_nilary", 1)
-        pn = ctx.verdict("p_nilary", 1)
-        if not run.instance(cn.holds or pn.holds):
-            continue
-        ni = ctx.verdict("nilary", 1)
-        if not ni.holds:
-            run.violate(
-                r,
-                f"completely_nilary={cn.holds}, p_nilary={pn.holds} but ring not nilary",
-                (0,),
-                [("nilary", ni)],
-            )
-    return run.result()
+    cn = ctx.verdict("completely_nilary", 1)
+    pn = ctx.verdict("p_nilary", 1)
+    if not run.instance(cn.holds or pn.holds):
+        return
+    ni = ctx.verdict("nilary", 1)
+    if not ni.holds:
+        run.violate(
+            f"completely_nilary={cn.holds}, p_nilary={pn.holds} but ring not nilary",
+            1,
+            [("nilary", ni)],
+        )
 
 
-def check_Cchar(rings: Sequence[Ring]) -> TheoremResult:
+def _cchar(run: _Run, ctx: RingContext) -> None:
     """Unital completely nilary rings have prime-power characteristic."""
-    run = _Run("Cchar")
-    for r in rings:
-        if r.one is None:
-            continue
-        ctx = ring_context(r)
-        cn = ctx.verdict("completely_nilary", 1)
-        if not run.instance(cn.holds):
-            continue
-        ch = characteristic(r)
-        if not ch.is_prime_power:
-            run.violate(
-                r,
-                f"completely nilary but characteristic {ch.value} is not a prime power",
-                (0,),
-                [("completely_nilary", cn)],
-            )
-    return run.result()
+    if ctx.ring.one is None:
+        return
+    cn = ctx.verdict("completely_nilary", 1)
+    if not run.instance(cn.holds):
+        return
+    ch = characteristic(ctx.ring)
+    if not ch.is_prime_power:
+        run.violate(
+            f"completely nilary but characteristic {ch.value} is not a prime power",
+            1,
+            [("completely_nilary", cn)],
+        )
 
 
-def check_D2_1_hierarchy(rings: Sequence[Ring]) -> TheoremResult:
+def _d2_1_hierarchy(run: _Run, ctx: RingContext) -> None:
     """Every (p-)nilary proper ideal is weakly (p-)nilary."""
-    run = _Run("D2.1-hierarchy")
-    for r in rings:
-        ctx = ring_context(r)
-        for m in _proper_masks(ctx):
-            ni = ctx.verdict("nilary", m)
-            pn = ctx.verdict("p_nilary", m)
-            if not run.instance(ni.holds or pn.holds):
-                continue
-            wn = ctx.verdict("weakly_nilary", m)
-            wpn = ctx.verdict("weakly_p_nilary", m)
-            if ni.holds and not wn.holds:
-                run.violate(r, "nilary ideal is not weakly nilary", mask_elements(m),
-                            [("weakly_nilary", wn)])
-            if pn.holds and not wpn.holds:
-                run.violate(r, "p-nilary ideal is not weakly p-nilary", mask_elements(m),
-                            [("weakly_p_nilary", wpn)])
-    return run.result()
+    for m in _proper_masks(ctx):
+        ni = ctx.verdict("nilary", m)
+        pn = ctx.verdict("p_nilary", m)
+        if not run.instance(ni.holds or pn.holds):
+            continue
+        wn = ctx.verdict("weakly_nilary", m)
+        wpn = ctx.verdict("weakly_p_nilary", m)
+        if ni.holds and not wn.holds:
+            run.violate("nilary ideal is not weakly nilary", m, [("weakly_nilary", wn)])
+        if pn.holds and not wpn.holds:
+            run.violate("p-nilary ideal is not weakly p-nilary", m,
+                        [("weakly_p_nilary", wpn)])
 
 
-def check_E2_2(rings: Sequence[Ring]) -> TheoremResult:
+def _e2_2(run: _Run, ctx: RingContext) -> None:
     """Z_6 reproduction: the zero ideal is weakly nilary but not nilary."""
-    from .rings import make_zn
-
-    run = _Run("E2.2")
-    r = make_zn(6)
-    ctx = ring_context(r)
     run.instance(True)
     wn = ctx.verdict("weakly_nilary", 1)
     ni = ctx.verdict("nilary", 1)
     wpn = ctx.verdict("weakly_p_nilary", 1)
     if not wn.holds:
-        run.violate(r, "zero ideal of Z_6 should be weakly nilary", (0,), [("weakly_nilary", wn)])
+        run.violate("zero ideal of Z_6 should be weakly nilary", 1, [("weakly_nilary", wn)])
     if not wpn.holds:
-        run.violate(r, "zero ideal of Z_6 should be weakly p-nilary", (0,),
+        run.violate("zero ideal of Z_6 should be weakly p-nilary", 1,
                     [("weakly_p_nilary", wpn)])
     if ni.holds:
-        run.violate(r, "zero ideal of Z_6 should not be nilary", (0,), [("nilary", ni)])
+        run.violate("zero ideal of Z_6 should not be nilary", 1, [("nilary", ni)])
     else:
         w = ni.witness
         if w.variant != "ideal-pair" or {w.j, w.k} != {(0, 2, 4), (0, 3)}:
-            run.violate(r, f"nilary counter-witness should be the pair <2>,<3>, got {w}",
-                        (0,), [("nilary", ni)])
+            run.violate(f"nilary counter-witness should be the pair <2>,<3>, got {w}",
+                        1, [("nilary", ni)])
         elif ctx.product(elements_mask(w.j), elements_mask(w.k)) != 1:
-            run.violate(r, "nilary counter-witness pair should multiply to {0}",
-                        (0,), [("nilary", ni)])
-    return run.result()
+            run.violate("nilary counter-witness pair should multiply to {0}",
+                        1, [("nilary", ni)])
 
 
-def check_P2_3w(rings: Sequence[Ring]) -> TheoremResult:
+def _p2_3w(run: _Run, ctx: RingContext) -> None:
     """In a (p-)nilary ring, weakly (p-)nilary proper ideals are (p-)nilary."""
-    run = _Run("P2.3w")
-    for r in rings:
-        ctx = ring_context(r)
-        ni0 = ctx.verdict("nilary", 1).holds
-        pn0 = ctx.verdict("p_nilary", 1).holds
-        for m in _proper_masks(ctx):
-            wn = ctx.verdict("weakly_nilary", m)
-            wpn = ctx.verdict("weakly_p_nilary", m)
-            hyp = (ni0 and wn.holds) or (pn0 and wpn.holds)
-            if not run.instance(hyp):
-                continue
-            if ni0 and wn.holds:
-                ni = ctx.verdict("nilary", m)
-                if not ni.holds:
-                    run.violate(r, "weakly nilary ideal of a nilary ring is not nilary",
-                                mask_elements(m), [("nilary", ni)])
-            if pn0 and wpn.holds:
-                pn = ctx.verdict("p_nilary", m)
-                if not pn.holds:
-                    run.violate(r, "weakly p-nilary ideal of a p-nilary ring is not p-nilary",
-                                mask_elements(m), [("p_nilary", pn)])
-    return run.result()
-
-
-def check_P2_4w(rings: Sequence[Ring]) -> TheoremResult:
-    """A weakly (p-)nilary ideal satisfies I^2 = 0 or is (p-)nilary."""
-    run = _Run("P2.4w")
-    for r in rings:
-        ctx = ring_context(r)
-        for m in _proper_masks(ctx):
-            wn = ctx.verdict("weakly_nilary", m)
-            wpn = ctx.verdict("weakly_p_nilary", m)
-            if not run.instance(wn.holds or wpn.holds):
-                continue
-            square_zero = ctx.product(m, m) == 1
-            if wn.holds and not square_zero:
-                ni = ctx.verdict("nilary", m)
-                if not ni.holds:
-                    run.violate(r, "weakly nilary ideal with I^2 != 0 is not nilary",
-                                mask_elements(m), [("nilary", ni)])
-            if wpn.holds and not square_zero:
-                pn = ctx.verdict("p_nilary", m)
-                if not pn.holds:
-                    run.violate(r, "weakly p-nilary ideal with I^2 != 0 is not p-nilary",
-                                mask_elements(m), [("p_nilary", pn)])
-    return run.result()
-
-
-def check_C2_5w(rings: Sequence[Ring]) -> TheoremResult:
-    """In a semiprime ring: weakly (p-)nilary iff zero or (p-)nilary."""
-    run = _Run("C2.5w")
-    for r in rings:
-        ctx = ring_context(r)
-        if not ctx.verdict("semiprime", 1).holds:
+    ni0 = ctx.verdict("nilary", 1).holds
+    pn0 = ctx.verdict("p_nilary", 1).holds
+    for m in _proper_masks(ctx):
+        wn = ctx.verdict("weakly_nilary", m)
+        wpn = ctx.verdict("weakly_p_nilary", m)
+        hyp = (ni0 and wn.holds) or (pn0 and wpn.holds)
+        if not run.instance(hyp):
             continue
-        for m in _proper_masks(ctx):
-            run.instance(True)
-            wn = ctx.verdict("weakly_nilary", m)
+        if ni0 and wn.holds:
             ni = ctx.verdict("nilary", m)
-            if wn.holds != (m == 1 or ni.holds):
-                run.violate(
-                    r,
-                    f"semiprime ring: weakly_nilary={wn.holds} but zero={m == 1}, "
-                    f"nilary={ni.holds}",
-                    mask_elements(m),
-                    [("weakly_nilary", wn), ("nilary", ni)],
-                )
-            wpn = ctx.verdict("weakly_p_nilary", m)
+            if not ni.holds:
+                run.violate("weakly nilary ideal of a nilary ring is not nilary",
+                            m, [("nilary", ni)])
+        if pn0 and wpn.holds:
             pn = ctx.verdict("p_nilary", m)
-            if wpn.holds != (m == 1 or pn.holds):
-                run.violate(
-                    r,
-                    f"semiprime ring: weakly_p_nilary={wpn.holds} but zero={m == 1}, "
-                    f"p_nilary={pn.holds}",
-                    mask_elements(m),
-                    [("weakly_p_nilary", wpn), ("p_nilary", pn)],
-                )
-    return run.result()
+            if not pn.holds:
+                run.violate("weakly p-nilary ideal of a p-nilary ring is not p-nilary",
+                            m, [("p_nilary", pn)])
 
 
-def check_P2_6(rings: Sequence[Ring]) -> TheoremResult:
-    """One-sided characterization: two-sided, right and left forms agree (unital)."""
-    run = _Run("P2.6")
-    for r in rings:
-        if r.one is None:
+def _p2_4w(run: _Run, ctx: RingContext) -> None:
+    """A weakly (p-)nilary ideal satisfies I^2 = 0 or is (p-)nilary."""
+    for m in _proper_masks(ctx):
+        wn = ctx.verdict("weakly_nilary", m)
+        wpn = ctx.verdict("weakly_p_nilary", m)
+        if not run.instance(wn.holds or wpn.holds):
             continue
-        ctx = ring_context(r)
-        for m in _proper_masks(ctx):
-            run.instance(True)
-            ideal = Ideal(r, m, TWO_SIDED)
-            for principal, base_name in ((False, "weakly_nilary"), (True, "weakly_p_nilary")):
-                v2 = ctx.verdict(base_name, m)
-                vr = is_weakly_nilary_onesided(ideal, RIGHT, principal)
-                vl = is_weakly_nilary_onesided(ideal, LEFT, principal)
-                if not (v2.holds == vr.holds == vl.holds):
-                    run.violate(
-                        r,
-                        f"{base_name}: two-sided={v2.holds}, right={vr.holds}, "
-                        f"left={vl.holds}",
-                        mask_elements(m),
-                        [(base_name, v2), (base_name + "_right", vr), (base_name + "_left", vl)],
-                    )
-    return run.result()
+        square_zero = ctx.product(m, m) == 1
+        if wn.holds and not square_zero:
+            ni = ctx.verdict("nilary", m)
+            if not ni.holds:
+                run.violate("weakly nilary ideal with I^2 != 0 is not nilary",
+                            m, [("nilary", ni)])
+        if wpn.holds and not square_zero:
+            pn = ctx.verdict("p_nilary", m)
+            if not pn.holds:
+                run.violate("weakly p-nilary ideal with I^2 != 0 is not p-nilary",
+                            m, [("p_nilary", pn)])
 
 
-def check_EM2Z2(rings: Sequence[Ring]) -> TheoremResult:
+def _c2_5w(run: _Run, ctx: RingContext) -> None:
+    """In a semiprime ring: weakly (p-)nilary iff zero or (p-)nilary."""
+    if not ctx.verdict("semiprime", 1).holds:
+        return
+    for m in _proper_masks(ctx):
+        run.instance(True)
+        wn = ctx.verdict("weakly_nilary", m)
+        ni = ctx.verdict("nilary", m)
+        if wn.holds != (m == 1 or ni.holds):
+            run.violate(
+                f"semiprime ring: weakly_nilary={wn.holds} but zero={m == 1}, "
+                f"nilary={ni.holds}",
+                m,
+                [("weakly_nilary", wn), ("nilary", ni)],
+            )
+        wpn = ctx.verdict("weakly_p_nilary", m)
+        pn = ctx.verdict("p_nilary", m)
+        if wpn.holds != (m == 1 or pn.holds):
+            run.violate(
+                f"semiprime ring: weakly_p_nilary={wpn.holds} but zero={m == 1}, "
+                f"p_nilary={pn.holds}",
+                m,
+                [("weakly_p_nilary", wpn), ("p_nilary", pn)],
+            )
+
+
+def _p2_6(run: _Run, ctx: RingContext) -> None:
+    """One-sided characterization: two-sided, right and left forms agree (unital)."""
+    if ctx.ring.one is None:
+        return
+    for m in _proper_masks(ctx):
+        run.instance(True)
+        ideal = Ideal(ctx.ring, m, TWO_SIDED)
+        for principal, base_name in ((False, "weakly_nilary"), (True, "weakly_p_nilary")):
+            v2 = ctx.verdict(base_name, m)
+            vr = is_weakly_nilary_onesided(ideal, RIGHT, principal)
+            vl = is_weakly_nilary_onesided(ideal, LEFT, principal)
+            if not (v2.holds == vr.holds == vl.holds):
+                run.violate(
+                    f"{base_name}: two-sided={v2.holds}, right={vr.holds}, "
+                    f"left={vl.holds}",
+                    m,
+                    [(base_name, v2), (base_name + "_right", vr), (base_name + "_left", vl)],
+                )
+
+
+def _em2z2(run: _Run, ctx: RingContext) -> None:
     """M_2(Z_2) reproduction: prime and nilary but not completely nilary."""
-    from .rings import make_matrix_ring, make_zn
-
-    run = _Run("EM2Z2")
     base = make_zn(2)
-    r = make_matrix_ring(base, 2)
-    ctx = ring_context(r)
     run.instance(True)
     e11 = matrix_entry_index(base, 2, [[1, 0], [0, 0]])
     e22 = matrix_entry_index(base, 2, [[0, 0], [0, 1]])
@@ -560,59 +495,58 @@ def check_EM2Z2(rings: Sequence[Ring]) -> TheoremResult:
     for name, expect in expectations:
         v = ctx.verdict(name, 1)
         if v.holds != expect:
-            run.violate(r, f"{name} should be {expect}, got {v.holds}", (0,), [(name, v)])
+            run.violate(f"{name} should be {expect}, got {v.holds}", 1, [(name, v)])
     cn = ctx.verdict("completely_nilary", 1)
     if not cn.holds:
         w = cn.witness
         if (w.a, w.b) != (e11, e22):
             run.violate(
-                r,
                 f"completely nilary counter-witness should be (diag(1,0), diag(0,1)) = "
                 f"({e11},{e22}), got ({w.a},{w.b})",
-                (0,),
+                1,
                 [("completely_nilary", cn)],
             )
-        elif r.mul[e11][e22] != 0:
-            run.violate(r, "witness product e11*e22 should be 0", (0,), [])
+        elif ctx.ring.mul[e11][e22] != 0:
+            run.violate("witness product e11*e22 should be 0", 1)
         elif ctx.powmask(e11) & 1 or ctx.powmask(e22) & 1:
-            run.violate(r, "witness elements should both be non-nilpotent", (0,), [])
-    return run.result()
+            run.violate("witness elements should both be non-nilpotent", 1)
 
 
-def check_Rprime_nilary(rings: Sequence[Ring]) -> TheoremResult:
+def _rprime_nilary(run: _Run, ctx: RingContext) -> None:
     """Every prime ring is a nilary ring."""
-    run = _Run("Rprime-nilary")
-    for r in rings:
-        ctx = ring_context(r)
-        pr = ctx.verdict("prime", 1)
-        if not run.instance(pr.holds):
-            continue
-        ni = ctx.verdict("nilary", 1)
-        if not ni.holds:
-            run.violate(r, "prime ring is not nilary", (0,), [("nilary", ni)])
-    return run.result()
+    pr = ctx.verdict("prime", 1)
+    if not run.instance(pr.holds):
+        return
+    ni = ctx.verdict("nilary", 1)
+    if not ni.holds:
+        run.violate("prime ring is not nilary", 1, [("nilary", ni)])
 
 
-CASES: tuple[tuple[str, str, Callable[[Sequence[Ring]], TheoremResult]], ...] = (
-    ("P1.2", "completely prime iff completely semiprime + completely nilary", check_P1_2),
-    ("P1.3", "products of completely nilary ideals", check_P1_3),
-    ("P1.3-nilary-quot", "A/Q^n is a nilary ring", check_P1_3_nilary_quot),
-    ("Pquot", "ideal completely nilary iff quotient ring completely nilary", check_Pquot),
-    ("Phom-fwd", "surjective image of completely nilary is completely nilary", check_Phom_fwd),
-    ("Phom-back", "preimage of completely nilary is completely nilary", check_Phom_back),
-    ("Cquot-corr", "I completely nilary iff I/K completely nilary in A/K", check_Cquot_corr),
-    ("Pnil-lift", "nil ideal with completely nilary quotient lifts", check_Pnil_lift),
-    ("Pcomm-pnilary", "commutative quotient: p-nilary iff completely nilary", check_Pcomm),
-    ("Pnil-nilpotent", "completely nilary / p-nilary force nilary (finite)", check_Pnilnilpotent),
-    ("Cchar", "unital completely nilary ring has prime-power characteristic", check_Cchar),
-    ("D2.1-hierarchy", "(p-)nilary implies weakly (p-)nilary", check_D2_1_hierarchy),
-    ("E2.2", "Z_6: zero ideal weakly nilary but not nilary", check_E2_2),
-    ("P2.3w", "weakly (p-)nilary ideal of a (p-)nilary ring is (p-)nilary", check_P2_3w),
-    ("P2.4w", "weakly (p-)nilary: I^2 = 0 or (p-)nilary", check_P2_4w),
-    ("C2.5w", "semiprime ring: weakly (p-)nilary iff zero or (p-)nilary", check_C2_5w),
-    ("P2.6", "one-sided characterization of weakly (p-)nilary", check_P2_6),
-    ("EM2Z2", "M_2(Z_2): prime, nilary, p-nilary, not completely nilary", check_EM2Z2),
-    ("Rprime-nilary", "every prime ring is nilary", check_Rprime_nilary),
+# (id, text, body[, own]); see _case for own
+CASES: tuple[tuple[str, str, Callable[[Sequence[Ring]], TheoremResult]], ...] = tuple(
+    (cid, text, _case(cid, body, *own)) for cid, text, body, *own in (
+        ("P1.2", "completely prime iff completely semiprime + completely nilary", _p1_2),
+        ("P1.3", "products of completely nilary ideals", _p1_3),
+        ("P1.3-nilary-quot", "A/Q^n is a nilary ring", _p1_3_nilary_quot),
+        ("Pquot", "ideal completely nilary iff quotient ring completely nilary", _pquot),
+        ("Phom-fwd", "surjective image of completely nilary is completely nilary", _phom_fwd),
+        ("Phom-back", "preimage of completely nilary is completely nilary", _phom_back),
+        ("Cquot-corr", "I completely nilary iff I/K completely nilary in A/K", _cquot_corr),
+        ("Pnil-lift", "nil ideal with completely nilary quotient lifts", _pnil_lift),
+        ("Pcomm-pnilary", "commutative quotient: p-nilary iff completely nilary", _pcomm),
+        ("Pnil-nilpotent", "completely nilary / p-nilary force nilary (finite)",
+         _pnil_nilpotent),
+        ("Cchar", "unital completely nilary ring has prime-power characteristic", _cchar),
+        ("D2.1-hierarchy", "(p-)nilary implies weakly (p-)nilary", _d2_1_hierarchy),
+        ("E2.2", "Z_6: zero ideal weakly nilary but not nilary", _e2_2, lambda: make_zn(6)),
+        ("P2.3w", "weakly (p-)nilary ideal of a (p-)nilary ring is (p-)nilary", _p2_3w),
+        ("P2.4w", "weakly (p-)nilary: I^2 = 0 or (p-)nilary", _p2_4w),
+        ("C2.5w", "semiprime ring: weakly (p-)nilary iff zero or (p-)nilary", _c2_5w),
+        ("P2.6", "one-sided characterization of weakly (p-)nilary", _p2_6),
+        ("EM2Z2", "M_2(Z_2): prime, nilary, p-nilary, not completely nilary", _em2z2,
+         lambda: make_matrix_ring(make_zn(2), 2)),
+        ("Rprime-nilary", "every prime ring is nilary", _rprime_nilary),
+    )
 )
 
 CASE_IDS = tuple(cid for cid, _, _ in CASES)
@@ -667,25 +601,6 @@ __all__ = [
     "CASE_IDS",
     "TheoremResult",
     "Violation",
-    "check_C2_5w",
-    "check_Cchar",
-    "check_Cquot_corr",
-    "check_D2_1_hierarchy",
-    "check_E2_2",
-    "check_EM2Z2",
-    "check_P1_2",
-    "check_P1_3",
-    "check_P1_3_nilary_quot",
-    "check_P2_3w",
-    "check_P2_4w",
-    "check_P2_6",
-    "check_Phom_back",
-    "check_Phom_fwd",
-    "check_Pcomm",
-    "check_Pnil_lift",
-    "check_Pnilnilpotent",
-    "check_Pquot",
-    "check_Rprime_nilary",
     "render_table",
     "report_json",
     "run_all",

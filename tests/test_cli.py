@@ -241,25 +241,11 @@ def test_corpus_file(capsys, tmp_path):
 
 def test_corpus_file_object_form(capsys, tmp_path):
     corpus = tmp_path / "corpus.json"
-    corpus.write_text(
-        json.dumps(
-            {
-                "specs": ["Zn:4", "Zn:6", "Zn:9"],
-                "max_order": 6,
-                "format": "json",
-                "predicates": ["nilary", "weakly_nilary"],
-            }
-        )
-    )
-    # format: json becomes the default output; max_order filters Zn:9
-    code, out, _ = run(capsys, "verify", "--corpus", str(corpus))
+    corpus.write_text(json.dumps({"specs": ["Zn:4", "Zn:6", "Zn:9"], "max_order": 6}))
+    # max_order filters Zn:9
+    code, out, _ = run(capsys, "verify", "--corpus", str(corpus), "--json")
     assert code == 0
     assert json.loads(out)["corpus"]["rings"] == ["Zn:4", "Zn:6"]
-    # the predicate filter gates hunt queries
-    code, out, _ = run(capsys, "hunt", "--corpus", str(corpus), "weakly_nilary and not nilary")
-    assert code == 0
-    code, _, err = run(capsys, "hunt", "--corpus", str(corpus), "prime")
-    assert code == 2 and "predicate filter" in err
 
 
 def test_corpus_file_lattice_cap(capsys, tmp_path):

@@ -1,19 +1,14 @@
 """Theorem harness: cases pass on honest engines and catch corrupted ones."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from nilary import clear_caches, parse_ring_spec, replay_verdict, ring_context
 from nilary.classify import REGISTRY, Verdict, Witness
-from nilary.theorems import (
-    CASE_IDS,
-    check_E2_2,
-    check_EM2Z2,
-    render_table,
-    report_json,
-    run_all,
-)
+from nilary.theorems import CASE_IDS, render_table, report_json, run_all
 
 HARNESS_SPECS = [
     "Zn:1",
@@ -42,10 +37,42 @@ def test_all_cases_pass_on_small_corpus(harness_rings):
 
 
 def test_example_cases():
-    e22 = check_E2_2(())
+    (e22,) = run_all((), ["E2.2"])
     assert e22.passed and e22.instances == 1
-    em = check_EM2Z2(())
+    (em,) = run_all((), ["EM2Z2"])
     assert em.passed and em.instances == 1
+
+
+# (instances, hypothesis_instances) of every case on the 79 builtin rings
+BUILTIN_COUNTS = {
+    "P1.2": (267, 267),
+    "P1.3": (4078, 2672),
+    "P1.3-nilary-quot": (287, 287),
+    "Pquot": (267, 267),
+    "Phom-fwd": (985, 796),
+    "Phom-back": (985, 796),
+    "Cquot-corr": (985, 985),
+    "Pnil-lift": (346, 60),
+    "Pcomm-pnilary": (346, 343),
+    "Pnil-nilpotent": (79, 36),
+    "Cchar": (72, 28),
+    "D2.1-hierarchy": (267, 164),
+    "E2.2": (1, 1),
+    "P2.3w": (267, 51),
+    "P2.4w": (267, 207),
+    "C2.5w": (138, 138),
+    "P2.6": (255, 255),
+    "EM2Z2": (1, 1),
+    "Rprime-nilary": (79, 17),
+}
+
+
+def test_builtin_counts_are_pinned(builtin_rings):
+    assert len(builtin_rings) == 79
+    results = run_all(builtin_rings)
+    assert all(res.passed for res in results), render_table(results)
+    got = {res.case_id: (res.instances, res.hypothesis_instances) for res in results}
+    assert got == BUILTIN_COUNTS
 
 
 def test_every_case_has_hypothesis_instances(harness_rings):
@@ -152,3 +179,47 @@ def test_corrupted_classifier_is_caught(monkeypatch):
                         )
     finally:
         clear_caches()
+
+
+FAULT_SPECS = ("Zn:6", "Zn:12", "Zn:4", "M:2:Zn:2", "T:2:Zn:2", "zmul:4", "dsum(Zn:2,Zn:3)")
+# sha256 of the JSON list of reports below, and its violation count
+FAULT_REPORT_SHA256 = "02cf8ae88bfe04ef0c3fbae460b84de15f8ee7293fcbc077ee5bf1ef92b54584"
+FAULT_VIOLATIONS = 288
+
+
+def test_fault_injection_report_is_pinned():
+    """Every violation, description and witness under injected faults is pinned.
+
+    One report per fault: products degraded to sums as in the test above,
+    then each registered predicate negated in turn.
+    """
+    from nilary.classify import RingContext
+
+    honest = RingContext.product
+
+    def degraded(self, jm, km):
+        return honest(self, jm | km, jm | km) | jm | km
+
+    def negated(fn):
+        def lying(ctx, mask):
+            v = fn(ctx, mask)
+            return dataclasses.replace(v, holds=not v.holds)
+
+        return lying
+
+    rings = [parse_ring_spec(s) for s in FAULT_SPECS]
+    faults = [(RingContext, "product", degraded)]
+    faults += [(REGISTRY, name, negated(fn)) for name, fn in REGISTRY.items()]
+    reports = []
+    try:
+        for target, name, fake in faults:
+            clear_caches()
+            with pytest.MonkeyPatch.context() as mp:
+                (mp.setitem if target is REGISTRY else mp.setattr)(target, name, fake)
+                reports.append(report_json(run_all(rings), rings))
+    finally:
+        clear_caches()
+    assert len(reports) == 18
+    assert sum(len(c["violations"]) for rep in reports for c in rep["cases"]) == FAULT_VIOLATIONS
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_REPORT_SHA256
