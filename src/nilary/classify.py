@@ -8,16 +8,20 @@ reproducible. Predicates over "ideals" range over the full two-sided
 lattice; predicates over "(principal) ideals" range over principal
 two-sided ideals only.
 
-Every pair predicate is one of two searches. Element-pair predicates
-(completely prime, nilary, right/left primary) call ``_element_pair``;
-ideal-pair predicates (prime, nilary, p-nilary, right/left primary and
-their principal forms, the weakly nilary family) call ``_ideal_pair``.
-A predicate first filters each side of its domain by that side's excuse,
-"not inside I" or "no power inside I", computed once per element or
-ideal, and then searches the filtered lists for the first pair whose
-product lies in I (and is nonzero for the weakly family). Filtering keeps
-the domain's order and drops only pairs that are excused anyway, so the
-first pair found is the least witness of the full scan.
+Every pair predicate is one of two searches, and the registry builds it
+from the excuse of each side. Element-pair predicates (completely prime,
+nilary, right/left primary) call ``_element_pair``; ideal-pair predicates
+(prime, nilary, p-nilary, right/left primary and their principal forms,
+the weakly nilary family) call ``_ideal_pair``. A predicate first filters
+each side of its domain by that side's excuse, "not inside I" or "no
+power inside I", computed once per element or ideal, and then searches
+the filtered lists for the first pair whose product lies in I (and is
+nonzero for the weakly family). Filtering keeps the domain's order and
+drops only pairs that are excused anyway, so the first pair found is the
+least witness of the full scan. Ideal domains are positions in the
+context's lattice index, whose order is lattice order; a search reads
+each product from the index rows and asks :meth:`RingContext.product`
+only for an empty slot.
 
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .ideals import (
     DEFAULT_LATTICE_COUNT_CAP,
@@ -39,6 +43,8 @@ from .ideals import (
     RIGHT,
     TWO_SIDED,
     Ideal,
+    IdealLattice,
+    _principal_spans,
     _same_ring,
     additive_generators,
     element_power_in,
@@ -46,9 +52,9 @@ from .ideals import (
     enumerate_ideals,
     full_mask,
     generator_product,
+    hom_image_mask,
     make_quotient,
     mask_elements,
-    principal_of,
     zero_ideal,
 )
 from .rings import Characteristic, Hom, Ring, characteristic, element_powers, is_commutative
@@ -109,21 +115,83 @@ class Verdict:
 
 _TRUE = Verdict(True, Witness.none())
 _NA = Verdict(False, Witness.none(), na=True)
+_IMPROPER = Verdict(False, Witness.none())  # the prime family on I = A
+
+
+class _LatticeIndex:
+    """One enumerated lattice, addressed by position in its (size, mask) order.
+
+    ``gens[j]`` holds the additive generators enumeration recorded for ideal
+    j. ``rows[j][k]`` is the product of ideals j and k as
+    :meth:`RingContext.product` returned it, 0 while unfilled (a product
+    always holds zero); ``stable[j]`` is the last power of ideal j, 0 until
+    asked for; ``principal`` lists the positions of the principal ideals.
+    """
+
+    def __init__(self, kind: str, lattice: IdealLattice):
+        self.kind = kind
+        self.masks = lattice.masks()
+        self.pos = {m: j for j, m in enumerate(self.masks)}
+        self.gens = lattice.generators
+        self.rows: list[Optional[list[int]]] = [None] * len(self.masks)
+        self.stable = [0] * len(self.masks)
+        self.principal: Optional[list[int]] = None
+        self._member: Optional[list[int]] = None  # bit j of member[x]: x lies in ideal j
+
+    def product(self, mul, j: int, k: int) -> int:
+        """JK: the first ideal in lattice order that holds every generator product g*h.
+
+        Products of two ideals of one kind are ideals of that kind, and JK is
+        the span of the g*h, so it lies inside every ideal that holds them.
+        """
+        member = self._member
+        if member is None:
+            member = [0] * len(mul)
+            for i, m in enumerate(self.masks):
+                bit = 1 << i
+                for x in mask_elements(m):
+                    member[x] |= bit
+            self._member = member
+        hits = -1
+        for g in self.gens[j]:
+            row = mul[g]
+            for h in self.gens[k]:
+                hits &= member[row[h]]
+        return self.masks[(hits & -hits).bit_length() - 1]
+
+    def row(self, j: int) -> list[int]:
+        got = self.rows[j]
+        if got is None:
+            got = self.rows[j] = [0] * len(self.masks)
+        return got
+
+    def times(self, ctx: "RingContext", j: int, k: int) -> int:
+        """Product of ideals j and k, read from the row or filled by ctx.product."""
+        row = self.row(j)
+        got = row[k]
+        if not got:
+            got = row[k] = ctx.product(self.masks[j], self.masks[k])
+        return got
+
+    def last_power(self, ctx: "RingContext", j: int) -> int:
+        """Stable value of ideal j's power chain, filled by ctx.chain."""
+        got = self.stable[j]
+        if not got:
+            got = self.stable[j] = ctx.chain(self.masks[j])[-1]
+        return got
 
 
 class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
-    Caches the ideal lattices, the principal ideal of every element (one
-    pass per kind, for the principal-ideal sets and the lattices), element
-    power masks, additive generators per mask, pairwise ideal products,
-    power chains, quotients by two-sided ideals (each with its own
-    context) and individual verdicts. Products and chains are keyed by
-    masks alone: the product of two additive subgroups is the same
-    whatever kind of ideal they are. Everything is derived data and
-    deterministic; the context never mutates its ring, and two threads
-    racing on one entry only compute it twice (a quotient is built twice,
-    but both callers get the one stored first).
+    Caches a :class:`_LatticeIndex` per enumerated lattice kind, the
+    principal ideal of every element (one pass per kind), element power
+    masks, power chains, quotients by two-sided ideals with the images of
+    the ideals above each kernel, and verdicts. :meth:`product` is the one
+    source of products and keeps none; its callers keep them in index rows.
+    Everything is derived data and deterministic; the context never mutates
+    its ring, and two threads racing on one entry only compute it twice (a
+    quotient is built twice, but both callers get the one stored first).
     """
 
     def __init__(self, ring: Ring):
@@ -132,15 +200,13 @@ class RingContext:
         self.full_mask = full_mask(ring)
         self.commutative = is_commutative(ring)
         self.unital = ring.one is not None
-        self._lattices: dict[str, tuple[int, ...]] = {}
-        self._principal_of: dict[str, tuple[int, ...]] = {}
-        self._principal: dict[str, tuple[int, ...]] = {}
+        self._indexes: dict[str, _LatticeIndex] = {}
+        self._principal_of: dict[str, tuple[tuple[int, ...], dict]] = {}
         self._powmask: list[Optional[int]] = [None] * self.n
-        self._generators: dict[int, tuple[int, ...]] = {}
-        self._products: dict[tuple[int, int], int] = {}
         self._chains: dict[int, tuple[int, ...]] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
-        self._verdicts: dict[tuple[str, int], Verdict] = {}
+        self._images: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._verdicts: dict[tuple, Verdict] = {}
 
     # element power data -------------------------------------------------
     def powmask(self, a: int) -> int:
@@ -152,45 +218,55 @@ class RingContext:
         return m
 
     # ideal data ----------------------------------------------------------
+    def index(
+        self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
+    ) -> _LatticeIndex:
+        """The lattice of the kind with its product rows, enumerated on first use."""
+        if self.commutative:
+            kind = TWO_SIDED  # one-sided ideals are the two-sided ones
+        got = self._indexes.get(kind)
+        if got is None or len(got.masks) > max_ideals:  # then enumeration raises SizeCapError
+            # over the order cap enumeration raises at once, before any principal ideal
+            spans = self._principal(kind) if self.n <= DEFAULT_LATTICE_ORDER_CAP else None
+            lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals, principal=spans)
+            got = self._indexes.setdefault(kind, _LatticeIndex(kind, lattice))
+        return got
+
     def lattice_masks(
         self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
     ) -> tuple[int, ...]:
-        if self.commutative:
-            kind = TWO_SIDED  # one-sided ideals are the two-sided ones
-        got = self._lattices.get(kind)
-        if got is None or len(got) > max_ideals:  # then enumeration raises SizeCapError
-            # over the order cap enumeration raises at once, before any principal ideal
-            of = self.principal_of(kind) if self.n <= DEFAULT_LATTICE_ORDER_CAP else None
-            got = self._lattices[kind] = enumerate_ideals(
-                self.ring, kind, max_ideals=max_ideals, principal=of).masks()
-        return got
+        return self.index(kind, max_ideals).masks
+
+    def _principal(self, kind: str) -> tuple[tuple[int, ...], dict]:
+        if kind not in self._principal_of:
+            self._principal_of[kind] = _principal_spans(self.ring, kind)
+        return self._principal_of[kind]
 
     def principal_of(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
         """Mask of the principal ideal (a) for every element a."""
-        if kind not in self._principal_of:
-            self._principal_of[kind] = principal_of(self.ring, kind)
-        return self._principal_of[kind]
+        return self._principal(kind)[0]
 
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
-        if kind not in self._principal:
-            seen = set(self.principal_of(kind))
-            self._principal[kind] = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
-        return self._principal[kind]
+        """The distinct principal ideals, the keys of their generator map, in lattice order."""
+        return tuple(sorted(self._principal(kind)[1], key=lambda m: (m.bit_count(), m)))
 
-    def generators(self, m: int) -> tuple[int, ...]:
-        got = self._generators.get(m)
-        if got is None:
-            got = additive_generators(self.ring, m)
-            self._generators[m] = got
-        return got
+    def domain(self, kind: str, principal: bool) -> tuple[_LatticeIndex, Sequence[int]]:
+        """Positions of the ideals (or principal ideals) of the kind in its index."""
+        idx = self.index(kind)
+        if not principal:
+            return idx, range(len(idx.masks))
+        if idx.principal is None:
+            idx.principal = [idx.pos[m] for m in self.principal_masks(idx.kind)]
+        return idx, idx.principal
 
     def product(self, jm: int, km: int) -> int:
-        key = (jm, km)
-        got = self._products.get(key)
-        if got is None:
-            got = generator_product(self.ring, self.generators(jm), self.generators(km))
-            self._products[key] = got
-        return got
+        """Mask of the product of two additive subgroups given by their masks."""
+        for idx in tuple(self._indexes.values()):  # a snapshot: other threads may add one
+            j = idx.pos.get(jm)
+            if j is not None and (k := idx.pos.get(km)) is not None:
+                return idx.product(self.ring.mul, j, k)
+        r = self.ring
+        return generator_product(r, additive_generators(r, jm), additive_generators(r, km))
 
     def chain(self, m: int) -> tuple[int, ...]:
         """Masks of I, I^2, ... up to the first that equals the next.
@@ -206,16 +282,21 @@ class RingContext:
             self._chains[m] = got
         return got
 
-    def power_in(self, jm: int, target: int) -> bool:
-        """Whether some power of the ideal mask lands inside target."""
-        return not self.chain(jm)[-1] & ~target
-
     def quotient(self, m: int) -> tuple[RingContext, Hom]:
         """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I."""
         got = self._quotients.get(m)
         if got is None:
             quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
             got = self._quotients.setdefault(m, (RingContext(quot), hom))
+        return got
+
+    def images(self, m: int) -> tuple[tuple[int, int], ...]:
+        """(I, I/K) for the two-sided ideals I above K = m, in lattice order."""
+        got = self._images.get(m)
+        if got is None:
+            hom = self.quotient(m)[1]
+            got = self._images[m] = tuple(
+                (im, hom_image_mask(hom, im)) for im in self.lattice_masks() if not m & ~im)
         return got
 
     # verdicts -------------------------------------------------------------
@@ -295,12 +376,17 @@ def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
     return [a for a in range(ctx.n) if not ctx.powmask(a) & m]
 
 
-def _outside_ideals(domain: tuple[int, ...], m: int) -> list[int]:
-    return [jm for jm in domain if jm & ~m]
+Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, ascending
 
 
-def _powerless_ideals(ctx: RingContext, domain: tuple[int, ...], m: int) -> list[int]:
-    return [jm for jm in domain if not ctx.power_in(jm, m)]
+def _outside_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
+    masks = domain[0].masks
+    return [j for j in domain[1] if masks[j] & ~m]
+
+
+def _powerless_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
+    idx = domain[0]
+    return [j for j in domain[1] if idx.last_power(ctx, j) & ~m]
 
 
 def _element_pair(
@@ -317,17 +403,23 @@ def _element_pair(
 
 
 def _ideal_pair(
-    ctx: RingContext, m: int, js: list[int], ks: list[int], nonzero: bool = False
+    ctx: RingContext, m: int, idx: _LatticeIndex, js: list[int], ks: list[int],
+    nonzero: bool = False,
 ) -> Optional[tuple[int, int]]:
-    """First (J, K) in lattice order from js x ks with JK inside I.
+    """First (J, K) in lattice order from js x ks, positions in idx, with JK inside I.
 
+    Products are read from J's row, and ctx.product fills an empty slot.
     With nonzero set, pairs with JK = 0 are skipped.
     """
-    for jm in js:
-        for km in ks:
-            prod = ctx.product(jm, km)
+    masks = idx.masks
+    for j in js:
+        row, jm = idx.row(j), masks[j]
+        for k in ks:
+            prod = row[k]  # idx.times(ctx, j, k), inlined in the hottest loop
+            if not prod:
+                prod = row[k] = ctx.product(jm, masks[k])
             if not prod & ~m and not (nonzero and prod == 1):
-                return jm, km
+                return jm, masks[k]
     return None
 
 
@@ -339,12 +431,48 @@ def _wit_ideals(jm: int, km: int) -> Witness:
     return Witness.ideals(mask_elements(jm), mask_elements(km))
 
 
-def _completely_prime(ctx: RingContext, m: int) -> Verdict:
-    """ab in I implies a in I or b in I; requires a proper ideal."""
-    if m == ctx.full_mask:
-        return Verdict(False, Witness.none())
-    out = _outside_elements(ctx, m)
-    return _refuted(_element_pair(ctx, m, out, out), Witness.pair)
+Predicate = Callable[[RingContext, int], Verdict]
+
+
+def _element_pairs(first: Callable, second: Callable, proper: bool = False) -> Predicate:
+    """ab in I implies a in I / some power of a in I (first), likewise b (second).
+
+    ``first`` and ``second`` list the elements lacking that excuse. A
+    ``proper`` predicate (completely prime) fails on I = A.
+    """
+
+    def check(ctx: RingContext, m: int) -> Verdict:
+        if proper and m == ctx.full_mask:
+            return _IMPROPER
+        js = first(ctx, m)
+        ks = js if second is first else second(ctx, m)
+        return _refuted(_element_pair(ctx, m, js, ks), Witness.pair)
+
+    return check
+
+
+def _ideal_pairs(
+    first: Callable, second: Callable, principal: bool = False, side: str = TWO_SIDED,
+    proper: bool = False, weakly: bool = False,
+) -> Predicate:
+    """JK inside I implies J in I / some power of J in I (first), likewise K (second).
+
+    J and K range over the ideals of ``side``, or its principal ideals. A
+    ``proper`` predicate (prime) fails on I = A. The ``weakly`` family skips
+    pairs with JK = 0 and is not applicable on I = A, nor one-sided without unity.
+    """
+
+    def check(ctx: RingContext, m: int) -> Verdict:
+        if m == ctx.full_mask and (proper or weakly):
+            return _NA if weakly else _IMPROPER
+        if side != TWO_SIDED and not ctx.unital:
+            return _NA
+        domain = ctx.domain(side, principal)
+        js = first(ctx, domain, m)
+        ks = js if second is first else second(ctx, domain, m)
+        return _refuted(_ideal_pair(ctx, m, domain[0], js, ks, nonzero=weakly), _wit_ideals)
+
+    return check
 
 
 def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
@@ -356,130 +484,39 @@ def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
     return _TRUE
 
 
-def _completely_nilary(ctx: RingContext, m: int) -> Verdict:
-    """ab in I implies some power of a or of b lies in I."""
-    free = _powerless_elements(ctx, m)
-    return _refuted(_element_pair(ctx, m, free, free), Witness.pair)
-
-
-def _completely_right_primary(ctx: RingContext, m: int) -> Verdict:
-    """ab in I implies a in I or some power of b lies in I."""
-    pair = _element_pair(ctx, m, _outside_elements(ctx, m), _powerless_elements(ctx, m))
-    return _refuted(pair, Witness.pair)
-
-
-def _completely_left_primary(ctx: RingContext, m: int) -> Verdict:
-    """ab in I implies b in I or some power of a lies in I."""
-    pair = _element_pair(ctx, m, _powerless_elements(ctx, m), _outside_elements(ctx, m))
-    return _refuted(pair, Witness.pair)
-
-
-def _prime(ctx: RingContext, m: int) -> Verdict:
-    """JK inside I implies J inside I or K inside I; requires proper I."""
-    if m == ctx.full_mask:
-        return Verdict(False, Witness.none())
-    out = _outside_ideals(ctx.lattice_masks(TWO_SIDED), m)
-    return _refuted(_ideal_pair(ctx, m, out, out), _wit_ideals)
-
-
 def _semiprime(ctx: RingContext, m: int) -> Verdict:
     """J^2 inside I implies J inside I."""
-    for jm in ctx.lattice_masks(TWO_SIDED):
-        if jm & ~m and not ctx.product(jm, jm) & ~m:
+    idx = ctx.index(TWO_SIDED)
+    for j, jm in enumerate(idx.masks):
+        if jm & ~m and not idx.times(ctx, j, j) & ~m:
             return Verdict(False, _wit_ideals(jm, jm))
     return _TRUE
 
 
-def _nilary_over(
-    ctx: RingContext, m: int, domain: tuple[int, ...], nonzero: bool = False
-) -> Verdict:
-    free = _powerless_ideals(ctx, domain, m)
-    return _refuted(_ideal_pair(ctx, m, free, free, nonzero), _wit_ideals)
+_OUT_E, _FREE_E = _outside_elements, _powerless_elements
+_OUT, _FREE = _outside_ideals, _powerless_ideals
+# weakly (p-)nilary over right or left ideals, by (side, principal)
+_ONESIDED = {(side, principal): _ideal_pairs(_FREE, _FREE, principal, side, weakly=True)
+             for side in (RIGHT, LEFT) for principal in (False, True)}
 
-
-def _nilary(ctx: RingContext, m: int) -> Verdict:
-    """JK inside I implies some power of J or of K is inside I."""
-    return _nilary_over(ctx, m, ctx.lattice_masks(TWO_SIDED))
-
-
-def _p_nilary(ctx: RingContext, m: int) -> Verdict:
-    """Nilary condition quantified over principal two-sided ideals."""
-    return _nilary_over(ctx, m, ctx.principal_masks(TWO_SIDED))
-
-
-def _primary_over(ctx: RingContext, m: int, domain: tuple[int, ...], right: bool) -> Verdict:
-    out, free = _outside_ideals(domain, m), _powerless_ideals(ctx, domain, m)
-    pair = _ideal_pair(ctx, m, out, free) if right else _ideal_pair(ctx, m, free, out)
-    return _refuted(pair, _wit_ideals)
-
-
-def _right_primary(ctx: RingContext, m: int) -> Verdict:
-    """JK inside I implies J inside I or some power of K inside I."""
-    return _primary_over(ctx, m, ctx.lattice_masks(TWO_SIDED), right=True)
-
-
-def _left_primary(ctx: RingContext, m: int) -> Verdict:
-    """JK inside I implies K inside I or some power of J inside I."""
-    return _primary_over(ctx, m, ctx.lattice_masks(TWO_SIDED), right=False)
-
-
-def _p_right_primary(ctx: RingContext, m: int) -> Verdict:
-    return _primary_over(ctx, m, ctx.principal_masks(TWO_SIDED), right=True)
-
-
-def _p_left_primary(ctx: RingContext, m: int) -> Verdict:
-    return _primary_over(ctx, m, ctx.principal_masks(TWO_SIDED), right=False)
-
-
-def _weakly_over(ctx: RingContext, m: int, domain: tuple[int, ...]) -> Verdict:
-    if m == ctx.full_mask:
-        return _NA
-    return _nilary_over(ctx, m, domain, nonzero=True)
-
-
-def _weakly_nilary(ctx: RingContext, m: int) -> Verdict:
-    """0 != JK inside proper I implies some power of J or of K inside I."""
-    return _weakly_over(ctx, m, ctx.lattice_masks(TWO_SIDED))
-
-
-def _weakly_p_nilary(ctx: RingContext, m: int) -> Verdict:
-    return _weakly_over(ctx, m, ctx.principal_masks(TWO_SIDED))
-
-
-def _weakly_onesided(ctx: RingContext, m: int, side: str, principal: bool) -> Verdict:
-    if not ctx.unital:
-        return _NA
-    domain = ctx.principal_masks(side) if principal else ctx.lattice_masks(side)
-    return _weakly_over(ctx, m, domain)
-
-
-def _weakly_nilary_right(ctx: RingContext, m: int) -> Verdict:
-    """Weakly nilary condition quantified over right ideals (unital rings)."""
-    return _weakly_onesided(ctx, m, RIGHT, principal=False)
-
-
-def _weakly_nilary_left(ctx: RingContext, m: int) -> Verdict:
-    return _weakly_onesided(ctx, m, LEFT, principal=False)
-
-
-REGISTRY: dict[str, Callable[[RingContext, int], Verdict]] = {
-    "completely_prime": _completely_prime,
+REGISTRY: dict[str, Predicate] = {
+    "completely_prime": _element_pairs(_OUT_E, _OUT_E, proper=True),
     "completely_semiprime": _completely_semiprime,
-    "completely_nilary": _completely_nilary,
-    "prime": _prime,
+    "completely_nilary": _element_pairs(_FREE_E, _FREE_E),
+    "prime": _ideal_pairs(_OUT, _OUT, proper=True),
     "semiprime": _semiprime,
-    "nilary": _nilary,
-    "p_nilary": _p_nilary,
-    "right_primary": _right_primary,
-    "left_primary": _left_primary,
-    "p_right_primary": _p_right_primary,
-    "p_left_primary": _p_left_primary,
-    "completely_right_primary": _completely_right_primary,
-    "completely_left_primary": _completely_left_primary,
-    "weakly_nilary": _weakly_nilary,
-    "weakly_p_nilary": _weakly_p_nilary,
-    "weakly_nilary_right": _weakly_nilary_right,
-    "weakly_nilary_left": _weakly_nilary_left,
+    "nilary": _ideal_pairs(_FREE, _FREE),
+    "p_nilary": _ideal_pairs(_FREE, _FREE, principal=True),
+    "right_primary": _ideal_pairs(_OUT, _FREE),
+    "left_primary": _ideal_pairs(_FREE, _OUT),
+    "p_right_primary": _ideal_pairs(_OUT, _FREE, principal=True),
+    "p_left_primary": _ideal_pairs(_FREE, _OUT, principal=True),
+    "completely_right_primary": _element_pairs(_OUT_E, _FREE_E),
+    "completely_left_primary": _element_pairs(_FREE_E, _OUT_E),
+    "weakly_nilary": _ideal_pairs(_FREE, _FREE, weakly=True),
+    "weakly_p_nilary": _ideal_pairs(_FREE, _FREE, principal=True, weakly=True),
+    "weakly_nilary_right": _ONESIDED[RIGHT, False],
+    "weakly_nilary_left": _ONESIDED[LEFT, False],
 }
 
 PREDICATE_NAMES = tuple(REGISTRY)
@@ -524,7 +561,11 @@ def is_weakly_nilary_onesided(l: Ideal, side: str, principal: bool = False) -> V
     ctx = _require_two_sided(l)
     if not ctx.unital:
         raise ValueError("unity required")
-    return _weakly_onesided(ctx, l.mask, side, principal)
+    key = (side, principal, l.mask)  # memoized beside the registry verdicts, not through them
+    got = ctx._verdicts.get(key)
+    if got is None:
+        got = ctx._verdicts[key] = _ONESIDED[side, principal](ctx, l.mask)
+    return got
 
 
 # ---------------------------------------------------------------------------

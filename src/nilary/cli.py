@@ -99,13 +99,17 @@ def _parse_single(args):
     return parse_ring_spec(args.spec, size_cap=cap)
 
 
+def _print_json(data) -> None:
+    print(json.dumps(data, indent=2, sort_keys=True))
+
+
 def _ideal_text(elements: Sequence[int]) -> str:
     return "{" + ",".join(map(str, elements)) + "}"
 
 
 def _print_reports(reports: list[PropertyReport], as_json: bool) -> None:
     if as_json:
-        print(json.dumps([rep.to_json() for rep in reports], indent=2, sort_keys=True))
+        _print_json([rep.to_json() for rep in reports])
         return
     head = reports[0]
     flags = [w for w, on in (("commutative", head.commutative), ("unital", head.unital),
@@ -128,10 +132,7 @@ def _print_reports(reports: list[PropertyReport], as_json: bool) -> None:
 def _char_text(rep: PropertyReport) -> str:
     if rep.char is None:
         return "char -"
-    if rep.char.factors:
-        fact = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in rep.char.factors)
-    else:
-        fact = "1"
+    fact = "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in rep.char.factors) or "1"
     return f"char {rep.char.value}={fact}"
 
 
@@ -165,19 +166,8 @@ def cmd_ideals(args) -> int:
         else:
             oracle_note = f"oracle skipped: order {ring.order} > {BRUTE_FORCE_ORDER_CAP}"
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ring": ring.label,
-                    "kind": args.kind,
-                    "count": len(lattice),
-                    "ideals": [i.to_json() for i in lattice],
-                    "oracle_checked": oracle_checked,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _print_json({"ring": ring.label, "kind": args.kind, "count": len(lattice),
+                     "ideals": [i.to_json() for i in lattice], "oracle_checked": oracle_checked})
         return 0
     print(f"ring {ring.label}  kind {args.kind}  {len(lattice)} ideal(s)")
     for i in lattice:
@@ -192,7 +182,7 @@ def cmd_verify(args) -> int:
     case_ids = args.case if args.case else None
     results = run_all(rings, case_ids)
     if args.json:
-        print(json.dumps(report_json(results, rings), indent=2, sort_keys=True))
+        _print_json(report_json(results, rings))
     else:
         print(render_table(results))
     return 0 if all(res.passed for res in results) else 1
@@ -204,17 +194,8 @@ def cmd_hunt(args) -> int:
     rings = _corpus_rings(args)
     matches = list(run_hunt(rings, query))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "query": query.text,
-                    "target": query.target,
-                    "matches": [m.to_json() for m in matches],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _print_json({"query": query.text, "target": query.target,
+                     "matches": [m.to_json() for m in matches]})
     else:
         for m in matches:
             print(f"{m.ring_label}  ideal {_ideal_text(m.ideal_elements)}")

@@ -9,15 +9,17 @@ pass enough, and each term is an OR of the ring's cached Ax / xA masks.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
-Memoized products, power chains, quotients and principal ideals live on
-:class:`nilary.classify.RingContext`. Lattices are the principal ideals
-closed under coset-wise joins; the 2^n subset scan is kept as an
+Lattices are the principal ideals closed under coset-wise joins, and
+carry the generators their spans recorded, so that
+:class:`nilary.classify.RingContext` multiplies lattice members without
+spanning them again; it also holds the memoized products, power chains,
+quotients and principal ideals. The 2^n subset scan is kept as an
 independent oracle for small orders. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Optional
 
@@ -255,6 +257,8 @@ class IdealLattice:
     ring: Ring
     kind: str
     ideals: tuple[Ideal, ...]
+    # additive generators of each ideal, as enumerate_ideals' spans recorded them
+    generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def __iter__(self):
         return iter(self.ideals)
@@ -266,13 +270,23 @@ class IdealLattice:
         return tuple(i.mask for i in self.ideals)
 
 
-def _sorted_lattice(r: Ring, kind: str, masks: Iterable[int]) -> IdealLattice:
+def _sorted_lattice(
+    r: Ring, kind: str, masks: Iterable[int], gens: Optional[dict[int, tuple[int, ...]]] = None
+) -> IdealLattice:
     ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    return IdealLattice(r, kind, tuple(Ideal(r, m, kind) for m in ordered))
+    return IdealLattice(r, kind, tuple(Ideal(r, m, kind) for m in ordered),
+                        () if gens is None else tuple(gens[m] for m in ordered))
 
 
 def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
-    """Mask of the principal ideal (a) of the kind, for every element a.
+    """Mask of the principal ideal (a) of the kind, for every element a."""
+    return _principal_spans(r, kind)[0]
+
+
+def _principal_spans(
+    r: Ring, kind: str = TWO_SIDED
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """:func:`principal_of`, plus the additive generators of each principal ideal.
 
     (a) spans {a} + Aa + aA + A(aA) (left: {a} + Aa; right: {a} + aA). Spans
     are memoized by that pre-span and A(aA) by aA, since elements share
@@ -281,7 +295,7 @@ def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
     _check_kind(kind)
     ax, xa = r.product_masks
     left, right = kind != RIGHT, kind != LEFT
-    spans, outer = {}, {}  # pre-span -> (a); aA -> A(aA), the OR of Ax over x in aA
+    spans, outer, gens = {}, {}, {}  # pre-span -> (a); aA -> A(aA); (a) -> generators
     of = []
     for a in range(r.order):
         pre = 1 << a | (ax[a] if left else 0) | (xa[a] if right else 0)
@@ -291,9 +305,10 @@ def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
                 outer[t] = reduce(int.__or__, (ax[x] for x in mask_elements(t)), 0)
             pre |= outer[t]
         if pre not in spans:
-            spans[pre] = _span(r, pre)[0]
+            m, _, gens[m] = _span(r, pre)
+            spans[pre] = m
         of.append(spans[pre])
-    return tuple(of)
+    return tuple(of), gens
 
 
 def enumerate_ideals(
@@ -302,24 +317,25 @@ def enumerate_ideals(
     max_order: int = DEFAULT_LATTICE_ORDER_CAP,
     max_ideals: int = DEFAULT_LATTICE_COUNT_CAP,
     *,
-    principal: Optional[tuple[int, ...]] = None,
+    principal: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None,
 ) -> IdealLattice:
     """All ideals of the kind: the principal ones closed under the joins I + (a).
 
     Every ideal is a sum of principal ideals. I + (a) depends only on the
     coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
     with each distinct (a) over one representative a per coset outside it,
-    by growing its own cosets (a seeded span). ``principal`` is
-    :func:`principal_of` of this ring and kind, when the caller holds it.
+    by growing its own cosets (a seeded span). A join's generators are I's
+    plus those its span adds. ``principal`` is :func:`_principal_spans` of
+    this ring and kind, when the caller holds it.
     """
     _check_kind(kind)
     if r.order > max_order:
         raise SizeCapError(f"lattice enumeration capped at order {max_order}, got {r.order}")
-    of = principal_of(r, kind) if principal is None else principal
-    found = set(of)
-    queue = [(m, mask_elements(m)) for m in found]
+    of, gens = _principal_spans(r, kind) if principal is None else principal
+    gens = dict(gens)  # every ideal found so far, with its generators
+    queue = [(m, mask_elements(m)) for m in gens]
     while queue:
-        if len(found) > max_ideals:
+        if len(gens) > max_ideals:
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
         im, ielems = queue.pop()
         joined, covered = set(), im
@@ -331,11 +347,11 @@ def enumerate_ideals(
             if of[a] in joined or not im & ~of[a]:
                 continue  # joined already, or I inside (a): the join is (a)
             joined.add(of[a])
-            jm, jelems, _ = _span(r, of[a], (im, ielems))
-            if jm not in found:
-                found.add(jm)
+            jm, jelems, new = _span(r, of[a], (im, ielems))
+            if jm not in gens:
+                gens[jm] = gens[im] + new
                 queue.append((jm, jelems))
-    return _sorted_lattice(r, kind, found)
+    return _sorted_lattice(r, kind, gens.keys(), gens)
 
 
 def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:

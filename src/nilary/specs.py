@@ -129,9 +129,7 @@ def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     parser = _Parser(text, size_cap)
     try:
         ring = parser.spec()
-    except SizeCapError:
-        raise
-    except RingSpecError:
+    except (SizeCapError, RingSpecError):
         raise
     except ValueError as exc:
         raise RingSpecError(str(exc), parser.pos) from exc

@@ -32,7 +32,7 @@ from .classify import (
     is_weakly_nilary_onesided,
     ring_context,
 )
-from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, elements_mask, hom_image_mask, mask_elements
+from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, elements_mask, mask_elements
 from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
@@ -165,23 +165,25 @@ def _p1_3(run: _Run, ctx: RingContext) -> None:
     to length 3 are tested; the diagonal tuples (Q, Q, Q) exercise the
     Q^n clause.
     """
-    cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
-            if ctx.verdict("completely_nilary", m).holds]
+    idx = ctx.index(TWO_SIDED)
+    masks = idx.masks
+    cnil = [j for j, m in enumerate(masks) if ctx.verdict("completely_nilary", m).holds]
+    last = {q: idx.last_power(ctx, q) for q in cnil}
     for n in (1, 2, 3):
         for tup in itertools.product(cnil, repeat=n):
             inter = ctx.full_mask
             for q in tup:
-                inter &= q
-            hyp = any(ctx.power_in(q, inter) for q in set(tup))
-            if not run.instance(hyp):
+                inter &= masks[q]
+            if not run.instance(any(not last[q] & ~inter for q in tup)):
                 continue
-            prod = tup[0]
+            prod = masks[tup[0]]
             for q in tup[1:]:
-                prod = ctx.product(prod, q)
+                j = idx.pos.get(prod)  # None only if a faulty product left the lattice
+                prod = ctx.product(prod, masks[q]) if j is None else idx.times(ctx, j, q)
             v = ctx.verdict("completely_nilary", prod)
             if not v.holds:
                 run.violate(
-                    f"product of completely nilary ideals {[mask_elements(q) for q in tup]} "
+                    f"product of completely nilary ideals {[mask_elements(masks[q]) for q in tup]} "
                     "is not completely nilary",
                     prod,
                     [("completely_nilary", v)],
@@ -193,14 +195,8 @@ def _p1_3_nilary_quot(run: _Run, ctx: RingContext) -> None:
     cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
             if ctx.verdict("completely_nilary", m).holds]
     for q in cnil:
-        power = q
-        seen = set()
-        for n in (1, 2, 3):
-            if n > 1:
-                power = ctx.product(power, q)
-            if power in seen:
-                continue
-            seen.add(power)
+        # the chain lists Q, Q^2, ... while they differ, so its first three are the distinct Q^n
+        for n, power in enumerate(ctx.chain(q)[:3], start=1):
             run.instance(True)
             v = ctx.quotient(power)[0].verdict("nilary", 1)
             if not v.holds:
@@ -228,16 +224,11 @@ def _pquot(run: _Run, ctx: RingContext) -> None:
 
 def _hom_pairs(ctx: RingContext):
     """Canonical-surjection instances: (K, I, verdict on I, verdict on phi(I))."""
-    lat = ctx.lattice_masks(TWO_SIDED)
-    for km in lat:
-        qctx, hom = ctx.quotient(km)
-        for im in lat:
-            if km & ~im:
-                continue
-            image = hom_image_mask(hom, im)
-            yield km, im, ctx.verdict("completely_nilary", im), qctx.verdict(
-                "completely_nilary", image
-            )
+    for km in ctx.lattice_masks(TWO_SIDED):
+        qctx = ctx.quotient(km)[0]
+        for im, image in ctx.images(km):
+            yield (km, im, ctx.verdict("completely_nilary", im),
+                   qctx.verdict("completely_nilary", image))
 
 
 def _phom_fwd(run: _Run, ctx: RingContext) -> None:
@@ -351,20 +342,20 @@ def _cchar(run: _Run, ctx: RingContext) -> None:
         )
 
 
+# (strong, weak, prefix): the nilary and the p-nilary forms, in that order
+_FAMILIES = (("nilary", "weakly_nilary", ""), ("p_nilary", "weakly_p_nilary", "p-"))
+
+
 def _d2_1_hierarchy(run: _Run, ctx: RingContext) -> None:
     """Every (p-)nilary proper ideal is weakly (p-)nilary."""
     for m in _proper_masks(ctx):
-        ni = ctx.verdict("nilary", m)
-        pn = ctx.verdict("p_nilary", m)
-        if not run.instance(ni.holds or pn.holds):
+        strong = [ctx.verdict(name, m).holds for name, _, _ in _FAMILIES]
+        if not run.instance(any(strong)):
             continue
-        wn = ctx.verdict("weakly_nilary", m)
-        wpn = ctx.verdict("weakly_p_nilary", m)
-        if ni.holds and not wn.holds:
-            run.violate("nilary ideal is not weakly nilary", m, [("weakly_nilary", wn)])
-        if pn.holds and not wpn.holds:
-            run.violate("p-nilary ideal is not weakly p-nilary", m,
-                        [("weakly_p_nilary", wpn)])
+        for held, (_, weak, p) in zip(strong, _FAMILIES):
+            v = ctx.verdict(weak, m)
+            if held and not v.holds:
+                run.violate(f"{p}nilary ideal is not weakly {p}nilary", m, [(weak, v)])
 
 
 def _e2_2(run: _Run, ctx: RingContext) -> None:
@@ -392,44 +383,29 @@ def _e2_2(run: _Run, ctx: RingContext) -> None:
 
 def _p2_3w(run: _Run, ctx: RingContext) -> None:
     """In a (p-)nilary ring, weakly (p-)nilary proper ideals are (p-)nilary."""
-    ni0 = ctx.verdict("nilary", 1).holds
-    pn0 = ctx.verdict("p_nilary", 1).holds
+    of_ring = [ctx.verdict(strong, 1).holds for strong, _, _ in _FAMILIES]
     for m in _proper_masks(ctx):
-        wn = ctx.verdict("weakly_nilary", m)
-        wpn = ctx.verdict("weakly_p_nilary", m)
-        hyp = (ni0 and wn.holds) or (pn0 and wpn.holds)
-        if not run.instance(hyp):
+        weak = [ctx.verdict(name, m).holds for _, name, _ in _FAMILIES]
+        asked = [r and w for r, w in zip(of_ring, weak)]
+        if not run.instance(any(asked)):
             continue
-        if ni0 and wn.holds:
-            ni = ctx.verdict("nilary", m)
-            if not ni.holds:
-                run.violate("weakly nilary ideal of a nilary ring is not nilary",
-                            m, [("nilary", ni)])
-        if pn0 and wpn.holds:
-            pn = ctx.verdict("p_nilary", m)
-            if not pn.holds:
-                run.violate("weakly p-nilary ideal of a p-nilary ring is not p-nilary",
-                            m, [("p_nilary", pn)])
+        for held, (strong, _, p) in zip(asked, _FAMILIES):
+            if held and not (v := ctx.verdict(strong, m)).holds:
+                run.violate(f"weakly {p}nilary ideal of a {p}nilary ring is not {p}nilary",
+                            m, [(strong, v)])
 
 
 def _p2_4w(run: _Run, ctx: RingContext) -> None:
     """A weakly (p-)nilary ideal satisfies I^2 = 0 or is (p-)nilary."""
+    idx = ctx.index(TWO_SIDED)
     for m in _proper_masks(ctx):
-        wn = ctx.verdict("weakly_nilary", m)
-        wpn = ctx.verdict("weakly_p_nilary", m)
-        if not run.instance(wn.holds or wpn.holds):
+        weak = [ctx.verdict(name, m).holds for _, name, _ in _FAMILIES]
+        if not run.instance(any(weak)) or idx.times(ctx, idx.pos[m], idx.pos[m]) == 1:
             continue
-        square_zero = ctx.product(m, m) == 1
-        if wn.holds and not square_zero:
-            ni = ctx.verdict("nilary", m)
-            if not ni.holds:
-                run.violate("weakly nilary ideal with I^2 != 0 is not nilary",
-                            m, [("nilary", ni)])
-        if wpn.holds and not square_zero:
-            pn = ctx.verdict("p_nilary", m)
-            if not pn.holds:
-                run.violate("weakly p-nilary ideal with I^2 != 0 is not p-nilary",
-                            m, [("p_nilary", pn)])
+        for held, (strong, _, p) in zip(weak, _FAMILIES):
+            if held and not (v := ctx.verdict(strong, m)).holds:
+                run.violate(f"weakly {p}nilary ideal with I^2 != 0 is not {p}nilary",
+                            m, [(strong, v)])
 
 
 def _c2_5w(run: _Run, ctx: RingContext) -> None:
@@ -438,24 +414,11 @@ def _c2_5w(run: _Run, ctx: RingContext) -> None:
         return
     for m in _proper_masks(ctx):
         run.instance(True)
-        wn = ctx.verdict("weakly_nilary", m)
-        ni = ctx.verdict("nilary", m)
-        if wn.holds != (m == 1 or ni.holds):
-            run.violate(
-                f"semiprime ring: weakly_nilary={wn.holds} but zero={m == 1}, "
-                f"nilary={ni.holds}",
-                m,
-                [("weakly_nilary", wn), ("nilary", ni)],
-            )
-        wpn = ctx.verdict("weakly_p_nilary", m)
-        pn = ctx.verdict("p_nilary", m)
-        if wpn.holds != (m == 1 or pn.holds):
-            run.violate(
-                f"semiprime ring: weakly_p_nilary={wpn.holds} but zero={m == 1}, "
-                f"p_nilary={pn.holds}",
-                m,
-                [("weakly_p_nilary", wpn), ("p_nilary", pn)],
-            )
+        for strong, weak, _ in _FAMILIES:
+            w, v = ctx.verdict(weak, m), ctx.verdict(strong, m)
+            if w.holds != (m == 1 or v.holds):
+                run.violate(f"semiprime ring: {weak}={w.holds} but zero={m == 1}, "
+                            f"{strong}={v.holds}", m, [(weak, w), (strong, v)])
 
 
 def _p2_6(run: _Run, ctx: RingContext) -> None:

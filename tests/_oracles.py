@@ -268,7 +268,7 @@ class PredicateScan:
             return refuted(none)
         if name.startswith("weakly_") and (
             m == (1 << r.order) - 1
-            or (name in ("weakly_nilary_right", "weakly_nilary_left") and r.one is None)
+            or (name.endswith(("_right", "_left")) and r.one is None)
         ):
             return {"holds": False, "witness": none, "na": True}
 
@@ -317,6 +317,9 @@ class PredicateScan:
             "weakly_p_nilary": (no_power, TWO_SIDED, True),
             "weakly_nilary_right": (no_power, RIGHT, False),
             "weakly_nilary_left": (no_power, LEFT, False),
+            # the principal one-sided forms, which are not registered predicates
+            "weakly_p_nilary_right": (no_power, RIGHT, True),
+            "weakly_p_nilary_left": (no_power, LEFT, True),
         }
         excuse, kind, principal = ideal_rules[name]
         domain = self.domain(kind, principal)

@@ -1,5 +1,7 @@
 """Predicate verdicts, witnesses, and the cross-predicate invariants."""
 
+import random
+
 import pytest
 
 from _oracles import PredicateScan
@@ -33,7 +35,7 @@ from nilary import (
     zero_ideal,
 )
 from nilary.classify import PREDICATE_NAMES, RingContext, ring_context
-from nilary.ideals import full_mask
+from nilary.ideals import full_mask, hom_image_mask
 
 # implication chains over proper ideals; each pair (weaker <- stronger)
 CHAINS = (
@@ -248,8 +250,6 @@ def _verdict_profile(r):
 
 
 def test_verdicts_are_isomorphism_invariant(small_rings):
-    import random
-
     rng = random.Random(20250810)
     for r in small_rings:
         if r.order > 12:
@@ -259,15 +259,34 @@ def test_verdicts_are_isomorphism_invariant(small_rings):
         assert _verdict_profile(other) == _verdict_profile(r), r.label
 
 
-@pytest.mark.parametrize("spec", list(builtin_specs()) + ["T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3"])
+# hunt shapes with large one-sided lattices (49 and 80 right ideals), one of them
+# non-unital, and a copy of T:2:Zn:4 whose nonzero elements are renumbered
+PAIR_SCAN_EXTRA = ["T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "T:2:dsum(Zn:2,Zn:2)",
+                   "dsum(T:3:Zn:2,zmul:2)", "relabeled T:2:Zn:4"]
+# the one-sided weakly forms, by (side, principal), under their plain-scan names
+ONESIDED_SCAN_NAMES = {(RIGHT, False): "weakly_nilary_right", (LEFT, False): "weakly_nilary_left",
+                       (RIGHT, True): "weakly_p_nilary_right", (LEFT, True): "weakly_p_nilary_left"}
+
+
+@pytest.mark.parametrize("spec", list(builtin_specs()) + PAIR_SCAN_EXTRA)
 def test_pair_searches_match_plain_scan(spec):
     """Filtered pair searches give the plain scan's verdict and least witness."""
-    r = parse_ring_spec(spec)
+    if spec.startswith("relabeled "):
+        r = parse_ring_spec(spec.split()[1])
+        rng = random.Random(spec)
+        r = _relabeled(r, [0] + rng.sample(range(1, r.order), r.order - 1))
+    else:
+        r = parse_ring_spec(spec)
     ctx = ring_context(r)
     scan = PredicateScan(r)
     for m in enumerate_ideals(r).masks():
         for name in PREDICATE_NAMES:
             assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+        if r.one is not None:
+            for (side, principal), name in ONESIDED_SCAN_NAMES.items():
+                got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)
+                assert got.to_json() == scan.verdict(name, m), (name, m)
+                assert is_weakly_nilary_onesided(Ideal(r, m), side, principal) is got  # memoized
 
 
 def test_quotient_memo_matches_fresh_quotients(builtin_rings):
@@ -278,6 +297,8 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
             assert ctx.quotient(m)[0] is qctx, (r.label, m)
             quot, fresh_hom = make_quotient(r, Ideal(r, m))
             assert qctx.ring == quot and hom.map == fresh_hom.map, (r.label, m)
+            images = [(i, hom_image_mask(fresh_hom, i)) for i in ctx.lattice_masks() if not m & ~i]
+            assert list(ctx.images(m)) == images and ctx.images(m) is ctx.images(m), (r.label, m)
             fresh = RingContext(quot)
             for name in ("completely_nilary", "nilary"):
                 assert qctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, m, name)

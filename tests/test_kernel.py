@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from _oracles import close_by_worklist, product_by_elements
+from test_lattice import HUNT_SHAPES, LADDER, ZERO_RING_5
 from nilary import (
     KINDS,
     LEFT,
@@ -23,7 +24,14 @@ from nilary import (
     parse_ring_spec,
     ring_context,
 )
-from nilary.ideals import additive_closure_mask, additive_generators
+from nilary import classify, ideals
+from nilary.classify import RingContext
+from nilary.ideals import (
+    additive_closure_mask,
+    additive_generators,
+    elements_mask,
+    generator_product,
+)
 
 EXTRA_SPECS = ["T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,zmul:8)"]
 CROSS_CHECK_SPECS = list(builtin_specs()) + EXTRA_SPECS
@@ -64,6 +72,54 @@ def test_products_match_elementwise(small_rings):
                 want = product_by_elements(r, i.mask, j.mask)
                 assert ideal_product(i, j).mask == want, (r.label, kind, i.elements, j.elements)
                 assert ctx.product(i.mask, j.mask) == want
+
+
+INDEX_SPECS = (*builtin_specs(), *LADDER, *HUNT_SHAPES, ZERO_RING_5)
+
+
+@pytest.fixture(scope="module")
+def index_rings():
+    return [parse_ring_spec(s) for s in INDEX_SPECS]
+
+
+def test_index_products_match_generator_product(index_rings, monkeypatch):
+    """Every product of two members of one lattice, read off its index, without a span."""
+    for r in index_rings:
+        ctx = RingContext(r)
+        for kind in {ctx.index(kind).kind for kind in KINDS}:  # one index if commutative
+            idx = ctx.index(kind)
+            gens = [additive_generators(r, m) for m in idx.masks]
+            for m, recorded in zip(idx.masks, idx.gens):
+                assert len(recorded) < max(2, r.order.bit_length()), (r.label, kind, m)
+                assert additive_closure_mask(r, elements_mask(recorded)) == m, (r.label, kind)
+            want = [[generator_product(r, g, h) for h in gens] for g in gens]
+            with monkeypatch.context() as mp:
+                mp.setattr(ideals, "_span", None)  # any span would raise here
+                got = [[ctx.product(jm, km) for km in idx.masks] for jm in idx.masks]
+            assert got == want, (r.label, kind)
+
+
+def test_products_outside_the_lattices_take_the_span_path(monkeypatch):
+    spans = []
+    monkeypatch.setattr(classify, "generator_product",
+                        lambda r, g, h: spans.append((g, h)) or generator_product(r, g, h))
+    r = parse_ring_spec("T:2:Zn:4")
+    ctx = RingContext(r)
+    masks = ctx.lattice_masks(RIGHT)
+    union = next(jm | km for jm in masks for km in masks if jm | km not in masks)
+    assert ctx.product(union, union) == product_by_elements(r, union, union)
+    assert len(spans) == 1
+    assert ctx.product(masks[3], masks[5]) == product_by_elements(r, masks[3], masks[5])
+    assert len(spans) == 1  # a lattice pair: read off the index
+    fresh = RingContext(r)
+    fresh.product(masks[3], masks[5])
+    assert len(spans) == 2 and not fresh._indexes  # no lattice enumerated for a product
+
+
+def test_products_above_the_lattice_cap():
+    r = parse_ring_spec("Zn:1100")
+    i, j = ideal_generated_by(r, (10,)), ideal_generated_by(r, (22,))
+    assert ideal_product(i, j).mask == ideal_generated_by(r, (220,)).mask
 
 
 def test_full_report_is_thread_safe():

@@ -223,3 +223,14 @@ def test_fault_injection_report_is_pinned():
     assert sum(len(c["violations"]) for rep in reports for c in rep["cases"]) == FAULT_VIOLATIONS
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FAULT_REPORT_SHA256
+
+
+def test_p1_3_is_pinned_on_the_zero_ring():
+    """(Z_2)^4 with zero product: 67 ideals, all completely nilary, all products zero.
+
+    Every ordered tuple of one to three ideals is a hypothesis instance:
+    67 + 67^2 + 67^3 of them.
+    """
+    r = parse_ring_spec("dsum(zmul:2,dsum(zmul:2,dsum(zmul:2,zmul:2)))")
+    (res,) = run_all([r], ["P1.3"])
+    assert (res.instances, res.hypothesis_instances, len(res.violations)) == (305319, 305319, 0)
