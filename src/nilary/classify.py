@@ -38,13 +38,11 @@ from typing import Callable, Optional, Sequence
 
 from .ideals import (
     DEFAULT_LATTICE_COUNT_CAP,
-    DEFAULT_LATTICE_ORDER_CAP,
     LEFT,
     RIGHT,
     TWO_SIDED,
     Ideal,
     IdealLattice,
-    _principal_spans,
     _same_ring,
     additive_generators,
     element_power_in,
@@ -135,7 +133,7 @@ class _LatticeIndex:
         self.gens = lattice.generators
         self.rows: list[Optional[list[int]]] = [None] * len(self.masks)
         self.stable = [0] * len(self.masks)
-        self.principal: Optional[list[int]] = None
+        self.principal = lattice.principal
         self._member: Optional[list[int]] = None  # bit j of member[x]: x lies in ideal j
 
     def product(self, mul, j: int, k: int) -> int:
@@ -184,29 +182,36 @@ class _LatticeIndex:
 class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
-    Caches a :class:`_LatticeIndex` per enumerated lattice kind, the
-    principal ideal of every element (one pass per kind), element power
-    masks, power chains, quotients by two-sided ideals with the images of
-    the ideals above each kernel, and verdicts. :meth:`product` is the one
-    source of products and keeps none; its callers keep them in index rows.
-    Everything is derived data and deterministic; the context never mutates
-    its ring, and two threads racing on one entry only compute it twice (a
-    quotient is built twice, but both callers get the one stored first).
+    Caches a :class:`_LatticeIndex` per enumerated lattice kind, element
+    power masks, power chains, quotients by two-sided ideals with the images
+    of the ideals above each kernel, and verdicts. :attr:`commutative` is
+    scanned on first use; only one-sided lattices and reports ask for it.
+    :meth:`product` is the one source of products and keeps none; its callers
+    keep them in index rows. Everything is derived data and deterministic;
+    the context never mutates its ring, and two threads racing on one entry
+    only compute it twice (a quotient is built twice, but both callers get
+    the one stored first).
     """
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.n = ring.order
         self.full_mask = full_mask(ring)
-        self.commutative = is_commutative(ring)
         self.unital = ring.one is not None
+        self._commutative: Optional[bool] = None
         self._indexes: dict[str, _LatticeIndex] = {}
-        self._principal_of: dict[str, tuple[tuple[int, ...], dict]] = {}
         self._powmask: list[Optional[int]] = [None] * self.n
         self._chains: dict[int, tuple[int, ...]] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
+
+    @property
+    def commutative(self) -> bool:
+        """Whether the ring is commutative, scanned on first use."""
+        if self._commutative is None:
+            self._commutative = is_commutative(self.ring)
+        return self._commutative
 
     # element power data -------------------------------------------------
     def powmask(self, a: int) -> int:
@@ -222,13 +227,11 @@ class RingContext:
         self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
     ) -> _LatticeIndex:
         """The lattice of the kind with its product rows, enumerated on first use."""
-        if self.commutative:
+        if kind != TWO_SIDED and self.commutative:
             kind = TWO_SIDED  # one-sided ideals are the two-sided ones
         got = self._indexes.get(kind)
         if got is None or len(got.masks) > max_ideals:  # then enumeration raises SizeCapError
-            # over the order cap enumeration raises at once, before any principal ideal
-            spans = self._principal(kind) if self.n <= DEFAULT_LATTICE_ORDER_CAP else None
-            lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals, principal=spans)
+            lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals)
             got = self._indexes.setdefault(kind, _LatticeIndex(kind, lattice))
         return got
 
@@ -237,27 +240,15 @@ class RingContext:
     ) -> tuple[int, ...]:
         return self.index(kind, max_ideals).masks
 
-    def _principal(self, kind: str) -> tuple[tuple[int, ...], dict]:
-        if kind not in self._principal_of:
-            self._principal_of[kind] = _principal_spans(self.ring, kind)
-        return self._principal_of[kind]
-
-    def principal_of(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
-        """Mask of the principal ideal (a) for every element a."""
-        return self._principal(kind)[0]
-
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
-        """The distinct principal ideals, the keys of their generator map, in lattice order."""
-        return tuple(sorted(self._principal(kind)[1], key=lambda m: (m.bit_count(), m)))
+        """The distinct principal ideals of the kind, in lattice order."""
+        idx = self.index(kind)
+        return tuple(idx.masks[j] for j in idx.principal)
 
     def domain(self, kind: str, principal: bool) -> tuple[_LatticeIndex, Sequence[int]]:
         """Positions of the ideals (or principal ideals) of the kind in its index."""
         idx = self.index(kind)
-        if not principal:
-            return idx, range(len(idx.masks))
-        if idx.principal is None:
-            idx.principal = [idx.pos[m] for m in self.principal_masks(idx.kind)]
-        return idx, idx.principal
+        return idx, idx.principal if principal else range(len(idx.masks))
 
     def product(self, jm: int, km: int) -> int:
         """Mask of the product of two additive subgroups given by their masks."""

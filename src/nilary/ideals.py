@@ -9,11 +9,11 @@ pass enough, and each term is an OR of the ring's cached Ax / xA masks.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
-Lattices are the principal ideals closed under coset-wise joins, and
-carry the generators their spans recorded, so that
-:class:`nilary.classify.RingContext` multiplies lattice members without
-spanning them again; it also holds the memoized products, power chains,
-quotients and principal ideals. The 2^n subset scan is kept as an
+Lattices are the principal ideals closed under coset-wise joins; they
+record which members are principal and the generators their spans used,
+so that :class:`nilary.classify.RingContext` multiplies lattice members
+without spanning them again. A quotient's tables are read off the
+parent's through the coset map. The 2^n subset scan is kept as an
 independent oracle for small orders. Everything here is immutable and pure.
 """
 
@@ -259,6 +259,8 @@ class IdealLattice:
     ideals: tuple[Ideal, ...]
     # additive generators of each ideal, as enumerate_ideals' spans recorded them
     generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    # positions of the principal ideals, as enumerate_ideals found them
+    principal: tuple[int, ...] = field(default=(), compare=False)
 
     def __iter__(self):
         return iter(self.ideals)
@@ -271,11 +273,14 @@ class IdealLattice:
 
 
 def _sorted_lattice(
-    r: Ring, kind: str, masks: Iterable[int], gens: Optional[dict[int, tuple[int, ...]]] = None
+    r: Ring, kind: str, masks: Iterable[int], gens: Optional[dict[int, tuple[int, ...]]] = None,
+    principal: Iterable[int] = (),
 ) -> IdealLattice:
     ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    principal = set(principal)
     return IdealLattice(r, kind, tuple(Ideal(r, m, kind) for m in ordered),
-                        () if gens is None else tuple(gens[m] for m in ordered))
+                        () if gens is None else tuple(gens[m] for m in ordered),
+                        tuple(j for j, m in enumerate(ordered) if m in principal))
 
 
 def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
@@ -316,8 +321,6 @@ def enumerate_ideals(
     kind: str = TWO_SIDED,
     max_order: int = DEFAULT_LATTICE_ORDER_CAP,
     max_ideals: int = DEFAULT_LATTICE_COUNT_CAP,
-    *,
-    principal: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None,
 ) -> IdealLattice:
     """All ideals of the kind: the principal ones closed under the joins I + (a).
 
@@ -325,15 +328,14 @@ def enumerate_ideals(
     coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
     with each distinct (a) over one representative a per coset outside it,
     by growing its own cosets (a seeded span). A join's generators are I's
-    plus those its span adds. ``principal`` is :func:`_principal_spans` of
-    this ring and kind, when the caller holds it.
+    plus those its span adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
     if r.order > max_order:
         raise SizeCapError(f"lattice enumeration capped at order {max_order}, got {r.order}")
-    of, gens = _principal_spans(r, kind) if principal is None else principal
-    gens = dict(gens)  # every ideal found so far, with its generators
-    queue = [(m, mask_elements(m)) for m in gens]
+    of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
+    principal = tuple(gens)
+    queue = [(m, mask_elements(m)) for m in principal]
     while queue:
         if len(gens) > max_ideals:
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
@@ -351,7 +353,7 @@ def enumerate_ideals(
             if jm not in gens:
                 gens[jm] = gens[im] + new
                 queue.append((jm, jelems))
-    return _sorted_lattice(r, kind, gens.keys(), gens)
+    return _sorted_lattice(r, kind, gens.keys(), gens, principal)
 
 
 def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
@@ -396,7 +398,8 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
 
     The canonical surjection's kernel is exactly ``i``; representatives are
     the least element index in each coset, which keeps the quotient tables
-    deterministic.
+    deterministic. Once ``i`` is checked to be two-sided, every table of the
+    quotient, negation included, is read off the parent's by the coset map.
     """
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
@@ -414,7 +417,7 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None
     label = f"{r.label}/{{{','.join(map(str, ideal_elems))}}}"
-    q = Ring.from_tables(len(reps), qadd, qmul, one=qone, label=label)
+    q = Ring(len(reps), qadd, qmul, qone, label, tuple(q_of[r.neg[a]] for a in reps))
     return q, Hom(r, q, tuple(q_of), surjective=True)
 
 

@@ -94,9 +94,10 @@ class Ring:
     ) -> "Ring":
         """Build a Ring from raw tables: nested sequences or 2-D arrays.
 
-        Structural defects (wrong shape, out-of-range entry, element 0 not
-        the additive zero, missing additive inverse, unity out of range)
-        raise ValueError; axiom-level ones are :func:`validate_ring`'s.
+        Structural defects (wrong shape, non-integer or out-of-range entry,
+        element 0 not the additive zero, missing additive inverse, unity not
+        an integer or out of range) raise ValueError; axiom-level ones are
+        :func:`validate_ring`'s.
         """
         if order < 1:
             raise ValueError(f"ring order must be >= 1, got {order}")
@@ -108,6 +109,8 @@ class Ring:
         zero = add_a == 0
         if not zero.any(axis=1).all():
             raise ValueError(f"element {int(zero.any(axis=1).argmin())} has no additive inverse")
+        if one is not None and not isinstance(one, (int, np.integer)):
+            raise ValueError(f"unity index {one!r} is not an integer")
         if one is not None and not 0 <= one < order:
             raise ValueError(f"unity index {one} out of range")
         add_t, mul_t = (tuple(tuple(row.tolist()) for row in t) for t in (add_a, mul_a))
@@ -126,6 +129,10 @@ def _table_array(order: int, table, what: str) -> np.ndarray:
         if len(row) != order:
             raise ValueError(f"{what} table row {i} has length {len(row)}, expected {order}")
     t = np.asarray(table)  # object dtype if an entry does not fit int64
+    if t.dtype.kind not in "iu":
+        odd = [x for x in t.ravel().tolist() if not isinstance(x, (int, np.integer))]
+        if odd:
+            raise ValueError(f"{what} table entries must be integers, got {odd[0]!r}")
     bad = (t < 0) | (t >= order)
     if bad.any():
         x = int(t.flat[bad.argmax()])

@@ -289,16 +289,13 @@ def _pnil_lift(run: _Run, ctx: RingContext) -> None:
 def _pcomm(run: _Run, ctx: RingContext) -> None:
     """Over a commutative quotient, p-nilary iff completely nilary."""
     add, mul, neg = ctx.ring.add, ctx.ring.mul, ctx.ring.neg
+    commutators = 0  # A/I is commutative iff I holds every ab - ba
+    if not ctx.commutative:
+        for a in range(ctx.n):
+            for b in range(a + 1, ctx.n):
+                commutators |= 1 << add[mul[a][b]][neg[mul[b][a]]]
     for m in ctx.lattice_masks(TWO_SIDED):
-        if ctx.commutative:
-            comm = True
-        else:
-            comm = all(
-                m >> add[mul[a][b]][neg[mul[b][a]]] & 1
-                for a in range(ctx.n)
-                for b in range(a + 1, ctx.n)
-            )
-        if not run.instance(comm):
+        if not run.instance(not commutators & ~m):
             continue
         pn = ctx.verdict("p_nilary", m)
         cn = ctx.verdict("completely_nilary", m)

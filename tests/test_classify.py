@@ -1,14 +1,17 @@
 """Predicate verdicts, witnesses, and the cross-predicate invariants."""
 
+import dataclasses
 import random
 
 import pytest
 
 from _oracles import PredicateScan
+from test_lattice import HUNT_SHAPES
 from nilary import (
     LEFT,
     RIGHT,
     Ideal,
+    Ring,
     builtin_specs,
     classify_ring,
     enumerate_ideals,
@@ -228,8 +231,6 @@ def test_report_json_schema_keys(z6):
 
 def _relabeled(r, perm):
     """Isomorphic copy of r under a permutation fixing 0."""
-    from nilary import Ring
-
     n = r.order
     inv = [0] * n
     for a, pa in enumerate(perm):
@@ -290,13 +291,18 @@ def test_pair_searches_match_plain_scan(spec):
 
 
 def test_quotient_memo_matches_fresh_quotients(builtin_rings):
-    for r in builtin_rings:
+    """Memoized quotients equal fresh ones, and the direct build equals from_tables'."""
+    for r in [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]:
         ctx = RingContext(r)
         for m in ctx.lattice_masks():
             qctx, hom = ctx.quotient(m)
             assert ctx.quotient(m)[0] is qctx, (r.label, m)
             quot, fresh_hom = make_quotient(r, Ideal(r, m))
             assert qctx.ring == quot and hom.map == fresh_hom.map, (r.label, m)
+            checked = Ring.from_tables(quot.order, quot.add, quot.mul, one=quot.one,
+                                       label=quot.label)
+            for f in dataclasses.fields(Ring):
+                assert getattr(quot, f.name) == getattr(checked, f.name), (r.label, m, f.name)
             images = [(i, hom_image_mask(fresh_hom, i)) for i in ctx.lattice_masks() if not m & ~i]
             assert list(ctx.images(m)) == images and ctx.images(m) is ctx.images(m), (r.label, m)
             fresh = RingContext(quot)

@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, exit codes, JSON schemas."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -174,6 +175,22 @@ def test_verify_json_schema_and_determinism(capsys):
     assert code == 0
     assert out1 == out2
     jsonschema.validate(json.loads(out1), HARNESS_SCHEMA)
+
+
+# sha256 of the stdout of each command, pinned so that a refactor keeps its outputs byte for byte
+GOLDEN_OUTPUTS = {
+    ("verify", "--builtin", "--json"):
+        "7d99e3145536da70b030ca8537728efd2bbb40ff882d9f791d2255e06ddb94d1",
+    ("classify", "T:2:Zn:8", "--json"):
+        "cdab96cf89da348b9cb31dfc1ca77c06d43a899e613d4eda2b3793ab4f170906",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_OUTPUTS), ids=" ".join)
+def test_golden_outputs_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[argv]
 
 
 def test_hunt_exit_codes(capsys):

@@ -49,10 +49,12 @@ def test_context_principal_ideals_match_generation(oracle_rings, kind):
     for r in oracle_rings:
         ctx = RingContext(r)
         generated = [ideal_generated_by(r, (a,), kind).mask for a in range(r.order)]
-        assert ctx.principal_of(kind) == tuple(generated), r.label
+        assert principal_of(r, kind) == tuple(generated), r.label
         assert set(ctx.principal_masks(kind)) == set(generated), r.label
-        assert list(ctx.principal_masks(kind)) == sorted(
-            set(generated), key=lambda m: (m.bit_count(), m))
+        distinct = sorted(set(generated), key=lambda m: (m.bit_count(), m))
+        assert list(ctx.principal_masks(kind)) == distinct
+        lattice = enumerate_ideals(r, kind)
+        assert [lattice.masks()[j] for j in lattice.principal] == distinct, r.label
 
 
 def test_join_depends_only_on_the_coset():

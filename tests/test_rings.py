@@ -149,6 +149,13 @@ def test_matrix_tables_reject_an_unclosed_support():
         (((0, 1),), ((0, 0), (0, 1)), None, "addition table has 1 rows, expected 2"),
         (((0, 1), (1, 1)), ((0, 0), (0, 1)), None, "element 1 has no additive inverse"),
         (((0, 1), (1, 0)), ((0, 0), (0, 1)), 2, "unity index 2 out of range"),
+        # non-integers, however numpy would coerce them
+        (((0, 1), (1, 0)), ((0, 0), (0, 1.7)), 1, "multiplication table entries must be integers"),
+        (((0, 1), (1, 0)), ((0, 0), (0, "1")), 1, "multiplication table entries must be integers"),
+        (((0, 1), (1, None)), ((0, 0), (0, 1)), 1, "addition table entries must be integers, got None"),
+        (((0, None), (1, 10**30)), ((0, 0), (0, 1)), None, "addition table entries must be integers"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 1)), 1.0, r"unity index 1\.0 is not an integer"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 1)), "1", "unity index '1' is not an integer"),
     ],
 )
 def test_from_tables_structural_errors(add, mul, one, message):

@@ -6,7 +6,17 @@ import json
 
 import pytest
 
-from nilary import clear_caches, parse_ring_spec, replay_verdict, ring_context
+from test_lattice import HUNT_SHAPES, LADDER
+from nilary import (
+    Ideal,
+    clear_caches,
+    enumerate_ideals,
+    is_commutative,
+    make_quotient,
+    parse_ring_spec,
+    replay_verdict,
+    ring_context,
+)
 from nilary.classify import REGISTRY, Verdict, Witness
 from nilary.theorems import CASE_IDS, render_table, report_json, run_all
 
@@ -120,10 +130,25 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
     try:
         cold = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert ring_context.cache_info().misses <= len(builtin_rings)
+        quotients = [q for r in builtin_rings for q, _ in ring_context(r)._quotients.values()]
+        assert len(quotients) == 346
+        assert all(q._commutative is None for q in quotients)  # nothing asked them
         warm = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert warm == cold
     finally:
         clear_caches()
+
+
+def test_pcomm_hypothesis_is_a_commutative_quotient(builtin_rings):
+    """Pcomm-pnilary's hypothesis holds on exactly the ideals I with A/I commutative."""
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]
+    noncommutative = [r for r in rings if not is_commutative(r)]
+    assert len(noncommutative) == 16
+    for r in noncommutative:
+        (res,) = run_all([r], ["Pcomm-pnilary"])
+        want = sum(is_commutative(make_quotient(r, Ideal(r, m))[0])
+                   for m in enumerate_ideals(r).masks())
+        assert res.hypothesis_instances == want, r.label
 
 
 def test_corrupted_engine_is_caught(monkeypatch):
