@@ -68,7 +68,6 @@ class Witness:
     j: Optional[tuple[int, ...]] = None
     k: Optional[tuple[int, ...]] = None
     n: Optional[int] = None
-    m: Optional[int] = None
 
     @staticmethod
     def none() -> "Witness":
@@ -79,25 +78,19 @@ class Witness:
         return Witness("element", a=a, n=n)
 
     @staticmethod
-    def pair(a: int, b: int, n: Optional[int] = None, m: Optional[int] = None) -> "Witness":
-        return Witness("element-pair", a=a, b=b, n=n, m=m)
+    def pair(a: int, b: int) -> "Witness":
+        return Witness("element-pair", a=a, b=b)
 
     @staticmethod
-    def ideals(
-        j: tuple[int, ...], k: tuple[int, ...], n: Optional[int] = None, m: Optional[int] = None
-    ) -> "Witness":
-        return Witness("ideal-pair", j=j, k=k, n=n, m=m)
+    def ideals(j: tuple[int, ...], k: tuple[int, ...]) -> "Witness":
+        return Witness("ideal-pair", j=j, k=k)
 
     def to_json(self) -> dict:
         out: dict = {"variant": self.variant}
-        for name in ("a", "b", "n", "m"):
+        for name in ("a", "b", "n", "j", "k"):
             v = getattr(self, name)
             if v is not None:
-                out[name] = v
-        if self.j is not None:
-            out["j"] = list(self.j)
-        if self.k is not None:
-            out["k"] = list(self.k)
+                out[name] = list(v) if name in ("j", "k") else v
         return out
 
 
@@ -119,22 +112,27 @@ _IMPROPER = Verdict(False, Witness.none())  # the prime family on I = A
 class _LatticeIndex:
     """One enumerated lattice, addressed by position in its (size, mask) order.
 
-    ``gens[j]`` holds the additive generators enumeration recorded for ideal
-    j. ``rows[j][k]`` is the product of ideals j and k as
+    Built whole with the lattice: ``gens[j]`` holds the additive generators
+    enumeration recorded for ideal j, ``principal`` the positions of the
+    principal ideals, and bit j of ``member[x]`` says that element x lies in
+    ideal j. ``rows[j][k]`` is the product of ideals j and k as
     :meth:`RingContext.product` returned it, 0 while unfilled (a product
-    always holds zero); ``stable[j]`` is the last power of ideal j, 0 until
-    asked for; ``principal`` lists the positions of the principal ideals.
+    always holds zero). ``stable[j]`` is the last power of ideal j, 0 until
+    asked for; it is the one memo of stable powers.
     """
 
     def __init__(self, kind: str, lattice: IdealLattice):
         self.kind = kind
-        self.masks = lattice.masks()
-        self.pos = {m: j for j, m in enumerate(self.masks)}
+        self.masks = masks = lattice.masks()
+        self.pos = {m: j for j, m in enumerate(masks)}
         self.gens = lattice.generators
-        self.rows: list[Optional[list[int]]] = [None] * len(self.masks)
-        self.stable = [0] * len(self.masks)
         self.principal = lattice.principal
-        self._member: Optional[list[int]] = None  # bit j of member[x]: x lies in ideal j
+        self.rows = [[0] * len(masks) for _ in masks]
+        self.stable = [0] * len(masks)
+        self.member = member = [0] * lattice.ring.order
+        for j, m in enumerate(masks):
+            for x in mask_elements(m):
+                member[x] |= 1 << j
 
     def product(self, mul, j: int, k: int) -> int:
         """JK: the first ideal in lattice order that holds every generator product g*h.
@@ -142,30 +140,16 @@ class _LatticeIndex:
         Products of two ideals of one kind are ideals of that kind, and JK is
         the span of the g*h, so it lies inside every ideal that holds them.
         """
-        member = self._member
-        if member is None:
-            member = [0] * len(mul)
-            for i, m in enumerate(self.masks):
-                bit = 1 << i
-                for x in mask_elements(m):
-                    member[x] |= bit
-            self._member = member
-        hits = -1
+        member, hits = self.member, -1
         for g in self.gens[j]:
             row = mul[g]
             for h in self.gens[k]:
                 hits &= member[row[h]]
         return self.masks[(hits & -hits).bit_length() - 1]
 
-    def row(self, j: int) -> list[int]:
-        got = self.rows[j]
-        if got is None:
-            got = self.rows[j] = [0] * len(self.masks)
-        return got
-
     def times(self, ctx: "RingContext", j: int, k: int) -> int:
         """Product of ideals j and k, read from the row or filled by ctx.product."""
-        row = self.row(j)
+        row = self.rows[j]
         got = row[k]
         if not got:
             got = row[k] = ctx.product(self.masks[j], self.masks[k])
@@ -182,15 +166,17 @@ class _LatticeIndex:
 class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
-    Caches a :class:`_LatticeIndex` per enumerated lattice kind, element
-    power masks, power chains, quotients by two-sided ideals with the images
-    of the ideals above each kernel, and verdicts. :attr:`commutative` is
-    scanned on first use; only one-sided lattices and reports ask for it.
-    :meth:`product` is the one source of products and keeps none; its callers
-    keep them in index rows. Everything is derived data and deterministic;
-    the context never mutates its ring, and two threads racing on one entry
-    only compute it twice (a quotient is built twice, but both callers get
-    the one stored first).
+    Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
+    by two-sided ideals with the images of the ideals above each kernel, and
+    verdicts. :attr:`commutative` is scanned on first use; only one-sided
+    lattices and reports ask for it. :attr:`powers` is built whole on first
+    use; only element predicates, reports and two harness cases ask for it.
+    :meth:`product` is the one source of products and :meth:`chain` computes
+    power chains; neither keeps what it returns, since index rows keep the
+    products and the index's stable powers keep the chains' last terms.
+    Everything is derived data and deterministic; the context never mutates
+    its ring, and two threads racing on one entry only compute it twice (a
+    quotient is built twice, but both callers get the one stored first).
     """
 
     def __init__(self, ring: Ring):
@@ -199,9 +185,8 @@ class RingContext:
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
         self._commutative: Optional[bool] = None
+        self._powers: Optional[tuple[int, ...]] = None
         self._indexes: dict[str, _LatticeIndex] = {}
-        self._powmask: list[Optional[int]] = [None] * self.n
-        self._chains: dict[int, tuple[int, ...]] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
@@ -213,14 +198,13 @@ class RingContext:
             self._commutative = is_commutative(self.ring)
         return self._commutative
 
-    # element power data -------------------------------------------------
-    def powmask(self, a: int) -> int:
-        """Mask of the powers a, a^2, ... of one element."""
-        m = self._powmask[a]
-        if m is None:
-            m = elements_mask(element_powers(self.ring, a))
-            self._powmask[a] = m
-        return m
+    @property
+    def powers(self) -> tuple[int, ...]:
+        """Mask of the powers a, a^2, ... of each element a, built on first use."""
+        if self._powers is None:
+            self._powers = tuple(elements_mask(element_powers(self.ring, a))
+                                 for a in range(self.n))
+        return self._powers
 
     # ideal data ----------------------------------------------------------
     def index(
@@ -264,14 +248,10 @@ class RingContext:
 
         The chain descends, so it stops within |I| steps at its stable value.
         """
-        got = self._chains.get(m)
-        if got is None:
-            powers = [m]
-            while (nxt := self.product(powers[-1], m)) != powers[-1]:
-                powers.append(nxt)
-            got = tuple(powers)
-            self._chains[m] = got
-        return got
+        powers = [m]
+        while (nxt := self.product(powers[-1], m)) != powers[-1]:
+            powers.append(nxt)
+        return tuple(powers)
 
     def quotient(self, m: int) -> tuple[RingContext, Hom]:
         """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I."""
@@ -364,7 +344,7 @@ def _outside_elements(ctx: RingContext, m: int) -> list[int]:
 
 
 def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
-    return [a for a in range(ctx.n) if not ctx.powmask(a) & m]
+    return [a for a, p in enumerate(ctx.powers) if not p & m]
 
 
 Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, ascending
@@ -404,7 +384,7 @@ def _ideal_pair(
     """
     masks = idx.masks
     for j in js:
-        row, jm = idx.row(j), masks[j]
+        row, jm = idx.rows[j], masks[j]
         for k in ks:
             prod = row[k]  # idx.times(ctx, j, k), inlined in the hottest loop
             if not prod:
@@ -468,8 +448,9 @@ def _ideal_pairs(
 
 def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
     """a^n in I for some n implies a in I."""
+    powers = ctx.powers
     for a in _outside_elements(ctx, m):
-        if ctx.powmask(a) & m:
+        if powers[a] & m:
             n = element_power_in(ctx.ring, a, Ideal(ctx.ring, m))
             return Verdict(False, Witness.element(a, n=n))
     return _TRUE
@@ -603,7 +584,7 @@ def classify_ideal(i: Ideal) -> PropertyReport:
         char=characteristic(ring) if ctx.unital else None,
         commutative=ctx.commutative,
         unital=ctx.unital,
-        nil=all(ctx.powmask(a) & 1 for a in range(ctx.n)),
+        nil=all(p & 1 for p in ctx.powers),
     )
 
 

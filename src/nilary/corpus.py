@@ -42,10 +42,13 @@ def build_builtin_corpus(max_order: Optional[int] = None) -> CorpusConfig:
 def load_corpus_file(path: str | Path) -> CorpusConfig:
     """Read a corpus file: a JSON list of specs, or an object with caps.
 
-    Every key is checked; an unknown key or a value of the wrong type or
-    range raises ValueError. The keys are the fields of CorpusConfig.
+    Every key is checked: an unknown key, a value of the wrong type or range
+    and JSON nested too deeply raise ValueError. The keys are CorpusConfig's fields.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON is nested too deeply") from None
     if isinstance(data, list):
         data = {"specs": data}
     if not isinstance(data, dict) or "specs" not in data:

@@ -5,7 +5,9 @@ atoms are registered predicate names plus the ring/ideal facts
 ``proper``, ``commutative``, ``unital`` and ``prime_power_char``. A
 query is evaluated against every (ring, ideal) pair of the chosen
 target: the zero ideal of each ring, or every two-sided ideal.
-Not-applicable verdicts never match.
+Not-applicable verdicts never match. An ``and`` or ``or`` chain is one
+node holding all its operands, so its length costs no recursion;
+parentheses and ``not`` may nest up to ``specs.MAX_NESTING`` levels.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterator, Sequence
 from .classify import PREDICATE_NAMES, RingContext, ring_context
 from .ideals import TWO_SIDED, mask_elements
 from .rings import Ring, characteristic
+from .specs import MAX_NESTING
 
 FACT_ATOMS = ("proper", "commutative", "unital", "prime_power_char")
 TARGETS = ("ring-zero-ideal", "any-ideal")
@@ -70,20 +73,22 @@ def parse_query(text: str, target: str = "ring-zero-ideal") -> HuntQuery:
         pos += 1
         return tok
 
-    def atom() -> tuple:
+    def atom(depth: int) -> tuple:
+        if depth > MAX_NESTING:
+            raise ValueError(f"query is nested too deeply (more than {MAX_NESTING} levels)")
         tok = peek()
         if tok is None:
             raise ValueError("query ended unexpectedly")
         if tok == "(":
             advance()
-            node = or_expr()
+            node = chain("or", depth + 1)
             if peek() != ")":
                 raise ValueError("missing closing parenthesis")
             advance()
             return node
         if tok == "not":
             advance()
-            return ("not", atom())
+            return ("not", atom(depth + 1))
         advance()
         if tok in ("and", "or", ")"):
             raise ValueError(f"expected a predicate name, got {tok!r}")
@@ -91,21 +96,16 @@ def parse_query(text: str, target: str = "ring-zero-ideal") -> HuntQuery:
             raise ValueError(f"unknown predicate name {tok!r}")
         return ("atom", tok)
 
-    def and_expr() -> tuple:
-        node = atom()
-        while peek() == "and":
+    def chain(op: str, depth: int) -> tuple:
+        """Operands joined by op: atoms for "and", "and" chains for "or" (and binds tighter)."""
+        operand = atom if op == "and" else lambda d: chain("and", d)
+        nodes = [operand(depth)]
+        while peek() == op:
             advance()
-            node = ("and", node, atom())
-        return node
+            nodes.append(operand(depth))
+        return nodes[0] if len(nodes) == 1 else (op, tuple(nodes))
 
-    def or_expr() -> tuple:
-        node = and_expr()
-        while peek() == "or":
-            advance()
-            node = ("or", node, or_expr())
-        return node
-
-    expr = or_expr()
+    expr = chain("or", 0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in query: {' '.join(tokens[pos:])}")
     return HuntQuery(expr, text, target)
@@ -125,15 +125,21 @@ def _eval_atom(name: str, ctx: RingContext, mask: int) -> bool:
 
 
 def _eval(node: tuple, ctx: RingContext, mask: int) -> bool:
-    op = node[0]
+    op, arg = node
     if op == "atom":
-        return _eval_atom(node[1], ctx, mask)
+        return _eval_atom(arg, ctx, mask)
     if op == "not":
-        return not _eval(node[1], ctx, mask)
-    if op == "and":
-        return _eval(node[1], ctx, mask) and _eval(node[2], ctx, mask)
+        return not _eval(arg, ctx, mask)
+    if op == "and":  # loops, not all()/any() over generators, which doubled a warm hunt's time
+        for n in arg:
+            if not _eval(n, ctx, mask):
+                return False
+        return True
     if op == "or":
-        return _eval(node[1], ctx, mask) or _eval(node[2], ctx, mask)
+        for n in arg:
+            if _eval(n, ctx, mask):
+                return True
+        return False
     raise AssertionError(f"bad query node {node!r}")
 
 

@@ -34,6 +34,10 @@ from .rings import (
     validate_ring,
 )
 
+# deepest nesting a ring spec or hunt query may have; it keeps the recursive
+# parsers and the query evaluation well inside Python's recursion limit
+MAX_NESTING = 100
+
 
 class RingSpecError(ValueError):
     """Spec text rejected; ``position`` is the offset of the defect."""
@@ -71,7 +75,9 @@ class _Parser:
             raise self.error("expected a number")
         return int(self.text[start:self.pos])
 
-    def spec(self) -> Ring:
+    def spec(self, depth: int = 0) -> Ring:
+        if depth > MAX_NESTING:
+            raise self.error(f"ring spec is nested too deeply (more than {MAX_NESTING} levels)")
         self.skip_ws()
         for head in ("Zn:", "M:", "T:", "dsum(", "zmul:", "quot(", "file:"):
             if self.text.startswith(head, self.pos):
@@ -86,17 +92,17 @@ class _Parser:
         if head in ("M:", "T:"):
             k = self.natural()
             self.expect(":")
-            base = self.spec()
+            base = self.spec(depth + 1)
             maker = make_matrix_ring if head == "M:" else make_upper_triangular
             return maker(base, k, size_cap=self.size_cap)
         if head == "dsum(":
-            a = self.spec()
+            a = self.spec(depth + 1)
             self.expect(",")
-            b = self.spec()
+            b = self.spec(depth + 1)
             self.expect(")")
             return make_direct_sum(a, b, size_cap=self.size_cap)
         if head == "quot(":
-            inner = self.spec()
+            inner = self.spec(depth + 1)
             self.expect(",")
             self.expect("gen(")
             gens = [self.natural()]

@@ -270,8 +270,9 @@ def _cquot_corr(run: _Run, ctx: RingContext) -> None:
 
 def _pnil_lift(run: _Run, ctx: RingContext) -> None:
     """A/I completely nilary with I nil forces A completely nilary."""
+    powers = ctx.powers
     for m in ctx.lattice_masks(TWO_SIDED):
-        hyp = all(ctx.powmask(a) & 1 for a in mask_elements(m))
+        hyp = all(powers[a] & 1 for a in mask_elements(m))
         if hyp:
             hyp = ctx.quotient(m)[0].verdict("completely_nilary", 1).holds
         if not run.instance(hyp):
@@ -468,7 +469,7 @@ def _em2z2(run: _Run, ctx: RingContext) -> None:
             )
         elif ctx.ring.mul[e11][e22] != 0:
             run.violate("witness product e11*e22 should be 0", 1)
-        elif ctx.powmask(e11) & 1 or ctx.powmask(e22) & 1:
+        elif ctx.powers[e11] & 1 or ctx.powers[e22] & 1:
             run.violate("witness elements should both be non-nilpotent", 1)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from _oracles import PredicateScan
-from test_lattice import HUNT_SHAPES
+from test_lattice import HUNT_SHAPES, LADDER
 from nilary import (
     LEFT,
     RIGHT,
@@ -14,6 +14,7 @@ from nilary import (
     Ring,
     builtin_specs,
     classify_ring,
+    element_powers,
     enumerate_ideals,
     full_report,
     ideal_generated_by,
@@ -21,6 +22,7 @@ from nilary import (
     is_completely_prime,
     is_completely_right_primary,
     is_completely_semiprime,
+    is_nil_ring,
     is_nilary,
     is_p_nilary,
     is_prime_ideal,
@@ -38,7 +40,7 @@ from nilary import (
     zero_ideal,
 )
 from nilary.classify import PREDICATE_NAMES, RingContext, ring_context
-from nilary.ideals import full_mask, hom_image_mask
+from nilary.ideals import elements_mask, full_mask, hom_image_mask
 
 # implication chains over proper ideals; each pair (weaker <- stronger)
 CHAINS = (
@@ -129,6 +131,16 @@ def test_weakly_onesided(z6, m2z2):
         is_weakly_nilary_onesided(zero_ideal(make_zero_mul(4)), RIGHT)
     with pytest.raises(ValueError, match="side"):
         is_weakly_nilary_onesided(zero_ideal(z6), "up")
+
+
+def test_power_table_and_nil_flag(builtin_rings):
+    """The context's power table against element_powers, and the report's nil flag."""
+    for r in [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]:
+        powers = RingContext(r).powers
+        assert len(powers) == r.order, r.label
+        for a in range(r.order):
+            assert powers[a] == elements_mask(element_powers(r, a)), (r.label, a)
+        assert classify_ring(r).nil == is_nil_ring(r), r.label
 
 
 def test_classify_ring_profiles(z6, m2z2):
@@ -283,6 +295,9 @@ def test_pair_searches_match_plain_scan(spec):
     for m in enumerate_ideals(r).masks():
         for name in PREDICATE_NAMES:
             assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+        # on a finite ring the principal forms hold exactly when the full forms do (README)
+        for name in ("nilary", "right_primary", "left_primary"):
+            assert ctx.verdict("p_" + name, m).holds == ctx.verdict(name, m).holds, (name, m)
         if r.one is not None:
             for (side, principal), name in ONESIDED_SCAN_NAMES.items():
                 got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)

@@ -16,7 +16,6 @@ WITNESS_SCHEMA = {
         "a": {"type": "integer"},
         "b": {"type": "integer"},
         "n": {"type": "integer"},
-        "m": {"type": "integer"},
         "j": {"type": "array", "items": {"type": "integer"}},
         "k": {"type": "array", "items": {"type": "integer"}},
     },
@@ -177,12 +176,20 @@ def test_verify_json_schema_and_determinism(capsys):
     jsonschema.validate(json.loads(out1), HARNESS_SCHEMA)
 
 
+# the hunt-noncomm benchmark workload's query; its one-sided atoms read right and left lattices
+ONESIDED_QUERY = ("(weakly_nilary_right and not weakly_nilary_left)"
+                  " or (right_primary and not left_primary)"
+                  " or (weakly_nilary and not nilary)")
 # sha256 of the stdout of each command, pinned so that a refactor keeps its outputs byte for byte
 GOLDEN_OUTPUTS = {
     ("verify", "--builtin", "--json"):
         "7d99e3145536da70b030ca8537728efd2bbb40ff882d9f791d2255e06ddb94d1",
     ("classify", "T:2:Zn:8", "--json"):
         "cdab96cf89da348b9cb31dfc1ca77c06d43a899e613d4eda2b3793ab4f170906",
+    ("hunt", "--builtin", "--target", "any", "--json", ONESIDED_QUERY):
+        "4f92558ae093969e78c7072d729f26dc42e3d76f4b55341d0550464b5fbb5121",
+    ("classify", "T:3:Zn:2", "--json"):
+        "a48ff7ab763f29ac93cad23ef49508f9e6f06785e4b1dc07d3951812fc84b58f",
 }
 
 
@@ -209,6 +216,36 @@ def test_hunt_json(capsys):
     data = json.loads(out)
     assert data["target"] == "ring-zero-ideal"
     assert {"ring": "Zn:2", "ideal": [0]} in data["matches"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "dsum(" * 3000 + "Zn:1" + ",Zn:1)" * 3000], "ring spec is nested too deeply"),
+        (["verify", "--corpus", "DEEP_JSON"], "JSON is nested too deeply"),
+        (["hunt", "--builtin", "--max-order", "4", "(" * 400 + "unital" + ")" * 400],
+         "query is nested too deeply"),
+        (["hunt", "--builtin", "--max-order", "4", "not " * 1200 + "unital"],
+         "query is nested too deeply"),
+    ],
+    ids=["spec", "corpus", "parentheses", "not"],
+)
+def test_deeply_nested_input_exits_2(capsys, tmp_path, argv, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, *(str(deep) if a == "DEEP_JSON" else a for a in argv))
+    assert code == 2 and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one message, no traceback
+
+
+def test_long_flat_query_chains_run(capsys):
+    code, one, _ = run(capsys, "hunt", "--builtin", "--max-order", "4", "--json", "unital")
+    assert code == 0
+    for op in ("and", "or"):
+        code, out, _ = run(capsys, "hunt", "--builtin", "--max-order", "4", "--json",
+                           f" {op} ".join(["unital"] * 5000))
+        assert code == 0
+        assert json.loads(out)["matches"] == json.loads(one)["matches"], op
 
 
 def test_usage_errors_exit_2(capsys):
