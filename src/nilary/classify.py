@@ -112,10 +112,12 @@ _IMPROPER = Verdict(False, Witness.none())  # the prime family on I = A
 class _LatticeIndex:
     """One enumerated lattice, addressed by position in its (size, mask) order.
 
-    Built whole with the lattice: ``gens[j]`` holds the additive generators
+    Built with the lattice: ``gens[j]`` holds the additive generators
     enumeration recorded for ideal j, ``principal`` the positions of the
     principal ideals, and bit j of ``member[x]`` says that element x lies in
-    ideal j. ``rows[j][k]`` is the product of ideals j and k as
+    ideal j. Row j is allocated when it is first read, since a lattice of
+    L ideals would otherwise cost L^2 slots before anything multiplies:
+    ``row(j)[k]`` is the product of ideals j and k as
     :meth:`RingContext.product` returned it, 0 while unfilled (a product
     always holds zero). ``stable[j]`` is the last power of ideal j, 0 until
     asked for; it is the one memo of stable powers.
@@ -127,7 +129,7 @@ class _LatticeIndex:
         self.pos = {m: j for j, m in enumerate(masks)}
         self.gens = lattice.generators
         self.principal = lattice.principal
-        self.rows = [[0] * len(masks) for _ in masks]
+        self.rows: list[Optional[list[int]]] = [None] * len(masks)
         self.stable = [0] * len(masks)
         self.member = member = [0] * lattice.ring.order
         for j, m in enumerate(masks):
@@ -147,9 +149,15 @@ class _LatticeIndex:
                 hits &= member[row[h]]
         return self.masks[(hits & -hits).bit_length() - 1]
 
+    def row(self, j: int) -> list[int]:
+        got = self.rows[j]
+        if got is None:
+            got = self.rows[j] = [0] * len(self.masks)
+        return got
+
     def times(self, ctx: "RingContext", j: int, k: int) -> int:
         """Product of ideals j and k, read from the row or filled by ctx.product."""
-        row = self.rows[j]
+        row = self.row(j)
         got = row[k]
         if not got:
             got = row[k] = ctx.product(self.masks[j], self.masks[k])
@@ -228,11 +236,6 @@ class RingContext:
         """The distinct principal ideals of the kind, in lattice order."""
         idx = self.index(kind)
         return tuple(idx.masks[j] for j in idx.principal)
-
-    def domain(self, kind: str, principal: bool) -> tuple[_LatticeIndex, Sequence[int]]:
-        """Positions of the ideals (or principal ideals) of the kind in its index."""
-        idx = self.index(kind)
-        return idx, idx.principal if principal else range(len(idx.masks))
 
     def product(self, jm: int, km: int) -> int:
         """Mask of the product of two additive subgroups given by their masks."""
@@ -382,9 +385,11 @@ def _ideal_pair(
     Products are read from J's row, and ctx.product fills an empty slot.
     With nonzero set, pairs with JK = 0 are skipped.
     """
+    if not ks:  # no pair, and no row allocated for each j
+        return None
     masks = idx.masks
     for j in js:
-        row, jm = idx.rows[j], masks[j]
+        row, jm = idx.row(j), masks[j]
         for k in ks:
             prod = row[k]  # idx.times(ctx, j, k), inlined in the hottest loop
             if not prod:
@@ -438,10 +443,11 @@ def _ideal_pairs(
             return _NA if weakly else _IMPROPER
         if side != TWO_SIDED and not ctx.unital:
             return _NA
-        domain = ctx.domain(side, principal)
+        idx = ctx.index(side)
+        domain = idx, idx.principal if principal else range(len(idx.masks))
         js = first(ctx, domain, m)
         ks = js if second is first else second(ctx, domain, m)
-        return _refuted(_ideal_pair(ctx, m, domain[0], js, ks, nonzero=weakly), _wit_ideals)
+        return _refuted(_ideal_pair(ctx, m, idx, js, ks, nonzero=weakly), _wit_ideals)
 
     return check
 

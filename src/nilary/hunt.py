@@ -24,7 +24,7 @@ from .specs import MAX_NESTING
 FACT_ATOMS = ("proper", "commutative", "unital", "prime_power_char")
 TARGETS = ("ring-zero-ideal", "any-ideal")
 
-_TOKEN = re.compile(r"\s*(\(|\)|[A-Za-z_][A-Za-z0-9_]*)")
+_TOKEN = re.compile(r"\s*(?:(\(|\)|[A-Za-z_][A-Za-z0-9_]*)|(\S))")  # group 2: a bad character
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,10 @@ class HuntMatch:
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad character in query at position {pos}")
+    for m in _TOKEN.finditer(text):  # trailing blanks match nothing and end the scan
+        if m.group(2):
+            raise ValueError(f"bad character in query at position {m.start(2)}")
         tokens.append(m.group(1))
-        pos = m.end()
     return tokens
 
 
@@ -81,7 +78,7 @@ def parse_query(text: str, target: str = "ring-zero-ideal") -> HuntQuery:
             raise ValueError("query ended unexpectedly")
         if tok == "(":
             advance()
-            node = chain("or", depth + 1)
+            node = or_expr(depth + 1)
             if peek() != ")":
                 raise ValueError("missing closing parenthesis")
             advance()
@@ -96,16 +93,21 @@ def parse_query(text: str, target: str = "ring-zero-ideal") -> HuntQuery:
             raise ValueError(f"unknown predicate name {tok!r}")
         return ("atom", tok)
 
-    def chain(op: str, depth: int) -> tuple:
-        """Operands joined by op: atoms for "and", "and" chains for "or" (and binds tighter)."""
-        operand = atom if op == "and" else lambda d: chain("and", d)
-        nodes = [operand(depth)]
-        while peek() == op:
+    def and_expr(depth: int) -> tuple:
+        nodes = [atom(depth)]
+        while peek() == "and":
             advance()
-            nodes.append(operand(depth))
-        return nodes[0] if len(nodes) == 1 else (op, tuple(nodes))
+            nodes.append(atom(depth))
+        return nodes[0] if len(nodes) == 1 else ("and", tuple(nodes))
 
-    expr = chain("or", 0)
+    def or_expr(depth: int) -> tuple:
+        nodes = [and_expr(depth)]
+        while peek() == "or":
+            advance()
+            nodes.append(and_expr(depth))
+        return nodes[0] if len(nodes) == 1 else ("or", tuple(nodes))
+
+    expr = or_expr(0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in query: {' '.join(tokens[pos:])}")
     return HuntQuery(expr, text, target)

@@ -85,9 +85,6 @@ class Ideal:
     def proper(self) -> bool:
         return self.mask != full_mask(self.ring)
 
-    def contains(self, a: int) -> bool:
-        return bool(self.mask >> a & 1)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "elements": list(self.elements)}
 

@@ -149,9 +149,6 @@ class Hom:
     map: tuple[int, ...]
     surjective: bool
 
-    def apply(self, a: int) -> int:
-        return self.map[a]
-
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(a for a in self.source.elements if self.map[a] == 0)
 

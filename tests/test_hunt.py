@@ -57,7 +57,8 @@ def test_parse_errors():
         parse_query("(prime or nilary")
     with pytest.raises(ValueError, match="ended unexpectedly"):
         parse_query("prime and")
-    with pytest.raises(ValueError, match="bad character"):
+    with pytest.raises(ValueError, match="bad character in query at position 6"):
         parse_query("prime && nilary")
+    assert parse_query(" prime  ").expression == parse_query("prime").expression
     with pytest.raises(ValueError, match="target"):
         parse_query("prime", target="sideways")

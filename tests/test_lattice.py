@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nilary import (
     KINDS,
+    PREDICATE_NAMES,
     SizeCapError,
     builtin_specs,
     enumerate_ideals,
@@ -107,6 +108,20 @@ def test_lattice_cap_stops_before_any_join(capsys, tmp_path, monkeypatch):
     assert main(["verify", "--corpus", str(corpus)]) == 2
     assert "lattice exceeds count cap 3" in capsys.readouterr().err
     assert seeded and not any(seeded)  # principal spans only, no join
+
+
+def test_product_rows_are_allocated_when_read():
+    """The zero ideal of the (Z2)^6 zero ring reads one product row of its 2825-ideal lattice.
+
+    Building every row up front would hold 2825^2 slots; a search with an
+    empty side must allocate none of them.
+    """
+    ctx = RingContext(parse_ring_spec(ZERO_RING_6))
+    for name in PREDICATE_NAMES:
+        ctx.verdict(name, 1)
+    idx = ctx.index()
+    assert len(idx.masks) == 2825
+    assert sum(row is not None for row in idx.rows) == 1
 
 
 def test_order_cap_bites_before_the_principal_pass():
