@@ -227,10 +227,8 @@ class RingContext:
             got = self._indexes.setdefault(kind, _LatticeIndex(kind, lattice))
         return got
 
-    def lattice_masks(
-        self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
-    ) -> tuple[int, ...]:
-        return self.index(kind, max_ideals).masks
+    def lattice_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
+        return self.index(kind).masks
 
     def principal_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:
         """The distinct principal ideals of the kind, in lattice order."""
@@ -280,6 +278,14 @@ class RingContext:
         if got is None:
             got = REGISTRY[name](self, ideal_mask)
             self._verdicts[key] = got
+        return got
+
+    def onesided_verdict(self, side: str, principal: bool, ideal_mask: int) -> Verdict:
+        """Weakly (p-)nilary via the (principal) ideals of one side; the ring needs unity."""
+        key = (side, principal, ideal_mask)  # memoized beside the registry verdicts
+        got = self._verdicts.get(key)
+        if got is None:
+            got = self._verdicts[key] = _ONESIDED[side, principal](self, ideal_mask)
         return got
 
 
@@ -539,11 +545,7 @@ def is_weakly_nilary_onesided(l: Ideal, side: str, principal: bool = False) -> V
     ctx = _require_two_sided(l)
     if not ctx.unital:
         raise ValueError("unity required")
-    key = (side, principal, l.mask)  # memoized beside the registry verdicts, not through them
-    got = ctx._verdicts.get(key)
-    if got is None:
-        got = ctx._verdicts[key] = _ONESIDED[side, principal](ctx, l.mask)
-    return got
+    return ctx.onesided_verdict(side, principal, l.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def _corpus_rings(args) -> list:
     if config.max_lattice is not None:
         # pre-flight before any classification; the run reuses the lattices
         for r in rings:
-            ring_context(r).lattice_masks(max_ideals=config.max_lattice)
+            ring_context(r).index(max_ideals=config.max_lattice)
     return rings
 
 

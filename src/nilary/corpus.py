@@ -35,8 +35,8 @@ def builtin_specs() -> tuple[str, ...]:
     return tuple(specs)
 
 
-def build_builtin_corpus(max_order: Optional[int] = None) -> CorpusConfig:
-    return CorpusConfig(specs=builtin_specs(), max_order=max_order)
+def build_builtin_corpus() -> CorpusConfig:
+    return CorpusConfig(specs=builtin_specs())
 
 
 def load_corpus_file(path: str | Path) -> CorpusConfig:
@@ -70,19 +70,19 @@ def load_corpus_file(path: str | Path) -> CorpusConfig:
     )
 
 
-def build_rings(config: CorpusConfig, size_cap: int = DEFAULT_SIZE_CAP) -> list[Ring]:
+def build_rings(config: CorpusConfig) -> list[Ring]:
     """Parse every spec, with max_order as the construction cap when it is lower.
 
     A spec is dropped when any ring built for it is above max_order; one
-    above size_cap alone raises SizeCapError.
+    above the construction cap alone raises SizeCapError.
     """
-    cap = size_cap if config.max_order is None else min(config.max_order, size_cap)
+    cap = DEFAULT_SIZE_CAP if config.max_order is None else min(config.max_order, DEFAULT_SIZE_CAP)
     rings = []
     for spec in config.specs:
         try:
             rings.append(parse_ring_spec(spec, size_cap=cap))
         except SizeCapError:
-            if cap == size_cap:
+            if cap == DEFAULT_SIZE_CAP:
                 raise
     return rings
 

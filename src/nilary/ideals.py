@@ -280,15 +280,11 @@ def _sorted_lattice(
                         tuple(j for j, m in enumerate(ordered) if m in principal))
 
 
-def principal_of(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:
-    """Mask of the principal ideal (a) of the kind, for every element a."""
-    return _principal_spans(r, kind)[0]
-
-
 def _principal_spans(
     r: Ring, kind: str = TWO_SIDED
 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """:func:`principal_of`, plus the additive generators of each principal ideal.
+    """Mask of the principal ideal (a) of the kind for every element a, plus the
+    additive generators of each principal ideal.
 
     (a) spans {a} + Aa + aA + A(aA) (left: {a} + Aa; right: {a} + aA). Spans
     are memoized by that pre-span and A(aA) by aA, since elements share
@@ -314,10 +310,7 @@ def _principal_spans(
 
 
 def enumerate_ideals(
-    r: Ring,
-    kind: str = TWO_SIDED,
-    max_order: int = DEFAULT_LATTICE_ORDER_CAP,
-    max_ideals: int = DEFAULT_LATTICE_COUNT_CAP,
+    r: Ring, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
 ) -> IdealLattice:
     """All ideals of the kind: the principal ones closed under the joins I + (a).
 
@@ -328,8 +321,9 @@ def enumerate_ideals(
     plus those its span adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
-    if r.order > max_order:
-        raise SizeCapError(f"lattice enumeration capped at order {max_order}, got {r.order}")
+    if r.order > DEFAULT_LATTICE_ORDER_CAP:
+        raise SizeCapError(
+            f"lattice enumeration capped at order {DEFAULT_LATTICE_ORDER_CAP}, got {r.order}")
     of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
     principal = tuple(gens)
     queue = [(m, mask_elements(m)) for m in principal]
@@ -453,6 +447,5 @@ __all__ = [
     "make_quotient",
     "mask_elements",
     "principal_ideal",
-    "principal_of",
     "zero_ideal",
 ]

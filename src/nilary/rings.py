@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 DEFAULT_SIZE_CAP = 4096
+MAX_VIOLATIONS = 25  # witnesses validate_ring reports before it truncates
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -263,12 +264,24 @@ def _matrix_tables(base: Ring, k: int, positions: list[tuple[int, int]], order: 
     return add, mul, one
 
 
+def _check_dimension(base: Ring, k: int, cells: int, size_cap: int) -> None:
+    """Reject k before the order base.order ** cells, which can have billions of digits.
+
+    Over a base of two or more elements, cells > size_cap.bit_length() puts the
+    order above the cap; over the order-1 base the cells themselves are bounded.
+    """
+    if cells > (size_cap.bit_length() if base.order > 1 else size_cap):
+        raise SizeCapError(f"matrix dimension {k} over {base.label} exceeds cap {size_cap} "
+                           f"({cells} entries per matrix)")
+
+
 def make_matrix_ring(base: Ring, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Full k x k matrix ring over a unital base ring."""
     if base.one is None:
         raise ValueError("matrix ring requires a unital base ring")
     if k < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {k}")
+    _check_dimension(base, k, k * k, size_cap)
     order = base.order ** (k * k)
     if order > size_cap:
         raise SizeCapError(f"matrix ring order {order} exceeds cap {size_cap}")
@@ -283,6 +296,7 @@ def make_upper_triangular(base: Ring, k: int, size_cap: int = DEFAULT_SIZE_CAP) 
         raise ValueError("triangular matrix ring requires a unital base ring")
     if k < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {k}")
+    _check_dimension(base, k, k * (k + 1) // 2, size_cap)
     positions = [(i, j) for i in range(k) for j in range(i, k)]
     order = base.order ** len(positions)
     if order > size_cap:
@@ -318,13 +332,13 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_ring(r: Ring, max_violations: int = 25) -> ValidationReport:
+def validate_ring(r: Ring) -> ValidationReport:
     """Check every ring axiom, reporting witnesses for each violation.
 
     Triple-quantified axioms (associativity, distributivity) are checked
     with vectorized table composition, chunked along the first axis so
     memory stays bounded for large orders. The witness list is capped at
-    ``max_violations``; ``truncated`` records whether anything was cut.
+    ``MAX_VIOLATIONS``; ``truncated`` records whether anything was cut.
     """
     n = r.order
     out: list[tuple[str, tuple[int, ...]]] = []
@@ -333,7 +347,7 @@ def validate_ring(r: Ring, max_violations: int = 25) -> ValidationReport:
     def extend(axiom: str, witnesses) -> None:
         nonlocal truncated
         for w in witnesses:
-            if len(out) >= max_violations:
+            if len(out) >= MAX_VIOLATIONS:
                 truncated = True
                 return
             out.append((axiom, tuple(int(x) for x in w)))
@@ -370,7 +384,7 @@ def validate_ring(r: Ring, max_violations: int = 25) -> ValidationReport:
         ),
     ):
         for a0 in range(0, n, chunk):
-            if len(out) >= max_violations:
+            if len(out) >= MAX_VIOLATIONS:
                 truncated = True
                 break
             c = slice(a0, min(n, a0 + chunk))

@@ -19,6 +19,7 @@ must be the additive zero.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .ideals import ideal_generated_by, make_quotient
@@ -149,7 +150,8 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Load a ring from the table file format, validating all axioms.
 
     The order on the first non-blank line is checked against the cap
-    before the rest of the file is read.
+    before the rest of the file is read, and no more than 2n + 2 further
+    non-blank lines are ever read.
     """
     with Path(path).open("rb") as fh:
         header = next((ln for ln in fh if ln.strip()), None)
@@ -163,7 +165,8 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             raise ValueError(f"{path}: order must be >= 1")
         if n > size_cap:
             raise SizeCapError(f"{path}: ring order {n} exceeds cap {size_cap}")
-        rows = [ln for ln in (raw.strip() for raw in fh.read().decode().splitlines()) if ln]
+        # 2n rows, an optional "one" line and one more to tell trailing content
+        rows = [ln.decode() for ln in islice(filter(None, map(bytes.strip, fh)), 2 * n + 2)]
     if len(rows) < 2 * n:
         raise ValueError(f"{path}: expected {2 * n} table rows, found {len(rows)}")
 

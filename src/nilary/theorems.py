@@ -7,15 +7,18 @@ number of hypothesis-satisfying instances is reported separately, so a
 vacuous pass is visible as such.
 
 A case is a body ``body(run, ctx)`` over one ring's context, and
-:func:`_case` is the one driver that sweeps it over the corpus: it starts
-the run, points ``run.ring`` at each ring in turn, calls the body with that
-ring's context and returns the run's result. The run does the counting
-and the timing. A body only reports: ``run.instance(hypothesis)`` once per
-instance, ``run.violate(description, ideal_mask, witnesses)`` per failure
-(the run adds the ring and turns the mask into elements), and an early
-``return`` skips a ring whose hypothesis fails outright. A case built with
-``own=`` checks the one ring that ``own()`` builds instead of the corpus,
-so the worked examples of the paper run whatever corpus is given.
+:func:`_case` is the one loop that sweeps it over the corpus's contexts:
+it starts the run, points ``run.ring`` at each context's ring in turn,
+calls the body and returns the run's result. :func:`run_all` resolves each
+ring's context once and hands that list to every sweep, so a context, with
+its lattices, quotients and verdicts, lives for the whole run whatever the
+size of the corpus. The run does the counting and the timing. A body only
+reports: ``run.instance(hypothesis)`` once per instance,
+``run.violate(description, ideal_mask, witnesses)`` per failure (the run
+adds the ring and turns the mask into elements), and an early ``return``
+skips a ring whose hypothesis fails outright. A case built with ``own=``
+checks the one ring that ``own()`` builds instead of the corpus, so the
+worked examples of the paper run whatever corpus is given.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .classify import (
-    RingContext,
-    Verdict,
-    Witness,
-    is_weakly_nilary_onesided,
-    ring_context,
-)
-from .ideals import LEFT, RIGHT, TWO_SIDED, Ideal, elements_mask, mask_elements
+from .classify import RingContext, Verdict, Witness, ring_context
+from .ideals import LEFT, RIGHT, TWO_SIDED, elements_mask, mask_elements
 from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
@@ -119,14 +116,14 @@ def _case(
     case_id: str,
     body: Callable[[_Run, RingContext], None],
     own: Optional[Callable[[], Ring]] = None,
-) -> Callable[[Sequence[Ring]], TheoremResult]:
-    """The sweep of body over a corpus, or over the one ring own() builds."""
+) -> Callable[[Sequence[RingContext]], TheoremResult]:
+    """The sweep of body over the corpus's contexts, or over the one ring own() builds."""
 
-    def sweep(rings: Sequence[Ring]) -> TheoremResult:
+    def sweep(contexts: Sequence[RingContext]) -> TheoremResult:
         run = _Run(case_id)
-        for r in rings if own is None else (own(),):
-            run.ring = r
-            body(run, ring_context(r))
+        for ctx in contexts if own is None else (ring_context(own()),):
+            run.ring = ctx.ring
+            body(run, ctx)
         return run.result()
 
     return sweep
@@ -425,11 +422,10 @@ def _p2_6(run: _Run, ctx: RingContext) -> None:
         return
     for m in _proper_masks(ctx):
         run.instance(True)
-        ideal = Ideal(ctx.ring, m, TWO_SIDED)
         for principal, base_name in ((False, "weakly_nilary"), (True, "weakly_p_nilary")):
             v2 = ctx.verdict(base_name, m)
-            vr = is_weakly_nilary_onesided(ideal, RIGHT, principal)
-            vl = is_weakly_nilary_onesided(ideal, LEFT, principal)
+            vr = ctx.onesided_verdict(RIGHT, principal, m)
+            vl = ctx.onesided_verdict(LEFT, principal, m)
             if not (v2.holds == vr.holds == vl.holds):
                 run.violate(
                     f"{base_name}: two-sided={v2.holds}, right={vr.holds}, "
@@ -484,7 +480,7 @@ def _rprime_nilary(run: _Run, ctx: RingContext) -> None:
 
 
 # (id, text, body[, own]); see _case for own
-CASES: tuple[tuple[str, str, Callable[[Sequence[Ring]], TheoremResult]], ...] = tuple(
+CASES: tuple[tuple[str, str, Callable[[Sequence[RingContext]], TheoremResult]], ...] = tuple(
     (cid, text, _case(cid, body, *own)) for cid, text, body, *own in (
         ("P1.2", "completely prime iff completely semiprime + completely nilary", _p1_2),
         ("P1.3", "products of completely nilary ideals", _p1_3),
@@ -514,7 +510,7 @@ CASE_IDS = tuple(cid for cid, _, _ in CASES)
 
 
 def run_all(rings: Sequence[Ring], case_ids: Optional[Sequence[str]] = None) -> list[TheoremResult]:
-    """Run the registered cases over a corpus, in registry order."""
+    """Run the registered cases over a corpus, in registry order, on contexts resolved once."""
     selected = CASES
     if case_ids is not None:
         unknown = sorted(set(case_ids) - set(CASE_IDS))
@@ -522,9 +518,10 @@ def run_all(rings: Sequence[Ring], case_ids: Optional[Sequence[str]] = None) -> 
             raise ValueError(f"unknown case id(s): {', '.join(unknown)}")
         selected = tuple(c for c in CASES if c[0] in case_ids)
     warning = "empty corpus" if not rings else None
+    contexts = [ring_context(r) for r in rings]
     results = []
     for _, _, fn in selected:
-        res = fn(rings)
+        res = fn(contexts)
         if warning and res.instances == 0:
             res.warning = warning
         results.append(res)

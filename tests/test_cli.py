@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from nilary import classify, cli
+from nilary import classify, cli, rings
 from nilary.cli import main
 
 WITNESS_SCHEMA = {
@@ -261,6 +261,19 @@ def test_oversized_cyclic_spec_exits_2_before_building(capsys):
     code, _, err = run(capsys, "classify", "Zn:100000", "--max-order", "10")
     assert code == 2
     assert "exceeds cap 10" in err
+
+
+@pytest.mark.parametrize("spec", ["M:300:Zn:1", "M:3000:Zn:2", "M:60000:Zn:2", "T:200000:Zn:3"])
+def test_oversized_matrix_dimension_exits_2_before_building(capsys, monkeypatch, spec):
+    # the order of M:300:Zn:1 is 1, and that of T:200000:Zn:3 has ~10^10 digits
+    def tables(*args):
+        raise AssertionError("matrix tables built")
+
+    monkeypatch.setattr(rings, "_matrix_tables", tables)
+    code, _, err = run(capsys, "classify", spec)
+    assert code == 2
+    (line,) = err.splitlines()
+    assert f"matrix dimension {spec.split(':')[1]} " in line and "exceeds cap 4096" in line
 
 
 def test_zero_max_order_is_the_construction_cap(capsys, monkeypatch):

@@ -226,11 +226,6 @@ def test_bruteforce_cap():
         enumerate_ideals_bruteforce(make_zn(17))
 
 
-def test_enumerate_order_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_ideals(make_zn(8), max_order=4)
-
-
 def test_every_enumerated_mask_is_an_ideal(small_rings):
     for r in small_rings:
         for kind in KINDS:

@@ -1,5 +1,7 @@
 """Ring spec DSL parsing and the table file format."""
 
+import tracemalloc
+
 import pytest
 
 from nilary import (
@@ -101,6 +103,21 @@ def test_file_loader_reads_no_further_than_an_oversized_header(tmp_path):
     path.write_bytes(b"\n100000\n\xff\xfe not text\n")
     with pytest.raises(SizeCapError, match="exceeds cap 10"):
         load_ring_file(path, size_cap=10)
+
+
+def test_file_loader_reads_no_further_than_the_order_needs(tmp_path):
+    path = tmp_path / "junk.txt"
+    write_ring_file(make_zn(2), path)
+    with path.open("a") as fh:
+        fh.write("junk\n" * 2_000_000)  # 10 MB after a valid order-2 table
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="trailing content"):
+            load_ring_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
 
 
 def test_file_round_trip(tmp_path):

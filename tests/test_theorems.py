@@ -139,6 +139,20 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
         clear_caches()
 
 
+def test_run_all_fetches_each_context_once():
+    """260 distinct rings overflow the 256-entry context cache; no case refetches one."""
+    specs = [f"Zn:{n}" for n in range(1, 65)]
+    specs += [f"dsum(Zn:{a},Zn:{b})" for a in range(1, 15) for b in range(1, 15)]
+    rings = [parse_ring_spec(s) for s in specs]
+    assert len(set(rings)) == 260
+    clear_caches()
+    try:
+        run_all(rings, ["P2.6", "Cchar"])
+        assert ring_context.cache_info().misses == 260
+    finally:
+        clear_caches()
+
+
 def test_pcomm_hypothesis_is_a_commutative_quotient(builtin_rings):
     """Pcomm-pnilary's hypothesis holds on exactly the ideals I with A/I commutative."""
     rings = [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]
