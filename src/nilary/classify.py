@@ -20,8 +20,8 @@ nonzero for the weakly family). Filtering keeps the domain's order and
 drops only pairs that are excused anyway, so the first pair found is the
 least witness of the full scan. Ideal domains are positions in the
 context's lattice index, whose order is lattice order; a search reads
-each product from the index rows and asks :meth:`RingContext.product`
-only for an empty slot.
+products from index rows, each filled whole through
+:meth:`RingContext.product` when first read.
 
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
@@ -115,12 +115,12 @@ class _LatticeIndex:
     Built with the lattice: ``gens[j]`` holds the additive generators
     enumeration recorded for ideal j, ``principal`` the positions of the
     principal ideals, and bit j of ``member[x]`` says that element x lies in
-    ideal j. Row j is allocated when it is first read, since a lattice of
-    L ideals would otherwise cost L^2 slots before anything multiplies:
-    ``row(j)[k]`` is the product of ideals j and k as
-    :meth:`RingContext.product` returned it, 0 while unfilled (a product
-    always holds zero). ``stable[j]`` is the last power of ideal j, 0 until
-    asked for; it is the one memo of stable powers.
+    ideal j. Each derived list is absent or complete, stored only once full
+    (racing threads at worst compute it twice). Row j is built when first
+    read, as L ideals would otherwise cost L^2 slots up front:
+    ``row(ctx, j)[k]`` is JK as :meth:`RingContext.product` returned it.
+    ``stable_powers(ctx)[j]`` is ideal j's last power, all computed at once;
+    it is the one memo of stable powers.
     """
 
     def __init__(self, kind: str, lattice: IdealLattice):
@@ -130,7 +130,7 @@ class _LatticeIndex:
         self.gens = lattice.generators
         self.principal = lattice.principal
         self.rows: list[Optional[list[int]]] = [None] * len(masks)
-        self.stable = [0] * len(masks)
+        self.stable: Optional[list[int]] = None
         self.member = member = [0] * lattice.ring.order
         for j, m in enumerate(masks):
             for x in mask_elements(m):
@@ -149,25 +149,19 @@ class _LatticeIndex:
                 hits &= member[row[h]]
         return self.masks[(hits & -hits).bit_length() - 1]
 
-    def row(self, j: int) -> list[int]:
+    def row(self, ctx: "RingContext", j: int) -> list[int]:
+        """Products of ideal j with every ideal, filled by ctx.product when first read."""
         got = self.rows[j]
         if got is None:
-            got = self.rows[j] = [0] * len(self.masks)
+            jm = self.masks[j]
+            got = self.rows[j] = [ctx.product(jm, km) for km in self.masks]
         return got
 
-    def times(self, ctx: "RingContext", j: int, k: int) -> int:
-        """Product of ideals j and k, read from the row or filled by ctx.product."""
-        row = self.row(j)
-        got = row[k]
-        if not got:
-            got = row[k] = ctx.product(self.masks[j], self.masks[k])
-        return got
-
-    def last_power(self, ctx: "RingContext", j: int) -> int:
-        """Stable value of ideal j's power chain, filled by ctx.chain."""
-        got = self.stable[j]
-        if not got:
-            got = self.stable[j] = ctx.chain(self.masks[j])[-1]
+    def stable_powers(self, ctx: "RingContext") -> list[int]:
+        """Last power of every ideal, filled by ctx.chain when first read."""
+        got = self.stable
+        if got is None:
+            got = self.stable = [ctx.chain(m)[-1] for m in self.masks]
         return got
 
 
@@ -365,8 +359,8 @@ def _outside_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
 
 
 def _powerless_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
-    idx = domain[0]
-    return [j for j in domain[1] if idx.last_power(ctx, j) & ~m]
+    stable = domain[0].stable_powers(ctx)
+    return [j for j in domain[1] if stable[j] & ~m]
 
 
 def _element_pair(
@@ -388,20 +382,18 @@ def _ideal_pair(
 ) -> Optional[tuple[int, int]]:
     """First (J, K) in lattice order from js x ks, positions in idx, with JK inside I.
 
-    Products are read from J's row, and ctx.product fills an empty slot.
-    With nonzero set, pairs with JK = 0 are skipped.
+    Products are read from J's row, filled whole when first read. With
+    nonzero set, pairs with JK = 0 are skipped.
     """
     if not ks:  # no pair, and no row allocated for each j
         return None
     masks = idx.masks
     for j in js:
-        row, jm = idx.row(j), masks[j]
+        row = idx.row(ctx, j)
         for k in ks:
-            prod = row[k]  # idx.times(ctx, j, k), inlined in the hottest loop
-            if not prod:
-                prod = row[k] = ctx.product(jm, masks[k])
+            prod = row[k]
             if not prod & ~m and not (nonzero and prod == 1):
-                return jm, masks[k]
+                return masks[j], masks[k]
     return None
 
 
@@ -472,7 +464,7 @@ def _semiprime(ctx: RingContext, m: int) -> Verdict:
     """J^2 inside I implies J inside I."""
     idx = ctx.index(TWO_SIDED)
     for j, jm in enumerate(idx.masks):
-        if jm & ~m and not idx.times(ctx, j, j) & ~m:
+        if jm & ~m and not idx.row(ctx, j)[j] & ~m:
             return Verdict(False, _wit_ideals(jm, jm))
     return _TRUE
 

@@ -39,14 +39,23 @@ def build_builtin_corpus() -> CorpusConfig:
     return CorpusConfig(specs=builtin_specs())
 
 
+# the most bytes of a corpus file that are read
+MAX_CORPUS_BYTES = 16 << 20
+
+
 def load_corpus_file(path: str | Path) -> CorpusConfig:
     """Read a corpus file: a JSON list of specs, or an object with caps.
 
-    Every key is checked: an unknown key, a value of the wrong type or range
-    and JSON nested too deeply raise ValueError. The keys are CorpusConfig's fields.
+    Every key is checked: an unknown key, a value of the wrong type or range,
+    JSON nested too deeply and a file over ``MAX_CORPUS_BYTES`` raise
+    ValueError. The keys are CorpusConfig's fields.
     """
+    with Path(path).open("rb") as fh:
+        text = fh.read(MAX_CORPUS_BYTES + 1)
+    if len(text) > MAX_CORPUS_BYTES:
+        raise ValueError(f"{path}: corpus file is larger than {MAX_CORPUS_BYTES} bytes")
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON is nested too deeply") from None
     if isinstance(data, list):

@@ -352,11 +352,15 @@ def validate_ring(r: Ring) -> ValidationReport:
                 return
             out.append((axiom, tuple(int(x) for x in w)))
 
-    add = np.array(r.add, dtype=np.int64)
-    mul = np.array(r.mul, dtype=np.int64)
-    for name, t in (("add", add), ("mul", mul)):
-        if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
-            out.append((f"{name}-table-malformed", ()))
+    def table(rows) -> Optional[np.ndarray]:
+        """The rows as an n x n array, or None unless they are n rows of n indices below n."""
+        if len(rows) != n or any(len(row) != n for row in rows):
+            return None  # ragged rows have no array shape
+        t = np.array(rows, dtype=np.int64)
+        return None if (t < 0).any() or (t >= n).any() else t
+
+    add, mul = table(r.add), table(r.mul)
+    out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
     # narrow, so the (chunk, n, n) temporaries below are narrow too

@@ -146,15 +146,31 @@ def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     return ring
 
 
+# bytes a table-file line may hold before the order is known
+HEADER_LINE_BYTES = 64
+
+
+def _lines(fh, path, limit: int, line_no: int = 0):
+    """(line number, stripped bytes) of the non-blank lines ahead; a line over limit bytes raises."""
+    while line := fh.readline(limit + 1):
+        line_no += 1
+        if len(line) > limit and not line.endswith(b"\n"):
+            raise ValueError(f"{path}: line {line_no} is longer than {limit} bytes")
+        if line := line.strip():
+            yield line_no, line
+
+
 def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Load a ring from the table file format, validating all axioms.
 
     The order on the first non-blank line is checked against the cap
     before the rest of the file is read, and no more than 2n + 2 further
-    non-blank lines are ever read.
+    non-blank lines are ever read. Every line is read with a byte bound:
+    ``HEADER_LINE_BYTES`` up to the order, then that plus twice the length
+    of a single-spaced row of n indices.
     """
     with Path(path).open("rb") as fh:
-        header = next((ln for ln in fh if ln.strip()), None)
+        header_no, header = next(_lines(fh, path, HEADER_LINE_BYTES), (0, None))
         if header is None:
             raise ValueError(f"{path}: empty ring file")
         try:
@@ -166,14 +182,15 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         if n > size_cap:
             raise SizeCapError(f"{path}: ring order {n} exceeds cap {size_cap}")
         # 2n rows, an optional "one" line and one more to tell trailing content
-        rows = [ln.decode() for ln in islice(filter(None, map(bytes.strip, fh)), 2 * n + 2)]
+        limit = HEADER_LINE_BYTES + 2 * n * (len(str(n)) + 1)
+        rows = list(islice(_lines(fh, path, limit, header_no), 2 * n + 2))
     if len(rows) < 2 * n:
         raise ValueError(f"{path}: expected {2 * n} table rows, found {len(rows)}")
 
     def row(i: int) -> tuple[int, ...]:
-        line_no = i + 2  # among the non-blank lines, after the header
+        line_no, text = rows[i]
         try:
-            vals = tuple(int(p) for p in rows[i].split())
+            vals = tuple(int(p) for p in text.split())
         except ValueError:
             raise ValueError(f"{path}: line {line_no} is not a table row") from None
         if len(vals) != n:
@@ -185,8 +202,8 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     one = None
     rest = rows[2 * n:]
     if rest:
-        parts = rest[0].split()
-        if len(rest) > 1 or len(parts) != 2 or parts[0] != "one":
+        parts = rest[0][1].split()
+        if len(rest) > 1 or len(parts) != 2 or parts[0] != b"one":
             raise ValueError(f"{path}: trailing content; only 'one <index>' is allowed")
         one = int(parts[1])
     ring = Ring.from_tables(n, add, mul, one=one, label=f"file:{path}")

@@ -165,7 +165,7 @@ def _p1_3(run: _Run, ctx: RingContext) -> None:
     idx = ctx.index(TWO_SIDED)
     masks = idx.masks
     cnil = [j for j, m in enumerate(masks) if ctx.verdict("completely_nilary", m).holds]
-    last = {q: idx.last_power(ctx, q) for q in cnil}
+    last = idx.stable_powers(ctx)
     for n in (1, 2, 3):
         for tup in itertools.product(cnil, repeat=n):
             inter = ctx.full_mask
@@ -176,7 +176,7 @@ def _p1_3(run: _Run, ctx: RingContext) -> None:
             prod = masks[tup[0]]
             for q in tup[1:]:
                 j = idx.pos.get(prod)  # None only if a faulty product left the lattice
-                prod = ctx.product(prod, masks[q]) if j is None else idx.times(ctx, j, q)
+                prod = ctx.product(prod, masks[q]) if j is None else idx.row(ctx, j)[q]
             v = ctx.verdict("completely_nilary", prod)
             if not v.holds:
                 run.violate(
@@ -395,7 +395,7 @@ def _p2_4w(run: _Run, ctx: RingContext) -> None:
     idx = ctx.index(TWO_SIDED)
     for m in _proper_masks(ctx):
         weak = [ctx.verdict(name, m).holds for _, name, _ in _FAMILIES]
-        if not run.instance(any(weak)) or idx.times(ctx, idx.pos[m], idx.pos[m]) == 1:
+        if not run.instance(any(weak)) or idx.row(ctx, idx.pos[m])[idx.pos[m]] == 1:
             continue
         for held, (strong, _, p) in zip(weak, _FAMILIES):
             if held and not (v := ctx.verdict(strong, m)).holds:

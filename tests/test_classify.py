@@ -4,9 +4,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
 
 from _oracles import PredicateScan
-from test_lattice import HUNT_SHAPES, LADDER
+from test_lattice import HUNT_SHAPES, LADDER, small_specs
 from nilary import (
     LEFT,
     RIGHT,
@@ -40,7 +41,9 @@ from nilary import (
     zero_ideal,
 )
 from nilary.classify import PREDICATE_NAMES, RingContext, ring_context
-from nilary.ideals import elements_mask, full_mask, hom_image_mask
+from nilary.ideals import elements_mask, full_mask, hom_image_mask, mask_elements
+from nilary.replay import replay_verdict
+from nilary.theorems import run_all
 
 # implication chains over proper ideals; each pair (weaker <- stronger)
 CHAINS = (
@@ -303,6 +306,20 @@ def test_pair_searches_match_plain_scan(spec):
                 got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)
                 assert got.to_json() == scan.verdict(name, m), (name, m)
                 assert is_weakly_nilary_onesided(Ideal(r, m), side, principal) is got  # memoized
+
+
+@given(spec=small_specs())
+def test_verdicts_replay_and_harness_on_random_specs(spec):
+    """On random rings of order <= 16: plain-scan verdicts and witnesses, replay, every case passes."""
+    r = parse_ring_spec(spec)
+    ctx = RingContext(r)
+    scan = PredicateScan(r)
+    for m in ctx.lattice_masks():
+        for name in PREDICATE_NAMES:
+            v = ctx.verdict(name, m)
+            assert v.to_json() == scan.verdict(name, m), (spec, name, m)
+            assert replay_verdict(r, mask_elements(m), name, v.holds, v.witness, v.na), (spec, name, m)
+    assert [res.case_id for res in run_all([r]) if not res.passed] == [], spec
 
 
 def test_quotient_memo_matches_fresh_quotients(builtin_rings):

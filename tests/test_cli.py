@@ -8,6 +8,7 @@ import pytest
 
 from nilary import classify, cli, rings
 from nilary.cli import main
+from nilary.corpus import MAX_CORPUS_BYTES
 
 WITNESS_SCHEMA = {
     "type": "object",
@@ -304,6 +305,18 @@ def test_corpus_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(["Zn:nope"]))
     assert run(capsys, "verify", "--corpus", str(bad))[0] == 2
+
+
+def test_oversized_corpus_file_exits_2(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    text = json.dumps(["Zn:4"])
+    corpus.write_text(text + " " * (MAX_CORPUS_BYTES - len(text)))
+    assert run(capsys, "verify", "--corpus", str(corpus))[0] == 0  # exactly the bound
+    with corpus.open("a") as fh:
+        fh.write(" ")
+    code, _, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2 and f"{corpus}: corpus file is larger than" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_corpus_file_object_form(capsys, tmp_path):

@@ -19,7 +19,7 @@ from nilary import (
     parse_ring_spec,
 )
 from nilary import ideals
-from nilary.classify import RingContext
+from nilary.classify import RingContext, full_report, ring_context
 from nilary.cli import main
 from nilary.ideals import _principal_spans, additive_closure_mask
 
@@ -122,6 +122,19 @@ def test_product_rows_are_allocated_when_read():
     idx = ctx.index()
     assert len(idx.masks) == 2825
     assert sum(row is not None for row in idx.rows) == 1
+
+
+def test_lattice_tables_are_whole_once_read():
+    """After full_report every allocated product row and every stable list is complete."""
+    for spec in (*builtin_specs(), *LADDER, *HUNT_SHAPES):
+        r = parse_ring_spec(spec)
+        full_report(r)
+        ctx = ring_context(r)
+        for idx in ctx._indexes.values():
+            for jm, row in zip(idx.masks, idx.rows):
+                assert row in (None, [ctx.product(jm, km) for km in idx.masks]), (spec, idx.kind)
+            assert idx.stable in (None, [ctx.chain(m)[-1] for m in idx.masks]), (spec, idx.kind)
+        assert ctx.index().stable is not None, spec  # nilary reads every stable power
 
 
 def test_order_cap_bites_before_the_principal_pass():

@@ -104,6 +104,16 @@ def test_corrupted_table_reports_witness():
             assert bad.mul[bad.add[a][b]][c] != bad.add[bad.mul[a][c]][bad.mul[b][c]]
 
 
+@pytest.mark.parametrize("add, mul, axiom", [
+    (((0, 1), (1,)), ((0, 0), (0, 0)), "add-table-malformed"),
+    (((0, 1), (1, 0)), ((0, 0), (0, 0, 0)), "mul-table-malformed"),
+    (((0, 1),), ((0, 0), (0, 0)), "add-table-malformed"),
+])
+def test_ragged_table_is_reported(add, mul, axiom):
+    report = validate_ring(Ring(2, add, mul, None, "ragged", (0, 1)))
+    assert report.violations == ((axiom, ()),)
+
+
 def test_from_tables_rejects_bad_zero():
     # swap rows so element 0 is no longer the additive zero
     z2 = make_zn(2)

@@ -120,6 +120,25 @@ def test_file_loader_reads_no_further_than_the_order_needs(tmp_path):
     assert peak < 1 << 18
 
 
+def test_file_loader_bounds_each_line(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"1" * 10_000_000)  # a 10 MB first line, no newline
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 1 is longer than 64 bytes"):
+            load_ring_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    blanks = tmp_path / "blanks.txt"
+    write_ring_file(make_zn(2), blanks)
+    text = blanks.read_text().split("\n")
+    blanks.write_text("\n".join([text[0], " " * 1_000_000, *text[1:]]))
+    with pytest.raises(ValueError, match="line 2 is longer than"):
+        load_ring_file(blanks)
+
+
 def test_file_round_trip(tmp_path):
     ring = make_direct_sum(make_zn(2), make_zn(4))
     path = tmp_path / "ring.txt"
