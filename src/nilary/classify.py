@@ -18,10 +18,13 @@ power inside I", computed once per element or ideal, and then searches
 the filtered lists for the first pair whose product lies in I (and is
 nonzero for the weakly family). Filtering keeps the domain's order and
 drops only pairs that are excused anyway, so the first pair found is the
-least witness of the full scan. Ideal domains are positions in the
-context's lattice index, whose order is lattice order; a search reads
-products from index rows, each filled whole through
-:meth:`RingContext.product` when first read.
+least witness of the full scan. An element search probes each row of
+the multiplication table in C, one gather over the second list and one
+set-disjointness test against I, and scans only the first row that hits
+for its least column, so it visits pairs in the double loop's order. Ideal
+domains are positions in the context's lattice index, whose order is
+lattice order; a search reads products from index rows, each filled whole
+through :meth:`RingContext.product` when first read.
 
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .ideals import (
@@ -366,13 +370,23 @@ def _powerless_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
 def _element_pair(
     ctx: RingContext, m: int, first: list[int], second: list[int]
 ) -> Optional[tuple[int, int]]:
-    """First (a, b) in index order with a in first, b in second and ab in I."""
+    """First (a, b) in index order with a in first, b in second and ab in I.
+
+    Each row a is probed whole in C: ``pick`` gathers the products ab over
+    ``second`` and ``inside.isdisjoint`` asks whether any lies in I. Only the
+    first row that hits is scanned in Python, for its least b, so rows and
+    columns are visited in the plain double loop's order and the witness is
+    its least one.
+    """
+    if not first or not second:
+        return None
+    inside = set(mask_elements(m))
+    pick = itemgetter(*second, second[0])  # a tuple even when second has one entry
     mul = ctx.ring.mul
     for a in first:
         row = mul[a]
-        for b in second:
-            if m >> row[b] & 1:
-                return a, b
+        if not inside.isdisjoint(pick(row)):
+            return a, next(b for b in second if row[b] in inside)
     return None
 
 

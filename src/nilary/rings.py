@@ -430,8 +430,8 @@ def element_is_nilpotent(r: Ring, a: int) -> Optional[int]:
 
 
 def is_commutative(r: Ring) -> bool:
-    mul = r.mul
-    return all(mul[a][b] == mul[b][a] for a in r.elements for b in r.elements)
+    """ab = ba for all a, b: the table equals its transpose."""
+    return tuple(zip(*r.mul)) == r.mul
 
 
 def is_nil_ring(r: Ring) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -251,6 +252,7 @@ class PredicateScan:
         def inside(a: int) -> bool:
             return bool(m >> a & 1)
 
+        @functools.cache  # one power scan per element, not one per pair
         def power(a: int) -> bool:
             return self.element_power_in(a, m)
 

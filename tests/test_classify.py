@@ -40,7 +40,7 @@ from nilary import (
     principal_ideal,
     zero_ideal,
 )
-from nilary.classify import PREDICATE_NAMES, RingContext, ring_context
+from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, ring_context
 from nilary.ideals import elements_mask, full_mask, hom_image_mask, mask_elements
 from nilary.replay import replay_verdict
 from nilary.theorems import run_all
@@ -306,6 +306,53 @@ def test_pair_searches_match_plain_scan(spec):
                 got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)
                 assert got.to_json() == scan.verdict(name, m), (name, m)
                 assert is_weakly_nilary_onesided(Ideal(r, m), side, principal) is got  # memoized
+
+
+ELEMENT_PREDICATES = ("completely_prime", "completely_semiprime", "completely_nilary",
+                      "completely_right_primary", "completely_left_primary")
+
+
+@pytest.mark.parametrize("spec", ["Zn:210", "dsum(M:2:Zn:2,Zn:12)"])
+def test_element_predicates_match_plain_scan_past_order_64(spec):
+    """Row-probed element searches give the plain scan's verdict and least witness."""
+    r = parse_ring_spec(spec)
+    ctx = RingContext(r)
+    scan = PredicateScan(r)
+    for m in ctx.lattice_masks():
+        for name in ELEMENT_PREDICATES:
+            assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+
+
+def _first_pair_by_double_loop(r, m, first, second):
+    for a in first:
+        for b in second:
+            if m >> r.mul[a][b] & 1:
+                return a, b
+    return None
+
+
+def test_element_pair_matches_double_loop(builtin_rings):
+    """_element_pair returns the double loop's first hit on random sublists of each side."""
+    rng = random.Random(13)
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in ("Zn:64", "T:2:Zn:4"))]
+    for r in rings:
+        ctx = RingContext(r)
+        masks = ctx.lattice_masks()
+        for _ in range(8):
+            m = rng.choice(masks)
+            sizes = (0, 1, min(2, r.order), rng.randint(0, r.order))
+            first, second = (sorted(rng.sample(r.elements, rng.choice(sizes))) for _ in range(2))
+            want = _first_pair_by_double_loop(r, m, first, second)
+            assert _element_pair(ctx, m, first, second) == want, (r.label, m, first, second)
+    # a row whose only hit is its last column, after rows with no hit at all
+    r = parse_ring_spec("Zn:12")
+    ctx, m = RingContext(r), elements_mask([0, 6])  # 2b lies in I only for b = 0, 3, 6, 9
+    first, second = [1, 5, 2], [1, 2, 4, 5, 9]
+    assert [b for b in second if m >> r.mul[2][b] & 1] == [9]
+    assert _element_pair(ctx, m, first, second) == (2, 9)
+    assert _element_pair(ctx, m, first, [9]) == (2, 9)  # a one-element side
+    assert _element_pair(ctx, m, [1, 5], second) is None
+    assert _element_pair(ctx, m, [], second) is None and _element_pair(ctx, m, first, []) is None
 
 
 @given(spec=small_specs())

@@ -27,6 +27,7 @@ from nilary.classify import clear_caches, ring_context
 from nilary.corpus import builtin_specs
 from nilary.rings import _matrix_tables, hom_violations
 
+from test_lattice import HUNT_SHAPES
 from _oracles import (
     direct_sum_by_elements,
     find_isomorphism,
@@ -238,6 +239,17 @@ def test_matrix_ring_m2z2():
     e22 = matrix_entry_index(z2, 2, [[0, 0], [0, 1]])
     assert m.mul[e11][e22] == 0
     assert not is_commutative(m)
+
+
+def test_is_commutative_is_the_pairwise_definition(builtin_rings):
+    """The transpose compare agrees with ab == ba over every pair, both ways."""
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]
+    seen = set()
+    for r in rings:
+        want = all(r.mul[a][b] == r.mul[b][a] for a in r.elements for b in r.elements)
+        assert is_commutative(r) == want, r.label
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_matrix_ring_k1_is_base():
