@@ -14,17 +14,16 @@ nilary, right/left primary) call ``_element_pair``; ideal-pair predicates
 (prime, nilary, p-nilary, right/left primary and their principal forms,
 the weakly nilary family) call ``_ideal_pair``. A predicate first filters
 each side of its domain by that side's excuse, "not inside I" or "no
-power inside I", computed once per element or ideal, and then searches
-the filtered lists for the first pair whose product lies in I (and is
-nonzero for the weakly family). Filtering keeps the domain's order and
-drops only pairs that are excused anyway, so the first pair found is the
-least witness of the full scan. An element search probes each row of
-the multiplication table in C, one gather over the second list and one
-set-disjointness test against I, and scans only the first row that hits
-for its least column, so it visits pairs in the double loop's order. Ideal
-domains are positions in the context's lattice index, whose order is
-lattice order; a search reads products from index rows, each filled whole
-through :meth:`RingContext.product` when first read.
+power inside I", and then searches the filtered lists for the first pair
+whose product lies in I (and is nonzero for the weakly family). Filtering
+keeps the domain's order and drops only pairs that are excused anyway, so
+the first pair found is the least witness of the full scan. Element sides
+hold each coset's least element, from one walk per ideal; the excuses and
+"ab in I" depend only on a + I and b + I, so the full scan's least witness
+is among them. An element search probes each row in C and scans only the
+first that hits. Ideal domains are positions in the context's lattice
+index, in lattice order; a search reads products from index rows, filled
+when first read.
 
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
@@ -49,6 +48,7 @@ from .ideals import (
     IdealLattice,
     _same_ring,
     additive_generators,
+    coset_walk,
     element_power_in,
     elements_mask,
     enumerate_ideals,
@@ -173,16 +173,15 @@ class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
-    by two-sided ideals with the images of the ideals above each kernel, and
-    verdicts. :attr:`commutative` is scanned on first use; only one-sided
-    lattices and reports ask for it. :attr:`powers` is built whole on first
-    use; only element predicates, reports and two harness cases ask for it.
-    :meth:`product` is the one source of products and :meth:`chain` computes
-    power chains; neither keeps what it returns, since index rows keep the
-    products and the index's stable powers keep the chains' last terms.
-    Everything is derived data and deterministic; the context never mutates
-    its ring, and two threads racing on one entry only compute it twice (a
-    quotient is built twice, but both callers get the one stored first).
+    with the images of the ideals above each kernel, the last ideal's coset
+    representatives and verdicts. :attr:`commutative` and :attr:`powers`
+    are built whole on first use. :meth:`product` is the one source of
+    products and :meth:`chain` computes power chains; neither keeps what it
+    returns, since index rows keep the products and the index's stable
+    powers keep the chains' last terms. Everything is derived data and
+    deterministic; the context never mutates its ring, and two threads racing
+    on one entry only compute it twice (a quotient is built twice, but both
+    callers get the one stored first).
     """
 
     def __init__(self, ring: Ring):
@@ -192,6 +191,7 @@ class RingContext:
         self.unital = ring.one is not None
         self._commutative: Optional[bool] = None
         self._powers: Optional[tuple[int, ...]] = None
+        self._reps = 0  # last ideal walked in the low n bits, its coset representatives above
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -211,6 +211,19 @@ class RingContext:
             self._powers = tuple(elements_mask(element_powers(self.ring, a))
                                  for a in range(self.n))
         return self._powers
+
+    def coset_reps(self, m: int) -> Sequence[int]:
+        """Least element of each coset of the two-sided ideal m, ascending: 0 comes first.
+
+        Predicates on one ideal come together, so one slot walks each ideal once.
+        """
+        if m == 1 or m == self.full_mask:  # cosets are the elements, or A alone: no walk
+            return range(self.n if m == 1 else 1)
+        slot = self._reps  # one read, so the ideal and its representatives stay paired
+        if slot & self.full_mask != m:
+            reps = elements_mask(coset_walk(self.ring, mask_elements(m))[1])
+            slot = self._reps = reps << self.n | m
+        return mask_elements(slot >> self.n)
 
     # ideal data ----------------------------------------------------------
     def index(
@@ -346,12 +359,12 @@ def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
 # predicate implementations (ctx, ideal mask) -> Verdict
 
 
-def _outside_elements(ctx: RingContext, m: int) -> list[int]:
-    return [a for a in range(ctx.n) if not m >> a & 1]
+def _outside_elements(ctx: RingContext, m: int) -> Sequence[int]:
+    return ctx.coset_reps(m)[1:]
 
 
 def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
-    return [a for a, p in enumerate(ctx.powers) if not p & m]
+    return [a for a in ctx.coset_reps(m) if not ctx.powers[a] & m]
 
 
 Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, ascending
@@ -368,15 +381,15 @@ def _powerless_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
 
 
 def _element_pair(
-    ctx: RingContext, m: int, first: list[int], second: list[int]
+    ctx: RingContext, m: int, first: Sequence[int], second: Sequence[int]
 ) -> Optional[tuple[int, int]]:
     """First (a, b) in index order with a in first, b in second and ab in I.
 
-    Each row a is probed whole in C: ``pick`` gathers the products ab over
-    ``second`` and ``inside.isdisjoint`` asks whether any lies in I. Only the
-    first row that hits is scanned in Python, for its least b, so rows and
-    columns are visited in the plain double loop's order and the witness is
-    its least one.
+    The sides hold each coset's least element; ab in I depends only on a + I
+    and b + I, so the witness is the full scan's. Each row a is probed whole
+    in C: ``pick`` gathers the products ab over ``second`` and
+    ``inside.isdisjoint`` asks whether any lies in I. Only the first row that
+    hits is scanned in Python, for its least b, in the double loop's order.
     """
     if not first or not second:
         return None

@@ -141,8 +141,10 @@ def cmd_classify(args) -> int:
     if args.ideal is None:
         reports = full_report(ring)
     else:
-        gens = [int(x) for x in args.ideal.split(",") if x != ""]
-        ideal = ideal_generated_by(ring, gens, TWO_SIDED)
+        tokens = [x for x in args.ideal.split(",") if x != ""]
+        if bad := [x for x in tokens if not x.strip().isdecimal()]:
+            raise ValueError(f"--ideal takes comma-separated element indices, got {bad[0]!r}")
+        ideal = ideal_generated_by(ring, [int(x) for x in tokens], TWO_SIDED)
         reports = [classify_ideal(ideal)]
     _print_reports(reports, args.json)
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -384,30 +384,33 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
 # quotients
 
 
-def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
-    """Quotient ring on least-index coset representatives, plus the projection.
-
-    The canonical surjection's kernel is exactly ``i``; representatives are
-    the least element index in each coset, which keeps the quotient tables
-    deterministic. Once ``i`` is checked to be two-sided, every table of the
-    quotient, negation included, is read off the parent's by the coset map.
-    """
-    if i.ring != r:
-        raise ValueError("ideal belongs to a different ring")
-    if i.kind != TWO_SIDED or _close(r, i.mask, True, True) != i.mask:
-        raise ValueError(f"{i!r} is not a two-sided ideal of {r.label}")
-    ideal_elems = i.elements
-    q_of = [-1] * r.order  # coset index of every element
+def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Coset number of every element, and the least element of each coset, ascending."""
+    q_of = [-1] * r.order
     reps: list[int] = []
     for a, row in enumerate(r.add):
         if q_of[a] < 0:
             for x in ideal_elems:
                 q_of[row[x]] = len(reps)
             reps.append(a)
+    return q_of, reps
+
+
+def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
+    """Quotient ring on least-index coset representatives, plus the projection.
+
+    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers. Every
+    table, negation included, is read off the parent's through the coset map.
+    """
+    if i.ring != r:
+        raise ValueError("ideal belongs to a different ring")
+    if i.kind != TWO_SIDED or _close(r, i.mask, True, True) != i.mask:
+        raise ValueError(f"{i!r} is not a two-sided ideal of {r.label}")
+    q_of, reps = coset_walk(r, i.elements)
     qadd = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.add[a] for a in reps))
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None
-    label = f"{r.label}/{{{','.join(map(str, ideal_elems))}}}"
+    label = f"{r.label}/{{{','.join(map(str, i.elements))}}}"
     q = Ring(len(reps), qadd, qmul, qone, label, tuple(q_of[r.neg[a]] for a in reps))
     return q, Hom(r, q, tuple(q_of), surjective=True)
 

@@ -40,8 +40,9 @@ from nilary import (
     principal_ideal,
     zero_ideal,
 )
+from nilary import classify
 from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, ring_context
-from nilary.ideals import elements_mask, full_mask, hom_image_mask, mask_elements
+from nilary.ideals import coset_walk, elements_mask, full_mask, hom_image_mask, mask_elements
 from nilary.replay import replay_verdict
 from nilary.theorems import run_all
 
@@ -312,7 +313,7 @@ ELEMENT_PREDICATES = ("completely_prime", "completely_semiprime", "completely_ni
                       "completely_right_primary", "completely_left_primary")
 
 
-@pytest.mark.parametrize("spec", ["Zn:210", "dsum(M:2:Zn:2,Zn:12)"])
+@pytest.mark.parametrize("spec", ["Zn:210", "dsum(M:2:Zn:2,Zn:12)", "M:2:Zn:4", "Zn:64"])
 def test_element_predicates_match_plain_scan_past_order_64(spec):
     """Row-probed element searches give the plain scan's verdict and least witness."""
     r = parse_ring_spec(spec)
@@ -321,6 +322,40 @@ def test_element_predicates_match_plain_scan_past_order_64(spec):
     for m in ctx.lattice_masks():
         for name in ELEMENT_PREDICATES:
             assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+
+
+def test_coset_reps_are_the_least_element_of_each_coset(builtin_rings):
+    """One ascending representative per coset, its least element, numbered as make_quotient does."""
+    for r in [*builtin_rings, *(parse_ring_spec(s) for s in LADDER)]:
+        ctx = RingContext(r)
+        for m in ctx.lattice_masks():
+            reps = ctx.coset_reps(m)
+            ideal = mask_elements(m)
+            cosets = {frozenset(r.add[a][x] for x in ideal) for a in reps}
+            assert reps[0] == 0 and list(reps) == sorted(set(reps)), (r.label, m)
+            assert len(reps) == len(cosets) == r.order // len(ideal), (r.label, m)
+            assert all(min(r.add[a][x] for x in ideal) == a for a in reps), (r.label, m)
+            hom = make_quotient(r, Ideal(r, m))[1]
+            assert [hom.map[a] for a in reps] == list(range(len(reps))), (r.label, m)
+
+
+def test_element_predicates_walk_each_ideal_once(builtin_rings, monkeypatch):
+    """The five element predicates on one ideal share one coset walk; 0 and A need none."""
+    walked = []
+
+    def counting_walk(r, ideal_elems):
+        walked.append((r.label, elements_mask(ideal_elems)))
+        return coset_walk(r, ideal_elems)
+
+    monkeypatch.setattr(classify, "coset_walk", counting_walk)
+    for r in [*builtin_rings, *(parse_ring_spec(s) for s in ("T:2:Zn:4", "M:2:Zn:3"))]:
+        ctx = RingContext(r)
+        for m in ctx.lattice_masks():
+            walked.clear()
+            for name in ELEMENT_PREDICATES:
+                ctx.verdict(name, m)
+            want = [] if m in (1, full_mask(r)) else [(r.label, m)]
+            assert walked == want, (r.label, m, walked)
 
 
 def _first_pair_by_double_loop(r, m, first, second):

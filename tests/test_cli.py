@@ -141,6 +141,13 @@ def test_classify_empty_ideal_flag(capsys):
     assert rep["verdicts"]["completely_nilary"]["holds"] is False
 
 
+@pytest.mark.parametrize("ideal, token", [("x", "'x'"), ("2,x3", "'x3'"), ("1,-1", "'-1'")])
+def test_classify_bad_ideal_token_exits_2(capsys, ideal, token):
+    code, out, err = run(capsys, "classify", "Zn:5", "--ideal", ideal)
+    assert code == 2 and out == ""
+    assert err == f"error: --ideal takes comma-separated element indices, got {token}\n"
+
+
 def test_ideals_text_and_oracle(capsys):
     code, out, _ = run(capsys, "ideals", "Zn:12", "--oracle")
     assert code == 0
