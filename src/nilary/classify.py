@@ -35,7 +35,7 @@ encoded as holds=False with na=True.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -189,28 +189,21 @@ class RingContext:
         self.n = ring.order
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
-        self._commutative: Optional[bool] = None
-        self._powers: Optional[tuple[int, ...]] = None
         self._reps = 0  # last ideal walked in the low n bits, its coset representatives above
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
 
-    @property
+    @cached_property
     def commutative(self) -> bool:
         """Whether the ring is commutative, scanned on first use."""
-        if self._commutative is None:
-            self._commutative = is_commutative(self.ring)
-        return self._commutative
+        return is_commutative(self.ring)
 
-    @property
+    @cached_property
     def powers(self) -> tuple[int, ...]:
         """Mask of the powers a, a^2, ... of each element a, built on first use."""
-        if self._powers is None:
-            self._powers = tuple(elements_mask(element_powers(self.ring, a))
-                                 for a in range(self.n))
-        return self._powers
+        return tuple(elements_mask(element_powers(self.ring, a)) for a in range(self.n))
 
     def coset_reps(self, m: int) -> Sequence[int]:
         """Least element of each coset of the two-sided ideal m, ascending: 0 comes first.

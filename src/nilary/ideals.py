@@ -32,7 +32,6 @@ LEFT = "left"
 RIGHT = "right"
 KINDS = (TWO_SIDED, LEFT, RIGHT)
 
-DEFAULT_LATTICE_ORDER_CAP = 1024
 DEFAULT_LATTICE_COUNT_CAP = 100_000
 BRUTE_FORCE_ORDER_CAP = 16
 
@@ -321,9 +320,6 @@ def enumerate_ideals(
     plus those its span adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
-    if r.order > DEFAULT_LATTICE_ORDER_CAP:
-        raise SizeCapError(
-            f"lattice enumeration capped at order {DEFAULT_LATTICE_ORDER_CAP}, got {r.order}")
     of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
     principal = tuple(gens)
     queue = [(m, mask_elements(m)) for m in principal]
@@ -426,7 +422,6 @@ def hom_image_mask(h: Hom, mask: int) -> int:
 __all__ = [
     "BRUTE_FORCE_ORDER_CAP",
     "DEFAULT_LATTICE_COUNT_CAP",
-    "DEFAULT_LATTICE_ORDER_CAP",
     "Ideal",
     "IdealLattice",
     "KINDS",

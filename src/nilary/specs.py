@@ -202,9 +202,12 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     one = None
     rest = rows[2 * n:]
     if rest:
-        parts = rest[0][1].split()
+        line_no, text = rest[0]
+        parts = text.split()
         if len(rest) > 1 or len(parts) != 2 or parts[0] != b"one":
             raise ValueError(f"{path}: trailing content; only 'one <index>' is allowed")
+        if not parts[1].isdigit() or int(parts[1]) >= n:
+            raise ValueError(f"{path}: line {line_no} must be 'one <index>' with index below {n}")
         one = int(parts[1])
     ring = Ring.from_tables(n, add, mul, one=one, label=f"file:{path}")
     report = validate_ring(ring)

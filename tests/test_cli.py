@@ -271,6 +271,19 @@ def test_oversized_cyclic_spec_exits_2_before_building(capsys):
     assert "exceeds cap 10" in err
 
 
+def test_construction_cap_is_the_only_order_cap(capsys, monkeypatch):
+    code, out, _ = run(capsys, "classify", "Zn:1100", "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 18  # one ideal per divisor of 1100
+
+    def tables(*args):
+        raise AssertionError("cyclic tables built")
+
+    monkeypatch.setattr(rings, "_cyclic", tables)
+    code, _, err = run(capsys, "classify", "Zn:4097")
+    assert code == 2 and "exceeds cap 4096" in err
+
+
 @pytest.mark.parametrize("spec", ["M:300:Zn:1", "M:3000:Zn:2", "M:60000:Zn:2", "T:200000:Zn:3"])
 def test_oversized_matrix_dimension_exits_2_before_building(capsys, monkeypatch, spec):
     # the order of M:300:Zn:1 is 1, and that of T:200000:Zn:3 has ~10^10 digits

@@ -116,10 +116,13 @@ def test_products_outside_the_lattices_take_the_span_path(monkeypatch):
     assert len(spans) == 2 and not fresh._indexes  # no lattice enumerated for a product
 
 
-def test_products_above_the_lattice_cap():
+def test_products_on_zn_1100_by_spans_and_by_the_index():
     r = parse_ring_spec("Zn:1100")
     i, j = ideal_generated_by(r, (10,)), ideal_generated_by(r, (22,))
-    assert ideal_product(i, j).mask == ideal_generated_by(r, (220,)).mask
+    spanned = RingContext(r).product(i.mask, j.mask)  # no index yet: spans the generators
+    assert ideal_product(i, j).mask == spanned == ideal_generated_by(r, (220,)).mask
+    idx = RingContext(r).index()
+    assert idx.product(r.mul, idx.pos[i.mask], idx.pos[j.mask]) == spanned
 
 
 def test_full_report_is_thread_safe():

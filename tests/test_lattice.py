@@ -137,11 +137,14 @@ def test_lattice_tables_are_whole_once_read():
         assert ctx.index().stable is not None, spec  # nilary reads every stable power
 
 
-def test_order_cap_bites_before_the_principal_pass():
+def test_lattice_of_zn_1100_is_one_ideal_per_divisor():
     r = parse_ring_spec("Zn:1100")
-    with pytest.raises(SizeCapError, match="capped at order 1024"):
-        RingContext(r).lattice_masks()
-    assert "product_masks" not in vars(r)  # no order-squared masks built for nothing
+    # (d) for each divisor d of 1100; the divisor 1100 is the element 0
+    want = {ideal_generated_by(r, (d % 1100,)).mask for d in range(1, 1101) if 1100 % d == 0}
+    assert len(want) == 18
+    for kind in KINDS:
+        masks = enumerate_ideals(r, kind).masks()
+        assert len(masks) == 18 and set(masks) == want, kind
 
 
 @st.composite

@@ -177,6 +177,19 @@ def test_file_loader_rejects_axiom_violation(tmp_path):
         load_ring_file(path)
 
 
+@pytest.mark.parametrize("unity", ["x", "7", "-1"])
+def test_file_loader_names_the_line_of_a_bad_unity(tmp_path, unity):
+    path = tmp_path / "z2.txt"
+    write_ring_file(make_zn(2), path)  # its last line, line 6, is "one 1"
+    path.write_text(path.read_text().replace("one 1", f"one {unity}"))
+    message = f"{path}: line 6 must be 'one <index>' with index below 2"
+    with pytest.raises(ValueError) as got:
+        load_ring_file(path)
+    assert str(got.value) == message
+    with pytest.raises(RingSpecError, match="line 6 must be 'one <index>'"):
+        parse_ring_spec(f"file:{path}")
+
+
 def test_file_loader_rejects_short_file(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("3\n0 1 2\n")

@@ -132,7 +132,7 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
         assert ring_context.cache_info().misses <= len(builtin_rings)
         quotients = [q for r in builtin_rings for q, _ in ring_context(r)._quotients.values()]
         assert len(quotients) == 346
-        assert all(q._commutative is None for q in quotients)  # nothing asked them
+        assert all("commutative" not in vars(q) for q in quotients)  # nothing asked them
         warm = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert warm == cold
     finally:
