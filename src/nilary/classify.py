@@ -35,7 +35,7 @@ encoded as holds=False with na=True.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -111,6 +111,7 @@ class Verdict:
 _TRUE = Verdict(True, Witness.none())
 _NA = Verdict(False, Witness.none(), na=True)
 _IMPROPER = Verdict(False, Witness.none())  # the prime family on I = A
+_UNWALKED = (0, (), frozenset())  # no ideal has mask 0
 
 
 class _LatticeIndex:
@@ -173,10 +174,10 @@ class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
-    with the images of the ideals above each kernel, the last ideal's coset
-    representatives and verdicts. :attr:`commutative` and :attr:`powers`
-    are built whole on first use. :meth:`product` is the one source of
-    products and :meth:`chain` computes power chains; neither keeps what it
+    with the images of the ideals above each kernel, the last ideal walked
+    and verdicts. :attr:`commutative` and :attr:`powers` are built whole on
+    first use. :meth:`product` is the one source of products and
+    :meth:`chain` computes power chains; neither keeps what it
     returns, since index rows keep the products and the index's stable
     powers keep the chains' last terms. Everything is derived data and
     deterministic; the context never mutates its ring, and two threads racing
@@ -189,34 +190,44 @@ class RingContext:
         self.n = ring.order
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
-        self._reps = 0  # last ideal walked in the low n bits, its coset representatives above
+        self._commutative: Optional[bool] = None
+        self._powers: Optional[tuple[int, ...]] = None
+        self._walked: tuple[int, Sequence[int], frozenset[int]] = _UNWALKED
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
         self._images: dict[int, tuple[tuple[int, int], ...]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
 
-    @cached_property
+    @property
     def commutative(self) -> bool:
         """Whether the ring is commutative, scanned on first use."""
-        return is_commutative(self.ring)
+        if self._commutative is None:
+            self._commutative = is_commutative(self.ring)
+        return self._commutative
 
-    @cached_property
+    @property
     def powers(self) -> tuple[int, ...]:
         """Mask of the powers a, a^2, ... of each element a, built on first use."""
-        return tuple(elements_mask(element_powers(self.ring, a)) for a in range(self.n))
+        if self._powers is None:
+            self._powers = tuple(elements_mask(element_powers(self.ring, a))
+                                 for a in range(self.n))
+        return self._powers
 
-    def coset_reps(self, m: int) -> Sequence[int]:
-        """Least element of each coset of the two-sided ideal m, ascending: 0 comes first.
+    def walked(self, m: int) -> tuple[int, Sequence[int], frozenset[int]]:
+        """(m, least element of each coset of m ascending, m's elements) for a two-sided m.
 
-        Predicates on one ideal come together, so one slot walks each ideal once.
+        0 is the first representative. Predicates on one ideal come together,
+        so one record keeps the last ideal walked; it is read and stored
+        whole, so the three stay paired. The zero ideal and A need no walk
+        and are not stored.
         """
-        if m == 1 or m == self.full_mask:  # cosets are the elements, or A alone: no walk
-            return range(self.n if m == 1 else 1)
-        slot = self._reps  # one read, so the ideal and its representatives stay paired
-        if slot & self.full_mask != m:
-            reps = elements_mask(coset_walk(self.ring, mask_elements(m))[1])
-            slot = self._reps = reps << self.n | m
-        return mask_elements(slot >> self.n)
+        got = self._walked
+        if got[0] != m:
+            elems = mask_elements(m)
+            if m == 1 or m == self.full_mask:  # cosets are the elements, or A alone: no walk
+                return m, range(self.n if m == 1 else 1), frozenset(elems)
+            got = self._walked = (m, coset_walk(self.ring, elems)[1], frozenset(elems))
+        return got
 
     # ideal data ----------------------------------------------------------
     def index(
@@ -284,14 +295,6 @@ class RingContext:
             self._verdicts[key] = got
         return got
 
-    def onesided_verdict(self, side: str, principal: bool, ideal_mask: int) -> Verdict:
-        """Weakly (p-)nilary via the (principal) ideals of one side; the ring needs unity."""
-        key = (side, principal, ideal_mask)  # memoized beside the registry verdicts
-        got = self._verdicts.get(key)
-        if got is None:
-            got = self._verdicts[key] = _ONESIDED[side, principal](self, ideal_mask)
-        return got
-
 
 @lru_cache(maxsize=256)
 def ring_context(ring: Ring) -> RingContext:
@@ -353,11 +356,12 @@ def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
 
 
 def _outside_elements(ctx: RingContext, m: int) -> Sequence[int]:
-    return ctx.coset_reps(m)[1:]
+    return ctx.walked(m)[1][1:]
 
 
 def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
-    return [a for a in ctx.coset_reps(m) if not ctx.powers[a] & m]
+    powers = ctx.powers
+    return [a for a in ctx.walked(m)[1] if not powers[a] & m]
 
 
 Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, ascending
@@ -386,7 +390,7 @@ def _element_pair(
     """
     if not first or not second:
         return None
-    inside = set(mask_elements(m))
+    inside = ctx.walked(m)[2]
     pick = itemgetter(*second, second[0])  # a tuple even when second has one entry
     mul = ctx.ring.mul
     for a in first:
@@ -482,18 +486,14 @@ def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
 
 def _semiprime(ctx: RingContext, m: int) -> Verdict:
     """J^2 inside I implies J inside I."""
-    idx = ctx.index(TWO_SIDED)
-    for j, jm in enumerate(idx.masks):
-        if jm & ~m and not idx.row(ctx, j)[j] & ~m:
+    for jm in ctx.index(TWO_SIDED).masks:
+        if jm & ~m and not ctx.product(jm, jm) & ~m:
             return Verdict(False, _wit_ideals(jm, jm))
     return _TRUE
 
 
 _OUT_E, _FREE_E = _outside_elements, _powerless_elements
 _OUT, _FREE = _outside_ideals, _powerless_ideals
-# weakly (p-)nilary over right or left ideals, by (side, principal)
-_ONESIDED = {(side, principal): _ideal_pairs(_FREE, _FREE, principal, side, weakly=True)
-             for side in (RIGHT, LEFT) for principal in (False, True)}
 
 REGISTRY: dict[str, Predicate] = {
     "completely_prime": _element_pairs(_OUT_E, _OUT_E, proper=True),
@@ -511,11 +511,15 @@ REGISTRY: dict[str, Predicate] = {
     "completely_left_primary": _element_pairs(_FREE_E, _OUT_E),
     "weakly_nilary": _ideal_pairs(_FREE, _FREE, weakly=True),
     "weakly_p_nilary": _ideal_pairs(_FREE, _FREE, principal=True, weakly=True),
-    "weakly_nilary_right": _ONESIDED[RIGHT, False],
-    "weakly_nilary_left": _ONESIDED[LEFT, False],
+    "weakly_nilary_right": _ideal_pairs(_FREE, _FREE, side=RIGHT, weakly=True),
+    "weakly_nilary_left": _ideal_pairs(_FREE, _FREE, side=LEFT, weakly=True),
 }
 
-PREDICATE_NAMES = tuple(REGISTRY)
+PREDICATE_NAMES = tuple(REGISTRY)  # the report columns; the principal one-sided forms are not
+REGISTRY.update(
+    weakly_p_nilary_right=_ideal_pairs(_FREE, _FREE, principal=True, side=RIGHT, weakly=True),
+    weakly_p_nilary_left=_ideal_pairs(_FREE, _FREE, principal=True, side=LEFT, weakly=True),
+)
 
 
 def _require_two_sided(i: Ideal) -> RingContext:
@@ -557,7 +561,7 @@ def is_weakly_nilary_onesided(l: Ideal, side: str, principal: bool = False) -> V
     ctx = _require_two_sided(l)
     if not ctx.unital:
         raise ValueError("unity required")
-    return ctx.onesided_verdict(side, principal, l.mask)
+    return ctx.verdict(f"weakly_{'p_' if principal else ''}nilary_{side}", l.mask)
 
 
 # ---------------------------------------------------------------------------

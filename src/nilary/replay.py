@@ -35,6 +35,8 @@ _IDEAL_PREDICATES = (
     "weakly_p_nilary",
     "weakly_nilary_right",
     "weakly_nilary_left",
+    "weakly_p_nilary_right",
+    "weakly_p_nilary_left",
 )
 
 
@@ -137,9 +139,11 @@ def replay_verdict(
     ideal = frozenset(ideal_elements) | {0}
     everything = frozenset(r.elements)
     improper = ideal == everything
+    # J and K range over the (principal) ideals of this side
+    side = predicate.rsplit("_", 1)[1] if predicate.endswith(("_right", "_left")) else "two-sided"
 
     if na:
-        if predicate in ("weakly_nilary_right", "weakly_nilary_left") and r.one is None:
+        if side != "two-sided" and r.one is None:
             return True
         return predicate.startswith("weakly") and improper
     if holds:
@@ -192,24 +196,12 @@ def replay_verdict(
     j = frozenset(witness.j)
     k = frozenset(witness.k)
 
-    if predicate in ("weakly_nilary_right", "weakly_nilary_left"):
-        side = "right" if predicate.endswith("right") else "left"
-        if r.one is None or improper:
-            return False
-        if not (_is_ideal_set(r, j, side) and _is_ideal_set(r, k, side)):
-            return False
-        prod = _set_product(r, j, k)
-        return (
-            prod != frozenset({0})
-            and prod <= ideal
-            and _no_power_inside(r, j, ideal)
-            and _no_power_inside(r, k, ideal)
-        )
-
-    if not (_is_ideal_set(r, j, "two-sided") and _is_ideal_set(r, k, "two-sided")):
+    if side != "two-sided" and r.one is None:
         return False
-    if predicate.startswith("p_") or predicate == "weakly_p_nilary":
-        if not (_is_principal(r, j, "two-sided") and _is_principal(r, k, "two-sided")):
+    if not (_is_ideal_set(r, j, side) and _is_ideal_set(r, k, side)):
+        return False
+    if predicate.startswith(("p_", "weakly_p_")):
+        if not (_is_principal(r, j, side) and _is_principal(r, k, side)):
             return False
     prod = _set_product(r, j, k)
 
@@ -223,7 +215,7 @@ def replay_verdict(
         return prod <= ideal and not j <= ideal and _no_power_inside(r, k, ideal)
     if predicate in ("left_primary", "p_left_primary"):
         return prod <= ideal and not k <= ideal and _no_power_inside(r, j, ideal)
-    if predicate in ("weakly_nilary", "weakly_p_nilary"):
+    if predicate.startswith("weakly"):
         return (
             not improper
             and prod != frozenset({0})

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .classify import RingContext, Verdict, Witness, ring_context
-from .ideals import LEFT, RIGHT, TWO_SIDED, elements_mask, mask_elements
+from .ideals import TWO_SIDED, elements_mask, mask_elements
 from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
@@ -392,10 +392,9 @@ def _p2_3w(run: _Run, ctx: RingContext) -> None:
 
 def _p2_4w(run: _Run, ctx: RingContext) -> None:
     """A weakly (p-)nilary ideal satisfies I^2 = 0 or is (p-)nilary."""
-    idx = ctx.index(TWO_SIDED)
     for m in _proper_masks(ctx):
         weak = [ctx.verdict(name, m).holds for _, name, _ in _FAMILIES]
-        if not run.instance(any(weak)) or idx.row(ctx, idx.pos[m])[idx.pos[m]] == 1:
+        if not run.instance(any(weak)) or ctx.product(m, m) == 1:
             continue
         for held, (strong, _, p) in zip(weak, _FAMILIES):
             if held and not (v := ctx.verdict(strong, m)).holds:
@@ -416,22 +415,24 @@ def _c2_5w(run: _Run, ctx: RingContext) -> None:
                             f"{strong}={v.holds}", m, [(weak, w), (strong, v)])
 
 
+# each weakly form with its right and left forms, named once so the verdict memo's keys share them
+_ONESIDED_FORMS = tuple((name, name + "_right", name + "_left") for _, name, _ in _FAMILIES)
+
+
 def _p2_6(run: _Run, ctx: RingContext) -> None:
     """One-sided characterization: two-sided, right and left forms agree (unital)."""
     if ctx.ring.one is None:
         return
     for m in _proper_masks(ctx):
         run.instance(True)
-        for principal, base_name in ((False, "weakly_nilary"), (True, "weakly_p_nilary")):
-            v2 = ctx.verdict(base_name, m)
-            vr = ctx.onesided_verdict(RIGHT, principal, m)
-            vl = ctx.onesided_verdict(LEFT, principal, m)
+        for names in _ONESIDED_FORMS:
+            v2, vr, vl = verdicts = [ctx.verdict(name, m) for name in names]
             if not (v2.holds == vr.holds == vl.holds):
                 run.violate(
-                    f"{base_name}: two-sided={v2.holds}, right={vr.holds}, "
+                    f"{names[0]}: two-sided={v2.holds}, right={vr.holds}, "
                     f"left={vl.holds}",
                     m,
-                    [(base_name, v2), (base_name + "_right", vr), (base_name + "_left", vl)],
+                    list(zip(names, verdicts)),
                 )
 
 

@@ -319,7 +319,7 @@ class PredicateScan:
             "weakly_p_nilary": (no_power, TWO_SIDED, True),
             "weakly_nilary_right": (no_power, RIGHT, False),
             "weakly_nilary_left": (no_power, LEFT, False),
-            # the principal one-sided forms, which are not registered predicates
+            # the principal one-sided forms, registered but not report columns
             "weakly_p_nilary_right": (no_power, RIGHT, True),
             "weakly_p_nilary_left": (no_power, LEFT, True),
         }

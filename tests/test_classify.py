@@ -307,6 +307,7 @@ def test_pair_searches_match_plain_scan(spec):
                 got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)
                 assert got.to_json() == scan.verdict(name, m), (name, m)
                 assert is_weakly_nilary_onesided(Ideal(r, m), side, principal) is got  # memoized
+                assert replay_verdict(r, mask_elements(m), name, got.holds, got.witness, got.na)
 
 
 ELEMENT_PREDICATES = ("completely_prime", "completely_semiprime", "completely_nilary",
@@ -329,7 +330,7 @@ def test_coset_reps_are_the_least_element_of_each_coset(builtin_rings):
     for r in [*builtin_rings, *(parse_ring_spec(s) for s in LADDER)]:
         ctx = RingContext(r)
         for m in ctx.lattice_masks():
-            reps = ctx.coset_reps(m)
+            reps = ctx.walked(m)[1]
             ideal = mask_elements(m)
             cosets = {frozenset(r.add[a][x] for x in ideal) for a in reps}
             assert reps[0] == 0 and list(reps) == sorted(set(reps)), (r.label, m)
