@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +29,7 @@ import numpy as np
 
 DEFAULT_SIZE_CAP = 4096
 MAX_VIOLATIONS = 25  # witnesses validate_ring reports before it truncates
+_CHUNK_ENTRIES = 1 << 22  # entries in validate_ring's largest temporary
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -332,13 +334,37 @@ class ValidationReport:
         return not self.violations
 
 
+def _additive_generators(add: Table) -> list[int]:
+    """Least-first elements whose right-added span from 0 covers A; at most n.bit_length()."""
+    n = len(add)
+    reached = bytearray(n)
+    reached[0] = 1
+    gens: list[int] = []
+    while len(gens) < n.bit_length() and (s := reached.find(0)) >= 0:
+        gens.append(s)
+        stack = [s, *(add[x][s] for x in compress(range(n), reached))]
+        while stack:
+            y = stack.pop()
+            if not reached[y]:
+                reached[y] = 1
+                stack += [add[y][g] for g in gens]
+    return gens
+
+
 def validate_ring(r: Ring) -> ValidationReport:
     """Check every ring axiom, reporting witnesses for each violation.
 
-    Triple-quantified axioms (associativity, distributivity) are checked
-    with vectorized table composition, chunked along the first axis so
-    memory stays bounded for large orders. The witness list is capped at
-    ``MAX_VIOLATIONS``; ``truncated`` records whether anything was cut.
+    Axioms over one or two elements are checked everywhere, triple axioms
+    only at the additive generators S of :func:`_additive_generators`:
+    O(n² log n) on every input. (x+s)+y = x+(s+y) is Light's test: the
+    elements passing it are closed under +, and each span of passing
+    generators is a group at least double the last. a(x+s) = ax+as,
+    (x+s)c = xc+sc and (xs)y = x(sy) extend from S to A by additivity.
+    Witnesses fill their axiom's (a, b, c) slots: (x, s, y) for both
+    associativities, (a, x, s) and (x, s, c) for left and right
+    distributivity. No temporary exceeds ``_CHUNK_ENTRIES``; the witness
+    list is capped at ``MAX_VIOLATIONS``, and ``truncated`` records
+    whether anything was cut.
     """
     n = r.order
     out: list[tuple[str, tuple[int, ...]]] = []
@@ -363,7 +389,7 @@ def validate_ring(r: Ring) -> ValidationReport:
     out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
-    # narrow, so the (chunk, n, n) temporaries below are narrow too
+    # narrow, so the (rows, n) temporaries below are narrow too
     add, mul = add.astype(_index_dtype(n)), mul.astype(_index_dtype(n))
 
     rng = np.arange(n)
@@ -371,30 +397,21 @@ def validate_ring(r: Ring) -> ValidationReport:
     extend("add-commutativity", np.argwhere(add != add.T))
     extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
 
-    chunk = max(1, (1 << 22) // max(1, n * n))
-    for axiom, lhs_of, rhs_of in (
-        # lhs/rhs produce (chunk, n, n) arrays indexed [a - a0, b, c]
-        ("add-associativity", lambda c: add[add[c]], lambda c: add[c][:, add]),
-        ("mul-associativity", lambda c: mul[mul[c]], lambda c: mul[c][:, mul]),
-        (
-            "distributivity-left",  # a*(b+c) == a*b + a*c
-            lambda c: mul[c][:, add],
-            lambda c: add[mul[c][:, :, None], mul[c][:, None, :]],
-        ),
-        (
-            "distributivity-right",  # (a+b)*c == a*c + b*c
-            lambda c: mul[add[c]],
-            lambda c: add[mul[c][:, None, :], mul[None, :, :]],
-        ),
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    gens = _additive_generators(r.add)
+    for axiom, slot, lhs_of, rhs_of in (
+        # lhs/rhs give (rows, n) arrays indexed [x - x0, y] for generator s; s takes the slot
+        ("add-associativity", 1, lambda c, s: add[add[c, s]], lambda c, s: add[c][:, add[s]]),
+        ("mul-associativity", 1, lambda c, s: mul[mul[c, s]], lambda c, s: mul[c][:, mul[s]]),
+        ("distributivity-left", 2,
+         lambda c, s: mul[c][:, add[:, s]], lambda c, s: add[mul[c], mul[c, s, None]]),
+        ("distributivity-right", 1, lambda c, s: mul[add[c, s]], lambda c, s: add[mul[c], mul[s]]),
     ):
-        for a0 in range(0, n, chunk):
-            if len(out) >= MAX_VIOLATIONS:
-                truncated = True
-                break
-            c = slice(a0, min(n, a0 + chunk))
-            mism = lhs_of(c) != rhs_of(c)
+        for s, x0 in product(gens, range(0, n, chunk)):
+            c = slice(x0, x0 + chunk)
+            mism = lhs_of(c, s) != rhs_of(c, s)
             if mism.any():
-                extend(axiom, ((a + a0, b, cc) for a, b, cc in np.argwhere(mism)))
+                extend(axiom, np.insert(np.argwhere(mism) + (x0, 0), slot, s, axis=1))
 
     if r.one is not None:
         e = r.one

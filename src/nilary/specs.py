@@ -190,7 +190,7 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     def row(i: int) -> tuple[int, ...]:
         line_no, text = rows[i]
         try:
-            vals = tuple(int(p) for p in text.split())
+            vals = tuple(map(int, text.split()))
         except ValueError:
             raise ValueError(f"{path}: line {line_no} is not a table row") from None
         if len(vals) != n:

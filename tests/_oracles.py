@@ -6,13 +6,16 @@ import functools
 import itertools
 from typing import Optional
 
-from nilary import LEFT, RIGHT, TWO_SIDED, Ring
+import numpy as np
+
+from nilary import LEFT, RIGHT, TWO_SIDED, Ring, ValidationReport
 from nilary.ideals import (
     additive_closure_mask,
     enumerate_ideals,
     ideal_generated_by,
     mask_elements,
 )
+from nilary.rings import MAX_VIOLATIONS
 
 
 def find_isomorphism(r: Ring, s: Ring) -> Optional[tuple[int, ...]]:
@@ -334,3 +337,72 @@ class PredicateScan:
                     j, k = list(mask_elements(jm)), list(mask_elements(km))
                     return refuted({"variant": "ideal-pair", "j": j, "k": k})
         return holds
+
+
+def validate_by_full_scan(r: Ring) -> ValidationReport:
+    """Every ring axiom checked over all pairs and all n³ triples, with witnesses.
+
+    The triple-quantified axioms are composed as whole-table gathers,
+    chunked along the first axis so no temporary exceeds 2²² entries.
+    Witness slots: (a, b) for additive commutativity, (a, b, c) for
+    (a·b)·c = a·(b·c), a(b+c) = ab+ac and (a+b)c = ac+bc, and the same
+    ``MAX_VIOLATIONS`` cut as :func:`nilary.validate_ring`.
+    """
+    n = r.order
+    out: list[tuple[str, tuple[int, ...]]] = []
+    truncated = False
+
+    def extend(axiom: str, witnesses) -> None:
+        nonlocal truncated
+        for w in witnesses:
+            if len(out) >= MAX_VIOLATIONS:
+                truncated = True
+                return
+            out.append((axiom, tuple(int(x) for x in w)))
+
+    def table(rows) -> Optional[np.ndarray]:
+        if len(rows) != n or any(len(row) != n for row in rows):
+            return None
+        t = np.array(rows, dtype=np.int64)
+        return None if (t < 0).any() or (t >= n).any() else t
+
+    add, mul = table(r.add), table(r.mul)
+    out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
+    if out:
+        return ValidationReport(r.label, tuple(out), truncated)
+
+    rng = np.arange(n)
+    extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])
+    extend("add-commutativity", np.argwhere(add != add.T))
+    extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
+
+    chunk = max(1, (1 << 22) // (n * n))
+    for axiom, lhs_of, rhs_of in (
+        # lhs/rhs produce (chunk, n, n) arrays indexed [a - a0, b, c]
+        ("add-associativity", lambda c: add[add[c]], lambda c: add[c][:, add]),
+        ("mul-associativity", lambda c: mul[mul[c]], lambda c: mul[c][:, mul]),
+        (
+            "distributivity-left",
+            lambda c: mul[c][:, add],
+            lambda c: add[mul[c][:, :, None], mul[c][:, None, :]],
+        ),
+        (
+            "distributivity-right",
+            lambda c: mul[add[c]],
+            lambda c: add[mul[c][:, None, :], mul[None, :, :]],
+        ),
+    ):
+        for a0 in range(0, n, chunk):
+            if len(out) >= MAX_VIOLATIONS:
+                truncated = True
+                break
+            c = slice(a0, min(n, a0 + chunk))
+            mism = lhs_of(c) != rhs_of(c)
+            if mism.any():
+                extend(axiom, ((a + a0, b, cc) for a, b, cc in np.argwhere(mism)))
+
+    if r.one is not None:
+        e = r.one
+        extend("unity", [(a,) for a in np.nonzero((mul[e] != rng) | (mul[:, e] != rng))[0]])
+
+    return ValidationReport(r.label, tuple(out), truncated)

@@ -1,6 +1,11 @@
 """Ring constructors, validation, characteristic and nilpotency."""
 
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilary import (
     Hom,
@@ -22,12 +27,12 @@ from nilary import (
     parse_ring_spec,
     validate_ring,
 )
-from nilary import classify, specs
+from nilary import classify, rings, specs
 from nilary.classify import clear_caches, ring_context
 from nilary.corpus import builtin_specs
-from nilary.rings import _matrix_tables, hom_violations
+from nilary.rings import MAX_VIOLATIONS, _additive_generators, _matrix_tables, hom_violations
 
-from test_lattice import HUNT_SHAPES
+from test_lattice import HUNT_SHAPES, LADDER
 from _oracles import (
     direct_sum_by_elements,
     find_isomorphism,
@@ -35,6 +40,7 @@ from _oracles import (
     matrix_tables_by_elements,
     nilpotency_by_direct_powers,
     upper_triangular_by_elements,
+    validate_by_full_scan,
     zero_mul_by_elements,
     zn_by_elements,
 )
@@ -113,6 +119,114 @@ def test_corrupted_table_reports_witness():
 def test_ragged_table_is_reported(add, mul, axiom):
     report = validate_ring(Ring(2, add, mul, None, "ragged", (0, 1)))
     assert report.violations == ((axiom, ()),)
+
+
+def violates(r: Ring, axiom: str, w: tuple[int, ...]) -> bool:
+    """Whether the witness w breaks the axiom in r, read off the tables entry by entry."""
+    add, mul = r.add, r.mul
+    if axiom == "add-zero-identity":
+        return add[0][w[0]] != w[0] or add[w[0]][0] != w[0]
+    if axiom == "add-commutativity":
+        return add[w[0]][w[1]] != add[w[1]][w[0]]
+    if axiom == "add-negative-missing":
+        return 0 not in add[w[0]]
+    if axiom == "unity":
+        return mul[r.one][w[0]] != w[0] or mul[w[0]][r.one] != w[0]
+    a, b, c = w
+    return {
+        "add-associativity": lambda: add[add[a][b]][c] != add[a][add[b][c]],
+        "mul-associativity": lambda: mul[mul[a][b]][c] != mul[a][mul[b][c]],
+        "distributivity-left": lambda: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]],
+        "distributivity-right": lambda: mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]],
+    }[axiom]()
+
+
+def with_entries(r: Ring, add=(), mul=()) -> Ring:
+    """r with (i, j, v) entries overwritten, built without from_tables' structural checks."""
+    tables = [[list(row) for row in r.add], [list(row) for row in r.mul]]
+    for t, entries in zip(tables, (add, mul)):
+        for i, j, v in entries:
+            t[i][j] = v
+    new_add, new_mul = (tuple(map(tuple, t)) for t in tables)
+    return dataclasses.replace(r, add=new_add, mul=new_mul, label="corrupted")
+
+
+# valid tables of order <= 16; M:2 and T:2 over Z3 (orders 81, 27) are above it
+FUZZ_SPECS = ("Zn:2", "Zn:3", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Zn:16", "zmul:4", "zmul:8",
+              "M:2:Zn:2", "T:2:Zn:2", "dsum(Zn:2,Zn:2)", "dsum(Zn:2,Zn:4)", "dsum(zmul:2,Zn:3)",
+              "dsum(T:2:Zn:2,Zn:2)")
+fuzz_ring = functools.cache(parse_ring_spec)
+
+
+@st.composite
+def corrupted_rings(draw):
+    """A valid small ring with 1-12 entries changed: of mul, of add, or of add on both sides."""
+    r = fuzz_ring(draw(st.sampled_from(FUZZ_SPECS)))
+    index = st.integers(0, r.order - 1)
+    add, mul = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("mul", "add", "add-symmetric")))
+        i, j, v = draw(index), draw(index), draw(index)
+        if kind == "mul":
+            mul.append((i, j, v))
+        else:
+            add += [(i, j, v), (j, i, v)] if kind == "add-symmetric" else [(i, j, v)]
+    return with_entries(r, add, mul)
+
+
+@settings(max_examples=200)
+@given(r=corrupted_rings())
+def test_corrupted_tables_match_the_full_scan(r):
+    report = validate_ring(r)
+    assert report.ok == validate_by_full_scan(r).ok
+    assert len(_additive_generators(r.add)) <= r.order.bit_length()
+    for axiom, w in report.violations:
+        assert violates(r, axiom, w), (axiom, w)
+
+
+def test_a_span_short_at_the_generator_cap_fails_associativity():
+    # Z6 with 1+2, 1+3, 1+4 and 2+3 redefined on both sides: the zero, the
+    # negatives and commutativity survive, so only the triple checks can catch it
+    sums = {(1, 2): 0, (1, 3): 1, (1, 4): 4, (2, 3): 3}
+    bad = with_entries(make_zn(6), [(i, j, v) for (a, b), v in sums.items() for i, j in ((a, b), (b, a))])
+    gens = _additive_generators(bad.add)
+    assert gens == [1, 3, 4] and len(gens) == (6).bit_length()
+    report = validate_ring(bad)
+    assert not report.ok and not validate_by_full_scan(bad).ok
+    assert "add-associativity" in {axiom for axiom, _ in report.violations}
+    assert all(violates(bad, axiom, w) for axiom, w in report.violations)
+
+
+def test_many_violations_are_truncated():
+    z8 = make_zn(8)
+    bad = Ring.from_tables(8, z8.add, [[1] * 8] * 8, label="constant-product")
+    report = validate_ring(bad)
+    assert len(report.violations) == MAX_VIOLATIONS
+    assert report.truncated
+    assert all(violates(bad, axiom, w) for axiom, w in report.violations)
+
+
+@pytest.mark.parametrize("entries", [2, 5, 64])
+def test_chunk_bound_does_not_change_the_report(entries, monkeypatch):
+    cases = [parse_ring_spec("T:2:Zn:4"), with_entries(make_zn(12), mul=[(5, 7, 3), (2, 9, 4)])]
+    expected = [validate_ring(r) for r in cases]
+    monkeypatch.setattr(rings, "_CHUNK_ENTRIES", entries)
+    assert [validate_ring(r) for r in cases] == expected
+    assert expected[0].ok and not expected[1].ok
+
+
+def test_built_rings_match_the_full_scan(builtin_rings):
+    # LADDER rings above order 128 cost the n³ scan seconds; they are validated below
+    built = [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]
+    for r in (r for r in built if r.order <= 128):
+        assert validate_ring(r).ok == validate_by_full_scan(r).ok, r.label
+
+
+@pytest.mark.parametrize("spec", (*LADDER, *HUNT_SHAPES, "T:2:Zn:8"))
+def test_ladder_and_hunt_rings_validate(spec):
+    r = parse_ring_spec(spec)
+    assert validate_ring(r).ok
+    assert len(_additive_generators(r.add)) <= r.order.bit_length()
 
 
 def test_from_tables_rejects_bad_zero():

@@ -177,6 +177,22 @@ def test_file_loader_rejects_axiom_violation(tmp_path):
         load_ring_file(path)
 
 
+def test_file_loader_rejects_a_false_unity(tmp_path):
+    path = tmp_path / "z4.txt"
+    write_ring_file(make_zn(4), path)
+    path.write_text(path.read_text().replace("one 1", "one 3"))
+    with pytest.raises(ValueError, match=r"ring axioms violated, e\.g\. unity at \(1,\)"):
+        load_ring_file(path)
+
+
+def test_file_round_trip_at_order_512(tmp_path):
+    ring = parse_ring_spec("T:2:Zn:8")
+    path = tmp_path / "t2z8.txt"
+    write_ring_file(ring, path)
+    loaded = load_ring_file(path)
+    assert (loaded.order, loaded.add, loaded.mul, loaded.one) == (512, ring.add, ring.mul, ring.one)
+
+
 @pytest.mark.parametrize("unity", ["x", "7", "-1"])
 def test_file_loader_names_the_line_of_a_bad_unity(tmp_path, unity):
     path = tmp_path / "z2.txt"
