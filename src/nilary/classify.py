@@ -50,7 +50,6 @@ from .ideals import (
     additive_generators,
     coset_walk,
     element_power_in,
-    elements_mask,
     enumerate_ideals,
     full_mask,
     generator_product,
@@ -59,7 +58,7 @@ from .ideals import (
     mask_elements,
     zero_ideal,
 )
-from .rings import Characteristic, Hom, Ring, characteristic, element_powers, is_commutative
+from .rings import Characteristic, Hom, Ring, characteristic, is_commutative
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ class RingContext:
 
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
     with the images of the ideals above each kernel, the last ideal walked
-    and verdicts. :attr:`commutative` and :attr:`powers` are built whole on
-    first use. :meth:`product` is the one source of products and
+    and verdicts. :attr:`commutative` and :attr:`idempotents` are built whole
+    on first use. :meth:`product` is the one source of products and
     :meth:`chain` computes power chains; neither keeps what it
     returns, since index rows keep the products and the index's stable
     powers keep the chains' last terms. Everything is derived data and
@@ -191,7 +190,7 @@ class RingContext:
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
         self._commutative: Optional[bool] = None
-        self._powers: Optional[tuple[int, ...]] = None
+        self._idempotents: Optional[tuple[int, ...]] = None
         self._walked: tuple[int, Sequence[int], frozenset[int]] = _UNWALKED
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, Hom]] = {}
@@ -206,12 +205,25 @@ class RingContext:
         return self._commutative
 
     @property
-    def powers(self) -> tuple[int, ...]:
-        """Mask of the powers a, a^2, ... of each element a, built on first use."""
-        if self._powers is None:
-            self._powers = tuple(elements_mask(element_powers(self.ring, a))
-                                 for a in range(self.n))
-        return self._powers
+    def idempotents(self) -> tuple[int, ...]:
+        """The idempotent power a^ω of each element a, built on first use.
+
+        A two-sided I holds a power of a iff it holds a^ω; a is nilpotent iff
+        a^ω = 0. A walk stops at a power already known: at most 2n row reads.
+        """
+        if self._idempotents is None:
+            mul, idem = self.ring.mul, [-1] * self.n
+            for a in range(self.n):
+                walk, p = {}, a  # a^(i+1) -> i
+                while idem[p] < 0 and p not in walk:
+                    walk[p] = len(walk)
+                    p = mul[p][a]
+                if idem[p] < 0:  # p recurs: its cycle is a group, whose one idempotent is a^ω
+                    idem[p] = next(x for x in list(walk)[walk[p]:] if mul[x][x] == x)
+                for x in walk:
+                    idem[x] = idem[p]
+            self._idempotents = tuple(idem)
+        return self._idempotents
 
     def walked(self, m: int) -> tuple[int, Sequence[int], frozenset[int]]:
         """(m, least element of each coset of m ascending, m's elements) for a two-sided m.
@@ -360,8 +372,8 @@ def _outside_elements(ctx: RingContext, m: int) -> Sequence[int]:
 
 
 def _powerless_elements(ctx: RingContext, m: int) -> list[int]:
-    powers = ctx.powers
-    return [a for a in ctx.walked(m)[1] if not powers[a] & m]
+    idem = ctx.idempotents
+    return [a for a in ctx.walked(m)[1] if not m >> idem[a] & 1]
 
 
 Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, ascending
@@ -476,9 +488,9 @@ def _ideal_pairs(
 
 def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
     """a^n in I for some n implies a in I."""
-    powers = ctx.powers
+    idem = ctx.idempotents
     for a in _outside_elements(ctx, m):
-        if powers[a] & m:
+        if m >> idem[a] & 1:
             n = element_power_in(ctx.ring, a, Ideal(ctx.ring, m))
             return Verdict(False, Witness.element(a, n=n))
     return _TRUE
@@ -608,7 +620,7 @@ def classify_ideal(i: Ideal) -> PropertyReport:
         char=characteristic(ring) if ctx.unital else None,
         commutative=ctx.commutative,
         unital=ctx.unital,
-        nil=all(p & 1 for p in ctx.powers),
+        nil=not any(ctx.idempotents),
     )
 
 

@@ -10,11 +10,11 @@ Constructors build whole tables at once: each element is decoded into
 digit arrays, and every entry of all sums and products is one numpy
 gather over all pairs, in int16 (up to order 2**15). :meth:`Ring.from_tables`
 checks the arrays, derives the negation table once (so closures negate in
-O(1)) and stores tuples of Python ints; a Ring keeps no numpy arrays.
-The bitmasks of the one-element products Ax and xA, and the hash, are
-derived on first use and cached on the ring; computing them twice is
-harmless, so rings can still be shared freely across threads. All
-functions here are pure.
+O(1)) and stores tuples of Python ints, one int object per element shared
+by all its entries; a Ring keeps no numpy arrays. The bitmasks of the
+one-element products Ax and xA, and the hash, are derived on first use
+and cached on the ring; computing them twice is harmless, so rings can
+still be shared freely across threads. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -112,10 +112,9 @@ class Ring:
         zero = add_a == 0
         if not zero.any(axis=1).all():
             raise ValueError(f"element {int(zero.any(axis=1).argmin())} has no additive inverse")
-        if one is not None and not isinstance(one, (int, np.integer)):
-            raise ValueError(f"unity index {one!r} is not an integer")
-        if one is not None and not 0 <= one < order:
-            raise ValueError(f"unity index {one} out of range")
+        _check_unity(order, one)
+        if order > 257:  # past CPython's shared ints 0..256: one int object per element, not entry
+            add_a, mul_a = idx.astype(object)[np.stack((add_a, mul_a))]
         add_t, mul_t = (tuple(tuple(row.tolist()) for row in t) for t in (add_a, mul_a))
         return cls(order, add_t, mul_t, one, label, tuple(zero.argmax(axis=1).tolist()))
 
@@ -131,16 +130,31 @@ def _table_array(order: int, table, what: str) -> np.ndarray:
     for i, row in enumerate(table):
         if len(row) != order:
             raise ValueError(f"{what} table row {i} has length {len(row)}, expected {order}")
-    t = np.asarray(table)  # object dtype if an entry does not fit int64
+    return _index_array(order, table, f"{what} table", (order, order))
+
+
+def _index_array(order: int, values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The values as an array of the shape of indices in [0, order); ValueError unless so."""
+    t = np.asarray(values)  # object dtype if an entry does not fit int64
+    if t.shape != shape:
+        raise ValueError(f"{what} has shape {t.shape}, expected {shape}")
     if t.dtype.kind not in "iu":
         odd = [x for x in t.ravel().tolist() if not isinstance(x, (int, np.integer))]
         if odd:
-            raise ValueError(f"{what} table entries must be integers, got {odd[0]!r}")
+            raise ValueError(f"{what} entries must be integers, got {odd[0]!r}")
     bad = (t < 0) | (t >= order)
     if bad.any():
         x = int(t.flat[bad.argmax()])
-        raise ValueError(f"{what} table entry {x} out of range [0, {order})")
+        raise ValueError(f"{what} entry {x} out of range [0, {order})")
     return t.astype(_index_dtype(order), copy=False)
+
+
+def _check_unity(order: int, one) -> None:
+    """ValueError unless one is None or an integer index below order."""
+    if one is not None and not isinstance(one, (int, np.integer)):
+        raise ValueError(f"unity index {one!r} is not an integer")
+    if one is not None and not 0 <= one < order:
+        raise ValueError(f"unity index {one} out of range")
 
 
 @dataclass(frozen=True)
@@ -160,12 +174,11 @@ def hom_violations(h: Hom) -> list[str]:
     """Check additivity/multiplicativity of a Hom; returns defect descriptions."""
     out = []
     src, tgt = h.source, h.target
-    for a in src.elements:
-        for b in src.elements:
-            if h.map[src.add[a][b]] != tgt.add[h.map[a]][h.map[b]]:
-                out.append(f"additivity fails at ({a},{b})")
-            if h.map[src.mul[a][b]] != tgt.mul[h.map[a]][h.map[b]]:
-                out.append(f"multiplicativity fails at ({a},{b})")
+    for a, b in product(src.elements, repeat=2):
+        if h.map[src.add[a][b]] != tgt.add[h.map[a]][h.map[b]]:
+            out.append(f"additivity fails at ({a},{b})")
+        if h.map[src.mul[a][b]] != tgt.mul[h.map[a]][h.map[b]]:
+            out.append(f"multiplicativity fails at ({a},{b})")
     if h.surjective and len(set(h.map)) != tgt.order:
         out.append("marked surjective but image is not the whole target")
     return out
@@ -266,55 +279,44 @@ def _matrix_tables(base: Ring, k: int, positions: list[tuple[int, int]], order: 
     return add, mul, one
 
 
-def _check_dimension(base: Ring, k: int, cells: int, size_cap: int) -> None:
-    """Reject k before the order base.order ** cells, which can have billions of digits.
+def _matrix_ring(base: Ring, k: int, size_cap: int, triangular: bool) -> Ring:
+    """Full or upper-triangular k x k matrices over a unital base ring.
 
-    Over a base of two or more elements, cells > size_cap.bit_length() puts the
-    order above the cap; over the order-1 base the cells themselves are bounded.
+    Cells are bounded before the order base.order ** cells, which can have billions of
+    digits: more than size_cap.bit_length() of them (size_cap over an order-1 base) exceed the cap.
     """
+    if base.one is None:
+        raise ValueError(f"{'triangular ' if triangular else ''}matrix ring requires a unital base ring")
+    if k < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {k}")
+    cells = k * (k + 1) // 2 if triangular else k * k
     if cells > (size_cap.bit_length() if base.order > 1 else size_cap):
         raise SizeCapError(f"matrix dimension {k} over {base.label} exceeds cap {size_cap} "
                            f"({cells} entries per matrix)")
+    order = base.order ** cells
+    if order > size_cap:
+        kind = "triangular" if triangular else "matrix"
+        raise SizeCapError(f"{kind} ring order {order} exceeds cap {size_cap}")
+    positions = [(i, j) for i in range(k) for j in range(i if triangular else 0, k)]
+    add, mul, one = _matrix_tables(base, k, positions, order)
+    label = f"{'T' if triangular else 'M'}:{k}:{base.label}"
+    return Ring.from_tables(order, add, mul, one=one, label=label)
 
 
 def make_matrix_ring(base: Ring, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Full k x k matrix ring over a unital base ring."""
-    if base.one is None:
-        raise ValueError("matrix ring requires a unital base ring")
-    if k < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {k}")
-    _check_dimension(base, k, k * k, size_cap)
-    order = base.order ** (k * k)
-    if order > size_cap:
-        raise SizeCapError(f"matrix ring order {order} exceeds cap {size_cap}")
-    positions = [(i, j) for i in range(k) for j in range(k)]
-    add, mul, one = _matrix_tables(base, k, positions, order)
-    return Ring.from_tables(order, add, mul, one=one, label=f"M:{k}:{base.label}")
+    return _matrix_ring(base, k, size_cap, triangular=False)
 
 
 def make_upper_triangular(base: Ring, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     """Subring of k x k upper-triangular matrices over a unital base ring."""
-    if base.one is None:
-        raise ValueError("triangular matrix ring requires a unital base ring")
-    if k < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {k}")
-    _check_dimension(base, k, k * (k + 1) // 2, size_cap)
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    order = base.order ** len(positions)
-    if order > size_cap:
-        raise SizeCapError(f"triangular ring order {order} exceeds cap {size_cap}")
-    add, mul, one = _matrix_tables(base, k, positions, order)
-    return Ring.from_tables(order, add, mul, one=one, label=f"T:{k}:{base.label}")
+    return _matrix_ring(base, k, size_cap, triangular=True)
 
 
 def matrix_entry_index(base: Ring, k: int, entries: Sequence[Sequence[int]]) -> int:
-    """Element index of a given matrix in make_matrix_ring(base, k)."""
-    q = base.order
-    idx = 0
-    for i in reversed(range(k)):
-        for j in reversed(range(k)):
-            idx = idx * q + entries[i][j]
-    return idx
+    """Index in make_matrix_ring(base, k) of k rows of k elements of base; ValueError if not."""
+    digits = _index_array(base.order, entries, "matrix", (k, k)).ravel().tolist()
+    return sum(x * base.order**e for e, x in enumerate(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +356,18 @@ def _additive_generators(add: Table) -> list[int]:
 def validate_ring(r: Ring) -> ValidationReport:
     """Check every ring axiom, reporting witnesses for each violation.
 
-    Axioms over one or two elements are checked everywhere, triple axioms
-    only at the additive generators S of :func:`_additive_generators`:
-    O(n² log n) on every input. (x+s)+y = x+(s+y) is Light's test: the
-    elements passing it are closed under +, and each span of passing
-    generators is a group at least double the last. a(x+s) = ax+as,
-    (x+s)c = xc+sc and (xs)y = x(sy) extend from S to A by additivity.
-    Witnesses fill their axiom's (a, b, c) slots: (x, s, y) for both
-    associativities, (a, x, s) and (x, s, c) for left and right
-    distributivity. No temporary exceeds ``_CHUNK_ENTRIES``; the witness
-    list is capped at ``MAX_VIOLATIONS``, and ``truncated`` records
+    Tables, negation and unity first pass :meth:`Ring.from_tables`' own
+    checks; a field that fails is reported ``<field>-malformed`` and ends
+    the report. Axioms over one or two elements, a + neg(a) = 0 among them,
+    are checked everywhere, triple axioms only at the additive generators S
+    of :func:`_additive_generators`: O(n² log n) on every input.
+    (x+s)+y = x+(s+y) is Light's test: the elements passing it are closed
+    under +, and each span of passing generators is a group at least double
+    the last. a(x+s) = ax+as, (x+s)c = xc+sc and (xs)y = x(sy) extend from
+    S to A by additivity. Witnesses fill their axiom's (a, b, c) slots:
+    (x, s, y) for both associativities, (a, x, s) and (x, s, c) for left
+    and right distributivity. No temporary exceeds ``_CHUNK_ENTRIES``; the
+    witness list is capped at ``MAX_VIOLATIONS``, and ``truncated`` records
     whether anything was cut.
     """
     n = r.order
@@ -378,24 +382,24 @@ def validate_ring(r: Ring) -> ValidationReport:
                 return
             out.append((axiom, tuple(int(x) for x in w)))
 
-    def table(rows) -> Optional[np.ndarray]:
-        """The rows as an n x n array, or None unless they are n rows of n indices below n."""
-        if len(rows) != n or any(len(row) != n for row in rows):
-            return None  # ragged rows have no array shape
-        t = np.array(rows, dtype=np.int64)
-        return None if (t < 0).any() or (t >= n).any() else t
+    def checked(name: str, check, *args) -> Optional[np.ndarray]:
+        try:
+            return check(*args)
+        except ValueError:
+            out.append((f"{name}-malformed", ()))
 
-    add, mul = table(r.add), table(r.mul)
-    out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
+    add = checked("add-table", _table_array, n, r.add, "addition")
+    mul = checked("mul-table", _table_array, n, r.mul, "multiplication")
+    neg = checked("negation-table", _index_array, n, r.neg, "negation table", (n,))
+    checked("unity", _check_unity, n, r.one)
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
-    # narrow, so the (rows, n) temporaries below are narrow too
-    add, mul = add.astype(_index_dtype(n)), mul.astype(_index_dtype(n))
 
     rng = np.arange(n)
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])
     extend("add-commutativity", np.argwhere(add != add.T))
     extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
+    extend("negation", [(a,) for a in np.nonzero(add[rng, neg] != 0)[0]])
 
     chunk = max(1, _CHUNK_ENTRIES // n)
     gens = _additive_generators(r.add)
@@ -414,8 +418,7 @@ def validate_ring(r: Ring) -> ValidationReport:
                 extend(axiom, np.insert(np.argwhere(mism) + (x0, 0), slot, s, axis=1))
 
     if r.one is not None:
-        e = r.one
-        extend("unity", [(a,) for a in np.nonzero((mul[e] != rng) | (mul[:, e] != rng))[0]])
+        extend("unity", [(a,) for a in np.nonzero((mul[r.one] != rng) | (mul[:, r.one] != rng))[0]])
 
     return ValidationReport(r.label, tuple(out), truncated)
 
@@ -428,22 +431,17 @@ def element_powers(r: Ring, a: int) -> tuple[int, ...]:
     """Distinct powers a^1, a^2, ... in order, stopping when they cycle."""
     if not 0 <= a < r.order:
         raise ValueError(f"element {a} out of range")
-    seen = set()
-    seq = []
-    p = a
+    seen, p = {}, a  # a dict keeps the powers in order
     while p not in seen:
-        seen.add(p)
-        seq.append(p)
+        seen[p] = None
         p = r.mul[p][a]
-    return tuple(seq)
+    return tuple(seen)
 
 
 def element_is_nilpotent(r: Ring, a: int) -> Optional[int]:
     """Least n >= 1 with a^n = 0, or None if no power vanishes."""
-    for exp, p in enumerate(element_powers(r, a), start=1):
-        if p == 0:
-            return exp
-    return None
+    powers = element_powers(r, a)
+    return powers.index(0) + 1 if 0 in powers else None
 
 
 def is_commutative(r: Ring) -> bool:
@@ -492,8 +490,7 @@ def characteristic(r: Ring) -> Characteristic:
     """Additive order of the unity element; requires a unital ring."""
     if r.one is None:
         raise ValueError(f"ring {r.label} has no unity")
-    k = 1
-    s = r.one
+    k, s = 1, r.one
     while s != 0:
         s = r.add[s][r.one]
         k += 1

@@ -346,7 +346,9 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
     chunked along the first axis so no temporary exceeds 2²² entries.
     Witness slots: (a, b) for additive commutativity, (a, b, c) for
     (a·b)·c = a·(b·c), a(b+c) = ab+ac and (a+b)c = ac+bc, and the same
-    ``MAX_VIOLATIONS`` cut as :func:`nilary.validate_ring`.
+    ``MAX_VIOLATIONS`` cut as :func:`nilary.validate_ring`. A malformed
+    table, negation table or unity index is reported with no witness and
+    ends the report; a stored negation that is not the inverse is witnessed.
     """
     n = r.order
     out: list[tuple[str, tuple[int, ...]]] = []
@@ -368,6 +370,10 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
 
     add, mul = table(r.add), table(r.mul)
     out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
+    if len(r.neg) != n or not all(type(x) is int and 0 <= x < n for x in r.neg):
+        out.append(("negation-table-malformed", ()))
+    if r.one is not None and not (type(r.one) is int and 0 <= r.one < n):
+        out.append(("unity-malformed", ()))
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
 
@@ -375,6 +381,7 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])
     extend("add-commutativity", np.argwhere(add != add.T))
     extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
+    extend("negation", [(a,) for a in range(n) if add[a][r.neg[a]] != 0])
 
     chunk = max(1, (1 << 22) // (n * n))
     for axiom, lhs_of, rhs_of in (

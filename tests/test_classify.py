@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -138,13 +139,38 @@ def test_weakly_onesided(z6, m2z2):
 
 
 def test_power_table_and_nil_flag(builtin_rings):
-    """The context's power table against element_powers, and the report's nil flag."""
-    for r in [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]:
-        powers = RingContext(r).powers
-        assert len(powers) == r.order, r.label
-        for a in range(r.order):
-            assert powers[a] == elements_mask(element_powers(r, a)), (r.label, a)
+    """The context's idempotent powers against element_powers, and the report's nil flag.
+
+    idem[a] is the one power x of a with x·x = x, and a two-sided ideal holds
+    some power of a iff it holds idem[a]. Zn:211, a prime field, has powers
+    cycling through up to 210 elements.
+    """
+    for r in [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES, "Zn:211"))]:
+        ctx = RingContext(r)
+        idem, powers = ctx.idempotents, [element_powers(r, a) for a in r.elements]
+        for a, pw in enumerate(powers):
+            assert [x for x in pw if r.mul[x][x] == x] == [idem[a]], (r.label, a)
+        masks = [elements_mask(pw) for pw in powers]
+        for m in ctx.lattice_masks():
+            for a in r.elements:
+                assert bool(masks[a] & m) == bool(m >> idem[a] & 1), (r.label, m, a)
         assert classify_ring(r).nil == is_nil_ring(r), r.label
+
+
+def test_idempotent_pass_reads_at_most_3n_rows():
+    """On Zn:4093, where walking every element's powers reads ~n²/2 rows, the pass reads <= 3n."""
+    n = 4093
+
+    class CountingRows:
+        reads = 0
+
+        def __getitem__(self, p):
+            CountingRows.reads += 1
+            return np.arange(n) * p % n
+
+    idem = RingContext(Ring(n, (), CountingRows(), 1, f"Zn:{n}", ())).idempotents
+    assert idem == (0,) + (1,) * (n - 1)
+    assert CountingRows.reads <= 3 * n
 
 
 def test_classify_ring_profiles(z6, m2z2):

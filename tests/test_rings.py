@@ -115,10 +115,33 @@ def test_corrupted_table_reports_witness():
     (((0, 1), (1,)), ((0, 0), (0, 0)), "add-table-malformed"),
     (((0, 1), (1, 0)), ((0, 0), (0, 0, 0)), "mul-table-malformed"),
     (((0, 1),), ((0, 0), (0, 0)), "add-table-malformed"),
+    # entries from_tables rejects, however numpy would coerce them
+    (((0, 1), (1, 0)), ((0, 0), (0, 1.5)), "mul-table-malformed"),
+    (((0, 1), (1, "1")), ((0, 0), (0, 1)), "add-table-malformed"),
+    (((0, 1), (1, 1.0)), ((0, 0), (0, 1)), "add-table-malformed"),
+    (((0, 1), (1, 10**30)), ((0, 0), (0, 1)), "add-table-malformed"),
+    (((0, 1), (1, 0)), ((0, 0), (0, 10**30)), "mul-table-malformed"),
 ])
 def test_ragged_table_is_reported(add, mul, axiom):
     report = validate_ring(Ring(2, add, mul, None, "ragged", (0, 1)))
     assert report.violations == ((axiom, ()),)
+
+
+@pytest.mark.parametrize("n, fields, violations", [
+    (2, {"one": 5}, (("unity-malformed", ()),)),
+    (2, {"one": -1}, (("unity-malformed", ()),)),
+    (2, {"one": 1.0}, (("unity-malformed", ()),)),
+    (2, {"one": "1"}, (("unity-malformed", ()),)),
+    (2, {"neg": (0,)}, (("negation-table-malformed", ()),)),
+    (2, {"neg": (0, 1.0)}, (("negation-table-malformed", ()),)),
+    (2, {"neg": (0, 0)}, (("negation", (1,)),)),
+    (3, {"neg": (0, 1, 2)}, (("negation", (1,)), ("negation", (2,)))),
+])
+def test_malformed_unity_or_negation_is_reported(n, fields, violations):
+    """A hand-built Z_n with a bad unity or negation gets a report, from validate_ring and the oracle."""
+    r = dataclasses.replace(make_zn(n), **fields)
+    assert validate_ring(r).violations == validate_by_full_scan(r).violations == violations
+    assert all(violates(r, axiom, w) for axiom, w in violations if w)
 
 
 def violates(r: Ring, axiom: str, w: tuple[int, ...]) -> bool:
@@ -130,6 +153,8 @@ def violates(r: Ring, axiom: str, w: tuple[int, ...]) -> bool:
         return add[w[0]][w[1]] != add[w[1]][w[0]]
     if axiom == "add-negative-missing":
         return 0 not in add[w[0]]
+    if axiom == "negation":
+        return add[w[0]][r.neg[w[0]]] != 0
     if axiom == "unity":
         return mul[r.one][w[0]] != w[0] or mul[w[0]][r.one] != w[0]
     a, b, c = w
@@ -364,6 +389,26 @@ def test_is_commutative_is_the_pairwise_definition(builtin_rings):
         assert is_commutative(r) == want, r.label
         seen.add(want)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[5, 0], [0, 0]], r"matrix entry 5 out of range \[0, 2\)"),
+    ([[1, 0], [0, -1]], "matrix entry -1 out of range"),
+    ([[1.0, 0], [0, 0]], "matrix entries must be integers, got 1.0"),
+    ([[1, 0]], r"matrix has shape \(1, 2\), expected \(2, 2\)"),
+    ([[1, 0, 0], [0, 1, 0]], r"matrix has shape \(2, 3\)"),
+    ([[[1], [0]], [[0], [1]]], r"matrix has shape \(2, 2, 1\)"),
+    ([[1, 0], [0]], "with a sequence"),  # ragged: numpy's own ValueError
+])
+def test_matrix_entry_index_rejects_what_is_not_a_matrix_over_the_base(entries, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_entry_index(make_zn(2), 2, entries)
+
+
+def test_matrix_entry_index_numbers_entries_row_by_row():
+    z3 = make_zn(3)
+    assert matrix_entry_index(z3, 2, [[1, 2], [0, 1]]) == 1 + 2 * 3 + 0 * 9 + 1 * 27
+    assert matrix_entry_index(z3, 1, [[2]]) == 2
 
 
 def test_matrix_ring_k1_is_base():
