@@ -74,12 +74,7 @@ def _max_order(args) -> Optional[int]:
 
 
 def _corpus_rings(args) -> list:
-    if args.corpus:
-        config = load_corpus_file(args.corpus)
-    elif args.builtin:
-        config = build_builtin_corpus()
-    else:
-        raise ValueError("choose a corpus: --builtin or --corpus <file.json>")
+    config = build_builtin_corpus() if args.builtin else load_corpus_file(args.corpus)
     cap = _max_order(args)
     if cap is not None:
         config = dataclasses.replace(config, max_order=cap)
@@ -206,8 +201,9 @@ def cmd_hunt(args) -> int:
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--builtin", action="store_true", help="use the builtin corpus")
-    p.add_argument("--corpus", metavar="FILE", help="corpus JSON file")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--builtin", action="store_true", help="use the builtin corpus")
+    corpus.add_argument("--corpus", metavar="FILE", help="corpus JSON file")
     p.add_argument("--max-order", type=int, default=None, help="drop rings above this order")
 
 

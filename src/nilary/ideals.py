@@ -12,8 +12,8 @@ the same subgroup as the products g*h of the generators of J and K.
 Lattices are the principal ideals closed under coset-wise joins; they
 record which members are principal and the generators their spans used,
 so that :class:`nilary.classify.RingContext` multiplies lattice members
-without spanning them again. A quotient's tables are read off the
-parent's through the coset map. The 2^n subset scan is kept as an
+without spanning them again. One walk picks each coset's least element,
+for joins, element scans and quotients. The 2^n subset scan is kept as an
 independent oracle for small orders. Everything here is immutable and pure.
 """
 
@@ -308,6 +308,18 @@ def _principal_spans(
     return tuple(of), gens
 
 
+def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Coset number of every element, and the least element of each coset, ascending."""
+    q_of = [-1] * r.order
+    reps: list[int] = []
+    for a, row in enumerate(r.add):
+        if q_of[a] < 0:
+            for x in ideal_elems:
+                q_of[row[x]] = len(reps)
+            reps.append(a)
+    return q_of, reps
+
+
 def enumerate_ideals(
     r: Ring, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
 ) -> IdealLattice:
@@ -315,9 +327,9 @@ def enumerate_ideals(
 
     Every ideal is a sum of principal ideals. I + (a) depends only on the
     coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
-    with each distinct (a) over one representative a per coset outside it,
-    by growing its own cosets (a seeded span). A join's generators are I's
-    plus those its span adds. The lattice records which ideals are principal.
+    with each distinct (a) over the least element a of each coset outside it,
+    as :func:`coset_walk` lists them. A join's generators are I's plus those
+    its seeded span adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
     of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
@@ -327,12 +339,8 @@ def enumerate_ideals(
         if len(gens) > max_ideals:
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
         im, ielems = queue.pop()
-        joined, covered = set(), im
-        while rest := full_mask(r) & ~covered:
-            a = (rest & -rest).bit_length() - 1
-            row = r.add[a]
-            for x in ielems:
-                covered |= 1 << row[x]
+        joined = set()
+        for a in coset_walk(r, ielems)[1][1:]:
             if of[a] in joined or not im & ~of[a]:
                 continue  # joined already, or I inside (a): the join is (a)
             joined.add(of[a])
@@ -378,18 +386,6 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
 
 # ---------------------------------------------------------------------------
 # quotients
-
-
-def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Coset number of every element, and the least element of each coset, ascending."""
-    q_of = [-1] * r.order
-    reps: list[int] = []
-    for a, row in enumerate(r.add):
-        if q_of[a] < 0:
-            for x in ideal_elems:
-                q_of[row[x]] = len(reps)
-            reps.append(a)
-    return q_of, reps
 
 
 def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .classify import RingContext, Verdict, Witness, ring_context
-from .ideals import TWO_SIDED, elements_mask, mask_elements
+from .ideals import TWO_SIDED, additive_generators, elements_mask, mask_elements
 from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
@@ -285,13 +285,14 @@ def _pnil_lift(run: _Run, ctx: RingContext) -> None:
 
 
 def _pcomm(run: _Run, ctx: RingContext) -> None:
-    """Over a commutative quotient, p-nilary iff completely nilary."""
+    """Over a commutative quotient, p-nilary iff completely nilary.
+
+    A/I is commutative iff I holds every ab - ba; the commutator is
+    bilinear, so iff I holds gh - hg for the additive generators g, h of A.
+    """
     add, mul, neg = ctx.ring.add, ctx.ring.mul, ctx.ring.neg
-    commutators = 0  # A/I is commutative iff I holds every ab - ba
-    if not ctx.commutative:
-        for a in range(ctx.n):
-            for b in range(a + 1, ctx.n):
-                commutators |= 1 << add[mul[a][b]][neg[mul[b][a]]]
+    gens = additive_generators(ctx.ring, ctx.full_mask)
+    commutators = elements_mask(add[mul[g][h]][neg[mul[h][g]]] for g in gens for h in gens)
     for m in ctx.lattice_masks(TWO_SIDED):
         if not run.instance(not commutators & ~m):
             continue

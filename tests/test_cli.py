@@ -264,6 +264,18 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify", "M:2:Zn:8", "--max-order", "100")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--builtin", "--corpus", "F"],
+                                  ["hunt", "q", "--corpus", "F", "--builtin"]])
+def test_builtin_and_corpus_together_exit_2(capsys, tmp_path, argv):
+    """A run takes exactly one corpus: --builtin with --corpus is a usage error."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:4"]))
+    code, out, err = run(capsys, *(str(corpus) if a == "F" else a for a in argv))
+    assert code == 2 and not out
+    message = err.splitlines()[-1]  # argparse's error line, below the usage text
+    assert "--builtin" in message and "--corpus" in message and "not allowed" in message
+
+
 def test_oversized_cyclic_spec_exits_2_before_building(capsys):
     # 10^10 table entries if the cap were checked only after construction
     code, _, err = run(capsys, "classify", "Zn:100000", "--max-order", "10")

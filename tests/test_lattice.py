@@ -76,6 +76,24 @@ def test_join_depends_only_on_the_coset():
                 assert join in lattice.masks()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_joins_walk_each_ideal_once_through_coset_walk(monkeypatch, kind):
+    """Join representatives come from ideals.coset_walk: one walk per ideal, no other."""
+    calls = []
+    walk = ideals.coset_walk
+
+    def counted(r, ideal_elems):
+        calls.append(1)
+        return walk(r, ideal_elems)
+
+    monkeypatch.setattr(ideals, "coset_walk", counted)
+    for spec in (*LADDER, *HUNT_SHAPES, ZERO_RING_5):
+        r = parse_ring_spec(spec)  # a quot spec walks its kernel's cosets here
+        calls.clear()
+        lattice = enumerate_ideals(r, kind)
+        assert len(calls) == len(lattice), spec
+
+
 @pytest.mark.parametrize("spec", ["Zn:12", "T:3:Zn:2", "dsum(T:2:Zn:3,zmul:4)",
                                   "dsum(zmul:2,dsum(zmul:2,zmul:2))", ZERO_RING_5])
 @pytest.mark.parametrize("kind", KINDS)

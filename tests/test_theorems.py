@@ -155,9 +155,9 @@ def test_run_all_fetches_each_context_once():
 
 def test_pcomm_hypothesis_is_a_commutative_quotient(builtin_rings):
     """Pcomm-pnilary's hypothesis holds on exactly the ideals I with A/I commutative."""
-    rings = [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES))]
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in (*LADDER, *HUNT_SHAPES, "T:2:Zn:6"))]
     noncommutative = [r for r in rings if not is_commutative(r)]
-    assert len(noncommutative) == 16
+    assert len(noncommutative) == 17
     for r in noncommutative:
         (res,) = run_all([r], ["Pcomm-pnilary"])
         want = sum(is_commutative(make_quotient(r, Ideal(r, m))[0])
