@@ -50,6 +50,8 @@ def load_corpus_file(path: str | Path) -> CorpusConfig:
     JSON nested too deeply and a file over ``MAX_CORPUS_BYTES`` raise
     ValueError. The keys are CorpusConfig's fields.
     """
+    if not str(path):
+        raise ValueError("corpus path is empty")
     with Path(path).open("rb") as fh:
         text = fh.read(MAX_CORPUS_BYTES + 1)
     if len(text) > MAX_CORPUS_BYTES:

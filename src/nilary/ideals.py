@@ -203,10 +203,8 @@ def is_ideal_mask(r: Ring, mask: int, kind: str = TWO_SIDED) -> bool:
         return False
     elems = mask_elements(mask)
     for x in elems:
-        if not mask >> r.neg[x] & 1:
-            return False
         row = r.add[x]
-        if any(not mask >> row[y] & 1 for y in elems):
+        if not mask >> row.index(0) & 1 or any(not mask >> row[y] & 1 for y in elems):
             return False
         if kind != RIGHT and any(not mask >> r.mul[z][x] & 1 for z in r.elements):
             return False
@@ -310,13 +308,13 @@ def _principal_spans(
 
 def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int]]:
     """Coset number of every element, and the least element of each coset, ascending."""
-    q_of = [-1] * r.order
-    reps: list[int] = []
-    for a, row in enumerate(r.add):
-        if q_of[a] < 0:
-            for x in ideal_elems:
-                q_of[row[x]] = len(reps)
-            reps.append(a)
+    q_of, reps, a = [-1] * r.order, [], 0
+    for q in range(r.order // len(ideal_elems)):  # n/|I| cosets (Lagrange), one add row each
+        a = q_of.index(-1, a)
+        row = r.add[a]
+        for x in ideal_elems:
+            q_of[row[x]] = q
+        reps.append(a)
     return q_of, reps
 
 
@@ -366,7 +364,7 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
     has = [(idx >> e) & 1 != 0 for e in range(n)]
     ok = has[0].copy()
     for a in range(n):
-        ok &= ~has[a] | has[r.neg[a]]
+        ok &= ~has[a] | has[r.add[a].index(0)]
     for a in range(n):
         row = r.add[a]
         for b in range(n):
@@ -391,8 +389,8 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
 def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     """Quotient ring on least-index coset representatives, plus the projection.
 
-    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers. Every
-    table, negation included, is read off the parent's through the coset map.
+    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers. Both
+    tables are read off the parent's through the coset map.
     """
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
@@ -403,7 +401,7 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None
     label = f"{r.label}/{{{','.join(map(str, i.elements))}}}"
-    q = Ring(len(reps), qadd, qmul, qone, label, tuple(q_of[r.neg[a]] for a in reps))
+    q = Ring(len(reps), qadd, qmul, qone, label)
     return q, Hom(r, q, tuple(q_of), surjective=True)
 
 

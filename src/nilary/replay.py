@@ -86,7 +86,7 @@ def _is_ideal_set(r: Ring, s: frozenset[int], side: str) -> bool:
     if 0 not in s:
         return False
     for x in s:
-        if r.neg[x] not in s:
+        if r.add[x].index(0) not in s:
             return False
         if any(r.add[x][y] not in s for y in s):
             return False
@@ -105,7 +105,7 @@ def _is_principal(r: Ring, s: frozenset[int], side: str) -> bool:
         while grew:
             grew = False
             for x in list(gen):
-                new = {r.add[x][y] for y in gen} | {r.neg[x]}
+                new = {r.add[x][y] for y in gen} | {r.add[x].index(0)}
                 if side in ("two-sided", "left"):
                     new |= {r.mul[z][x] for z in r.elements}
                 if side in ("two-sided", "right"):

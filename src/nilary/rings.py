@@ -9,9 +9,9 @@ index is recorded in ``one`` (the order-1 ring has ``one = 0``).
 Constructors build whole tables at once: each element is decoded into
 digit arrays, and every entry of all sums and products is one numpy
 gather over all pairs, in int16 (up to order 2**15). :meth:`Ring.from_tables`
-checks the arrays, derives the negation table once (so closures negate in
-O(1)) and stores tuples of Python ints, one int object per element shared
-by all its entries; a Ring keeps no numpy arrays. The bitmasks of the
+checks the arrays and stores tuples of Python ints, one int object per
+element shared by all its entries; a Ring keeps no numpy arrays and no
+table of negatives: -a is ``add[a].index(0)``. The bitmasks of the
 one-element products Ax and xA, and the hash, are derived on first use
 and cached on the ring; computing them twice is harmless, so rings can
 still be shared freely across threads. All functions here are pure.
@@ -47,7 +47,6 @@ class Ring:
     mul: Table
     one: Optional[int]
     label: str
-    neg: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"Ring({self.label!r}, order={self.order})"
@@ -80,7 +79,7 @@ class Ring:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.order, self.add, self.mul, self.one, self.label, self.neg))
+        return hash((self.order, self.add, self.mul, self.one, self.label))
 
     def __hash__(self) -> int:
         # the dataclass hash would re-hash both tables on every call
@@ -116,7 +115,7 @@ class Ring:
         if order > 257:  # past CPython's shared ints 0..256: one int object per element, not entry
             add_a, mul_a = idx.astype(object)[np.stack((add_a, mul_a))]
         add_t, mul_t = (tuple(tuple(row.tolist()) for row in t) for t in (add_a, mul_a))
-        return cls(order, add_t, mul_t, one, label, tuple(zero.argmax(axis=1).tolist()))
+        return cls(order, add_t, mul_t, one, label)
 
 
 def _index_dtype(order: int) -> type:
@@ -356,11 +355,11 @@ def _additive_generators(add: Table) -> list[int]:
 def validate_ring(r: Ring) -> ValidationReport:
     """Check every ring axiom, reporting witnesses for each violation.
 
-    Tables, negation and unity first pass :meth:`Ring.from_tables`' own
-    checks; a field that fails is reported ``<field>-malformed`` and ends
-    the report. Axioms over one or two elements, a + neg(a) = 0 among them,
-    are checked everywhere, triple axioms only at the additive generators S
-    of :func:`_additive_generators`: O(n² log n) on every input.
+    Tables and unity first pass :meth:`Ring.from_tables`' own checks; a
+    field that fails is reported ``<field>-malformed`` and ends the report.
+    Axioms over one or two elements are checked everywhere, triple axioms
+    only at the additive generators S of :func:`_additive_generators`:
+    O(n² log n) on every input.
     (x+s)+y = x+(s+y) is Light's test: the elements passing it are closed
     under +, and each span of passing generators is a group at least double
     the last. a(x+s) = ax+as, (x+s)c = xc+sc and (xs)y = x(sy) extend from
@@ -390,7 +389,6 @@ def validate_ring(r: Ring) -> ValidationReport:
 
     add = checked("add-table", _table_array, n, r.add, "addition")
     mul = checked("mul-table", _table_array, n, r.mul, "multiplication")
-    neg = checked("negation-table", _index_array, n, r.neg, "negation table", (n,))
     checked("unity", _check_unity, n, r.one)
     if out:
         return ValidationReport(r.label, tuple(out), truncated)
@@ -399,7 +397,6 @@ def validate_ring(r: Ring) -> ValidationReport:
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])
     extend("add-commutativity", np.argwhere(add != add.T))
     extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
-    extend("negation", [(a,) for a in np.nonzero(add[rng, neg] != 0)[0]])
 
     chunk = max(1, _CHUNK_ENTRIES // n)
     gens = _additive_generators(r.add)

@@ -288,11 +288,11 @@ def _pcomm(run: _Run, ctx: RingContext) -> None:
     """Over a commutative quotient, p-nilary iff completely nilary.
 
     A/I is commutative iff I holds every ab - ba; the commutator is
-    bilinear, so iff I holds gh - hg for the additive generators g, h of A.
+    bilinear, so iff I holds gh - hg (the d with hg + d = gh) for additive generators g, h.
     """
-    add, mul, neg = ctx.ring.add, ctx.ring.mul, ctx.ring.neg
+    add, mul = ctx.ring.add, ctx.ring.mul
     gens = additive_generators(ctx.ring, ctx.full_mask)
-    commutators = elements_mask(add[mul[g][h]][neg[mul[h][g]]] for g in gens for h in gens)
+    commutators = elements_mask(add[mul[h][g]].index(mul[g][h]) for g in gens for h in gens)
     for m in ctx.lattice_masks(TWO_SIDED):
         if not run.instance(not commutators & ~m):
             continue

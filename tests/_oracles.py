@@ -49,10 +49,11 @@ def close_by_worklist(r: Ring, mask: int, left: bool, right: bool) -> int:
     """Fixed-point closure under addition, negation and side multiplications.
 
     Worklist closure: every element, when popped, is combined with all
-    elements already absorbed, so each pair is covered exactly once. The
+    elements already absorbed, so each pair is covered exactly once; -x is
+    the d with x + d = 0, read off x's row of the addition table. The
     additive zero is always included. O(|I| * order) per closure.
     """
-    add, mul, neg, n = r.add, r.mul, r.neg, r.order
+    add, mul, n = r.add, r.mul, r.order
     mask |= 1
     queue = list(mask_elements(mask))
     members: list[int] = []
@@ -65,7 +66,7 @@ def close_by_worklist(r: Ring, mask: int, left: bool, right: bool) -> int:
             if not mask >> s & 1:
                 mask |= 1 << s
                 queue.append(s)
-        nx = neg[x]
+        nx = row.index(0)
         if not mask >> nx & 1:
             mask |= 1 << nx
             queue.append(nx)
@@ -116,9 +117,8 @@ def product_by_elements(r: Ring, jm: int, km: int) -> int:
 
 
 def ring_by_elements(order: int, add, mul, one: Optional[int], label: str) -> Ring:
-    """A Ring straight from element-wise tables, negation found by a row scan."""
-    neg = tuple(next(b for b in range(order) if add[a][b] == 0) for a in range(order))
-    return Ring(order, tuple(map(tuple, add)), tuple(map(tuple, mul)), one, label, neg)
+    """A Ring straight from element-wise tables."""
+    return Ring(order, tuple(map(tuple, add)), tuple(map(tuple, mul)), one, label)
 
 
 # Element-wise constructors with the signatures of those in nilary.rings; the
@@ -347,8 +347,7 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
     Witness slots: (a, b) for additive commutativity, (a, b, c) for
     (a·b)·c = a·(b·c), a(b+c) = ab+ac and (a+b)c = ac+bc, and the same
     ``MAX_VIOLATIONS`` cut as :func:`nilary.validate_ring`. A malformed
-    table, negation table or unity index is reported with no witness and
-    ends the report; a stored negation that is not the inverse is witnessed.
+    table or unity index is reported with no witness and ends the report.
     """
     n = r.order
     out: list[tuple[str, tuple[int, ...]]] = []
@@ -370,8 +369,6 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
 
     add, mul = table(r.add), table(r.mul)
     out += [(f"{name}-table-malformed", ()) for name, t in (("add", add), ("mul", mul)) if t is None]
-    if len(r.neg) != n or not all(type(x) is int and 0 <= x < n for x in r.neg):
-        out.append(("negation-table-malformed", ()))
     if r.one is not None and not (type(r.one) is int and 0 <= r.one < n):
         out.append(("unity-malformed", ()))
     if out:
@@ -381,7 +378,6 @@ def validate_by_full_scan(r: Ring) -> ValidationReport:
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])
     extend("add-commutativity", np.argwhere(add != add.T))
     extend("add-negative-missing", [(a,) for a in np.nonzero(~(add == 0).any(axis=1))[0]])
-    extend("negation", [(a,) for a in range(n) if add[a][r.neg[a]] != 0])
 
     chunk = max(1, (1 << 22) // (n * n))
     for axiom, lhs_of, rhs_of in (

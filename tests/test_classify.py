@@ -168,7 +168,7 @@ def test_idempotent_pass_reads_at_most_3n_rows():
             CountingRows.reads += 1
             return np.arange(n) * p % n
 
-    idem = RingContext(Ring(n, (), CountingRows(), 1, f"Zn:{n}", ())).idempotents
+    idem = RingContext(Ring(n, (), CountingRows(), 1, f"Zn:{n}")).idempotents
     assert idem == (0,) + (1,) * (n - 1)
     assert CountingRows.reads <= 3 * n
 

@@ -339,6 +339,13 @@ def test_corpus_file(capsys, tmp_path):
     assert run(capsys, "verify", "--corpus", str(bad))[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--corpus", ""], ["hunt", "unital", "--corpus", ""]])
+def test_empty_corpus_path_exits_2(capsys, argv):
+    """An empty --corpus names no file; the message says so rather than naming '.'."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err == "error: corpus path is empty\n"
+
+
 def test_oversized_corpus_file_exits_2(capsys, tmp_path):
     corpus = tmp_path / "corpus.json"
     text = json.dumps(["Zn:4"])

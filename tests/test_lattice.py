@@ -1,5 +1,6 @@
 """Lattice enumeration by coset-wise joins against its oracles, and its count cap."""
 
+import dataclasses
 import json
 import random
 
@@ -92,6 +93,35 @@ def test_joins_walk_each_ideal_once_through_coset_walk(monkeypatch, kind):
         calls.clear()
         lattice = enumerate_ideals(r, kind)
         assert len(calls) == len(lattice), spec
+
+
+class CountingRows(tuple):
+    """A table that counts the rows read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, a):
+        self.reads += 1
+        return super().__getitem__(a)
+
+    def __iter__(self):
+        return (self[a] for a in range(len(self)))
+
+
+def test_coset_walk_reads_one_add_row_per_coset():
+    """For every two-sided ideal I the walk reads |A/I| rows of add, not one per element,
+    and numbers the cosets by their least elements, ascending."""
+    for spec in (*LADDER, *HUNT_SHAPES):
+        r = parse_ring_spec(spec)
+        rows = CountingRows(r.add)
+        counted = dataclasses.replace(r, add=rows)
+        for i in enumerate_ideals(r):
+            rows.reads = 0
+            q_of, reps = ideals.coset_walk(counted, i.elements)
+            assert rows.reads == len(reps) == r.order // i.size, (spec, i)
+            least = [min(r.add[a][x] for x in i.elements) for a in r.elements]
+            assert reps == sorted(set(least)), (spec, i)
+            assert [reps[q] for q in q_of] == least, (spec, i)
 
 
 @pytest.mark.parametrize("spec", ["Zn:12", "T:3:Zn:2", "dsum(T:2:Zn:3,zmul:4)",

@@ -123,7 +123,7 @@ def test_corrupted_table_reports_witness():
     (((0, 1), (1, 0)), ((0, 0), (0, 10**30)), "mul-table-malformed"),
 ])
 def test_ragged_table_is_reported(add, mul, axiom):
-    report = validate_ring(Ring(2, add, mul, None, "ragged", (0, 1)))
+    report = validate_ring(Ring(2, add, mul, None, "ragged"))
     assert report.violations == ((axiom, ()),)
 
 
@@ -132,13 +132,9 @@ def test_ragged_table_is_reported(add, mul, axiom):
     (2, {"one": -1}, (("unity-malformed", ()),)),
     (2, {"one": 1.0}, (("unity-malformed", ()),)),
     (2, {"one": "1"}, (("unity-malformed", ()),)),
-    (2, {"neg": (0,)}, (("negation-table-malformed", ()),)),
-    (2, {"neg": (0, 1.0)}, (("negation-table-malformed", ()),)),
-    (2, {"neg": (0, 0)}, (("negation", (1,)),)),
-    (3, {"neg": (0, 1, 2)}, (("negation", (1,)), ("negation", (2,)))),
 ])
-def test_malformed_unity_or_negation_is_reported(n, fields, violations):
-    """A hand-built Z_n with a bad unity or negation gets a report, from validate_ring and the oracle."""
+def test_malformed_unity_is_reported(n, fields, violations):
+    """A hand-built Z_n with a bad unity gets a report, from validate_ring and the oracle."""
     r = dataclasses.replace(make_zn(n), **fields)
     assert validate_ring(r).violations == validate_by_full_scan(r).violations == violations
     assert all(violates(r, axiom, w) for axiom, w in violations if w)
@@ -153,8 +149,6 @@ def violates(r: Ring, axiom: str, w: tuple[int, ...]) -> bool:
         return add[w[0]][w[1]] != add[w[1]][w[0]]
     if axiom == "add-negative-missing":
         return 0 not in add[w[0]]
-    if axiom == "negation":
-        return add[w[0]][r.neg[w[0]]] != 0
     if axiom == "unity":
         return mul[r.one][w[0]] != w[0] or mul[w[0]][r.one] != w[0]
     a, b, c = w
@@ -273,9 +267,9 @@ def test_constructors_match_elementwise_oracle(spec, monkeypatch):
         for name, oracle in ORACLE_CONSTRUCTORS.items():
             m.setattr(specs, name, oracle)
         expected = parse_ring_spec(spec)
-    for field in ("order", "add", "mul", "one", "label", "neg"):
+    for field in ("order", "add", "mul", "one", "label"):
         assert getattr(ring, field) == getattr(expected, field), (spec, field)
-    for table in (ring.add, ring.mul, (ring.neg,)):
+    for table in (ring.add, ring.mul):
         assert all(type(x) is int for row in table for x in row), spec
 
 
