@@ -25,7 +25,6 @@ from .classify import (
     is_completely_semiprime,
     is_left_primary,
     is_nilary,
-    is_nilpotent_ideal,
     is_p_left_primary,
     is_p_nilary,
     is_p_right_primary,
@@ -51,10 +50,8 @@ from .ideals import (
     element_power_in,
     enumerate_ideals,
     enumerate_ideals_bruteforce,
-    full_ideal,
     ideal_generated_by,
     ideal_sum,
-    is_nil,
     make_quotient,
     principal_ideal,
     zero_ideal,
@@ -70,7 +67,6 @@ from .rings import (
     element_is_nilpotent,
     element_powers,
     is_commutative,
-    is_nil_ring,
     make_direct_sum,
     make_matrix_ring,
     make_upper_triangular,

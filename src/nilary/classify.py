@@ -56,7 +56,6 @@ from .ideals import (
     hom_image_mask,
     make_quotient,
     mask_elements,
-    zero_ideal,
 )
 from .rings import Characteristic, Hom, Ring, characteristic, is_commutative
 
@@ -358,11 +357,6 @@ def some_power_contained(j: Ideal, i: Ideal) -> Optional[int]:
     return None
 
 
-def is_nilpotent_ideal(i: Ideal) -> Optional[int]:
-    """Least m with I^m = {0}, or None."""
-    return some_power_contained(i, zero_ideal(i.ring, i.kind))
-
-
 # ---------------------------------------------------------------------------
 # predicate implementations (ctx, ideal mask) -> Verdict
 
@@ -655,7 +649,6 @@ __all__ = [
     "is_completely_semiprime",
     "is_left_primary",
     "is_nilary",
-    "is_nilpotent_ideal",
     "is_p_left_primary",
     "is_p_nilary",
     "is_p_right_primary",

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rings import Hom, Ring, SizeCapError, element_is_nilpotent, element_powers
+from .rings import Hom, Ring, SizeCapError, element_powers
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -90,10 +90,6 @@ class Ideal:
 
 def zero_ideal(r: Ring, kind: str = TWO_SIDED) -> Ideal:
     return Ideal(r, 1, kind)
-
-
-def full_ideal(r: Ring, kind: str = TWO_SIDED) -> Ideal:
-    return Ideal(r, full_mask(r), kind)
 
 
 def _check_kind(kind: str) -> None:
@@ -196,23 +192,6 @@ def principal_ideal(r: Ring, a: int, kind: str = TWO_SIDED) -> Ideal:
     return ideal_generated_by(r, (a,), kind)
 
 
-def is_ideal_mask(r: Ring, mask: int, kind: str = TWO_SIDED) -> bool:
-    """Direct check of the ideal axioms for a subset mask."""
-    _check_kind(kind)
-    if not mask >> 0 & 1:
-        return False
-    elems = mask_elements(mask)
-    for x in elems:
-        row = r.add[x]
-        if not mask >> row.index(0) & 1 or any(not mask >> row[y] & 1 for y in elems):
-            return False
-        if kind != RIGHT and any(not mask >> r.mul[z][x] & 1 for z in r.elements):
-            return False
-        if kind != LEFT and any(not mask >> r.mul[x][z] & 1 for z in r.elements):
-            return False
-    return True
-
-
 def _same_ring(i: Ideal, j: Ideal) -> None:
     if i.ring is not j.ring and i.ring != j.ring:
         raise ValueError(f"ideals live in different rings ({i.ring.label} vs {j.ring.label})")
@@ -234,14 +213,6 @@ def element_power_in(r: Ring, a: int, i: Ideal) -> Optional[int]:
         if i.mask >> p & 1:
             return exp
     return None
-
-
-def is_nil(i: Ideal) -> tuple[bool, Optional[int]]:
-    """Whether every element of I is nilpotent; witness is the first that is not."""
-    for a in i.elements:
-        if element_is_nilpotent(i.ring, a) is None:
-            return False, a
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -387,7 +358,7 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
 
 
 def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
-    """Quotient ring on least-index coset representatives, plus the projection.
+    """Quotient ring on least-index coset representatives, plus the projection onto it.
 
     The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers. Both
     tables are read off the parent's through the coset map.
@@ -402,7 +373,7 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     qone = q_of[r.one] if r.one is not None else None
     label = f"{r.label}/{{{','.join(map(str, i.elements))}}}"
     q = Ring(len(reps), qadd, qmul, qone, label)
-    return q, Hom(r, q, tuple(q_of), surjective=True)
+    return q, Hom(r, q, tuple(q_of))
 
 
 def hom_image_mask(h: Hom, mask: int) -> int:
@@ -428,14 +399,11 @@ __all__ = [
     "elements_mask",
     "enumerate_ideals",
     "enumerate_ideals_bruteforce",
-    "full_ideal",
     "full_mask",
     "generator_product",
     "hom_image_mask",
     "ideal_generated_by",
     "ideal_sum",
-    "is_ideal_mask",
-    "is_nil",
     "make_quotient",
     "mask_elements",
     "principal_ideal",

@@ -12,9 +12,9 @@ gather over all pairs, in int16 (up to order 2**15). :meth:`Ring.from_tables`
 checks the arrays and stores tuples of Python ints, one int object per
 element shared by all its entries; a Ring keeps no numpy arrays and no
 table of negatives: -a is ``add[a].index(0)``. The bitmasks of the
-one-element products Ax and xA, and the hash, are derived on first use
-and cached on the ring; computing them twice is harmless, so rings can
-still be shared freely across threads. All functions here are pure.
+one-element products Ax and xA are derived on first use and cached on
+the ring, harmless to compute twice; the hash reads no table. Rings can
+be shared freely across threads. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -77,13 +77,9 @@ class Ring:
         packed = np.packbits(bits, axis=2, bitorder="little")
         return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.order, self.add, self.mul, self.one, self.label))
-
     def __hash__(self) -> int:
-        # the dataclass hash would re-hash both tables on every call
-        return self._hash
+        # reads no table: equal rings share these fields, and rings differing in tables stay unequal
+        return hash((self.order, self.one, self.label))
 
     @classmethod
     def from_tables(
@@ -158,29 +154,14 @@ def _check_unity(order: int, one) -> None:
 
 @dataclass(frozen=True)
 class Hom:
-    """Ring homomorphism given by an element-index map table."""
+    """Ring homomorphism given by an element-index map table, unchecked; make_quotient's are onto."""
 
     source: Ring
     target: Ring
     map: tuple[int, ...]
-    surjective: bool
 
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(a for a in self.source.elements if self.map[a] == 0)
-
-
-def hom_violations(h: Hom) -> list[str]:
-    """Check additivity/multiplicativity of a Hom; returns defect descriptions."""
-    out = []
-    src, tgt = h.source, h.target
-    for a, b in product(src.elements, repeat=2):
-        if h.map[src.add[a][b]] != tgt.add[h.map[a]][h.map[b]]:
-            out.append(f"additivity fails at ({a},{b})")
-        if h.map[src.mul[a][b]] != tgt.mul[h.map[a]][h.map[b]]:
-            out.append(f"multiplicativity fails at ({a},{b})")
-    if h.surjective and len(set(h.map)) != tgt.order:
-        out.append("marked surjective but image is not the whole target")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +427,6 @@ def is_commutative(r: Ring) -> bool:
     return tuple(zip(*r.mul)) == r.mul
 
 
-def is_nil_ring(r: Ring) -> bool:
-    """True iff every element is nilpotent."""
-    return all(element_is_nilpotent(r, a) is not None for a in r.elements)
-
-
 @dataclass(frozen=True)
 class Characteristic:
     """Additive order of the unity, with its prime factorization."""
@@ -505,9 +481,7 @@ __all__ = [
     "element_is_nilpotent",
     "element_powers",
     "factorize",
-    "hom_violations",
     "is_commutative",
-    "is_nil_ring",
     "make_direct_sum",
     "make_matrix_ring",
     "make_upper_triangular",

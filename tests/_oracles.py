@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from nilary import LEFT, RIGHT, TWO_SIDED, Ring, ValidationReport
+from nilary import LEFT, RIGHT, TWO_SIDED, Hom, Ring, ValidationReport, element_is_nilpotent
 from nilary.ideals import (
     additive_closure_mask,
     enumerate_ideals,
@@ -32,6 +32,41 @@ def find_isomorphism(r: Ring, s: Ring) -> Optional[tuple[int, ...]]:
         ):
             return f
     return None
+
+
+def is_nil_ring(r: Ring) -> bool:
+    """True iff every element is nilpotent."""
+    return all(element_is_nilpotent(r, a) is not None for a in r.elements)
+
+
+def is_ideal_mask(r: Ring, mask: int, kind: str = TWO_SIDED) -> bool:
+    """Direct check of the ideal axioms for a subset mask."""
+    if not mask >> 0 & 1:
+        return False
+    elems = mask_elements(mask)
+    for x in elems:
+        row = r.add[x]
+        if not mask >> row.index(0) & 1 or any(not mask >> row[y] & 1 for y in elems):
+            return False
+        if kind != RIGHT and any(not mask >> r.mul[z][x] & 1 for z in r.elements):
+            return False
+        if kind != LEFT and any(not mask >> r.mul[x][z] & 1 for z in r.elements):
+            return False
+    return True
+
+
+def hom_violations(h: Hom) -> list[str]:
+    """Additivity, multiplicativity and surjectivity defects of a Hom, as descriptions."""
+    out = []
+    src, tgt = h.source, h.target
+    for a, b in itertools.product(src.elements, repeat=2):
+        if h.map[src.add[a][b]] != tgt.add[h.map[a]][h.map[b]]:
+            out.append(f"additivity fails at ({a},{b})")
+        if h.map[src.mul[a][b]] != tgt.mul[h.map[a]][h.map[b]]:
+            out.append(f"multiplicativity fails at ({a},{b})")
+    if len(set(h.map)) != tgt.order:
+        out.append("image is not the whole target")
+    return out
 
 
 def nilpotency_by_direct_powers(r: Ring, a: int) -> Optional[int]:

@@ -1,13 +1,16 @@
 """Predicate verdicts, witnesses, and the cross-predicate invariants."""
 
 import dataclasses
+import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from _oracles import PredicateScan
+from _oracles import PredicateScan, is_nil_ring
 from test_lattice import HUNT_SHAPES, LADDER, small_specs
 from nilary import (
     LEFT,
@@ -24,7 +27,6 @@ from nilary import (
     is_completely_prime,
     is_completely_right_primary,
     is_completely_semiprime,
-    is_nil_ring,
     is_nilary,
     is_p_nilary,
     is_prime_ideal,
@@ -42,7 +44,7 @@ from nilary import (
     zero_ideal,
 )
 from nilary import classify
-from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, ring_context
+from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, clear_caches, ring_context
 from nilary.ideals import coset_walk, elements_mask, full_mask, hom_image_mask, mask_elements
 from nilary.replay import replay_verdict
 from nilary.theorems import run_all
@@ -449,3 +451,26 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
             fresh = RingContext(quot)
             for name in ("completely_nilary", "nilary"):
                 assert qctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, m, name)
+
+
+def test_threads_sharing_rings_match_the_serial_run():
+    """Reports and theorem cases from four threads over shared fresh rings, switching every 1 µs."""
+    specs = ("T:2:Zn:4", "M:2:Zn:2", "dsum(T:2:Zn:2,Zn:3)", "Zn:12", "T:3:Zn:2")
+
+    def job(k: int, rings: list) -> str:
+        if k % 2:
+            return json.dumps([res.to_json() for res in run_all(rings)])
+        return json.dumps([[rep.to_json() for rep in full_report(r)] for r in rings])
+
+    serial = [parse_ring_spec(s) for s in specs]
+    expected = [job(k, serial) for k in range(2)]
+    clear_caches()
+    shared = [parse_ring_spec(s) for s in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(job, range(8), [shared] * 8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[k % 2] for k in range(8)]

@@ -19,17 +19,17 @@ from nilary import (
     ideal_generated_by,
     ideal_product,
     ideal_sum,
-    is_nil,
-    is_nilpotent_ideal,
     make_matrix_ring,
-    make_zero_mul,
     make_zn,
     power_chain,
     principal_ideal,
+    ring_context,
     some_power_contained,
     zero_ideal,
 )
-from nilary.ideals import full_mask, is_ideal_mask, mask_elements
+from nilary.ideals import full_mask, mask_elements
+
+from _oracles import hom_violations, is_ideal_mask
 
 
 def test_generated_examples(z6, z12, m2z2):
@@ -152,20 +152,12 @@ def test_element_power_in(z6, z12):
     assert element_power_in(z6, 2, zero_ideal(z6)) is None
 
 
-def test_is_nil_and_nilpotent(z4, z6):
-    assert is_nil(principal_ideal(z4, 2)) == (True, None)
-    assert is_nil(principal_ideal(z6, 2)) == (False, 2)
-    assert is_nil(zero_ideal(z6)) == (True, None)
-    assert is_nilpotent_ideal(principal_ideal(z4, 2)) == 2
-    assert is_nilpotent_ideal(Ideal(make_zn(2), 0b11)) is None
-    zm = make_zero_mul(4)
-    assert is_nilpotent_ideal(Ideal(zm, full_mask(zm))) == 2
-
-
 def test_nil_iff_nilpotent_on_finite_rings(small_rings):
     for r in small_rings:
-        for i in enumerate_ideals(r):
-            assert is_nil(i)[0] == (is_nilpotent_ideal(i) is not None), (r.label, i.elements)
+        ctx = ring_context(r)
+        for m in ctx.lattice_masks():
+            nil = all(ctx.idempotents[a] == 0 for a in mask_elements(m))
+            assert nil == (ctx.chain(m)[-1] == 1), (r.label, mask_elements(m))
 
 
 def test_product_contained_in_intersection(small_rings):
@@ -318,7 +310,6 @@ def test_lattice_scales_past_subset_range():
 
 def test_quotients_are_valid_rings(small_rings):
     from nilary import make_quotient, validate_ring
-    from nilary.rings import hom_violations
 
     for r in small_rings:
         for i in enumerate_ideals(r):

@@ -14,9 +14,9 @@ from nilary import (
     SizeCapError,
     characteristic,
     element_is_nilpotent,
+    full_report,
     ideal_generated_by,
     is_commutative,
-    is_nil_ring,
     make_direct_sum,
     make_matrix_ring,
     make_quotient,
@@ -30,12 +30,14 @@ from nilary import (
 from nilary import classify, rings, specs
 from nilary.classify import clear_caches, ring_context
 from nilary.corpus import builtin_specs
-from nilary.rings import MAX_VIOLATIONS, _additive_generators, _matrix_tables, hom_violations
+from nilary.rings import MAX_VIOLATIONS, _additive_generators, _matrix_tables
 
 from test_lattice import HUNT_SHAPES, LADDER
 from _oracles import (
     direct_sum_by_elements,
     find_isomorphism,
+    hom_violations,
+    is_nil_ring,
     matrix_ring_by_elements,
     matrix_tables_by_elements,
     nilpotency_by_direct_powers,
@@ -315,14 +317,34 @@ def test_equal_rings_share_one_context():
     assert classify.ring_context.cache_info().misses == 1
 
 
-def test_hash_reads_the_tables_once():
+def test_hash_reads_no_table():
     class Unhashable(tuple):
         __hash__ = None
 
     r = make_zn(9)
-    first = hash(r)
     object.__setattr__(r, "add", Unhashable(r.add))
-    assert hash(r) == first
+    object.__setattr__(r, "mul", Unhashable(r.mul))
+    assert hash(r) == hash(make_zn(9))
+
+
+def test_rings_differing_only_in_tables_share_a_hash_not_a_context():
+    """Z4 and a Klein-four ring renumbered so its unity is 1, both labelled Zn:4."""
+    z4, v = make_zn(4), make_direct_sum(make_zn(2), make_zn(2))
+    p = (0, 3, 2, 1)  # new index of each element: the unity, 3, becomes 1
+    tables = []
+    for t in (v.add, v.mul):
+        new = [[0] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(4):
+                new[p[a]][p[b]] = p[t[a][b]]
+        tables.append(new)
+    klein = Ring.from_tables(4, *tables, one=p[v.one], label="Zn:4")
+    assert validate_ring(klein).ok and klein.one == z4.one == 1
+    assert klein != z4 and hash(klein) == hash(z4)
+    assert ring_context(klein) is not ring_context(z4)
+    assert ring_context(klein).ring is klein and ring_context(z4).ring is z4
+    reports = [[rep.to_json() for rep in full_report(r)] for r in (z4, klein)]
+    assert reports[0] != reports[1]
 
 
 def test_zero_mul_ring():
@@ -433,7 +455,7 @@ def test_quotient_z12_by_4_is_z4():
     assert q.order == 4
     assert find_isomorphism(q, make_zn(4)) is not None
     assert set(hom.kernel_elements()) == {0, 4, 8}
-    assert hom.surjective and not hom_violations(hom)
+    assert not hom_violations(hom)
 
 
 def test_quotient_z6_by_2_is_z2():
@@ -459,7 +481,7 @@ def test_quotient_rejects_non_ideal():
 
 def test_hom_violations_detect_breakage():
     z4 = make_zn(4)
-    h = Hom(z4, z4, (0, 2, 1, 3), surjective=True)
+    h = Hom(z4, z4, (0, 2, 1, 3))
     assert hom_violations(h)
 
 

@@ -206,6 +206,14 @@ def test_file_loader_names_the_line_of_a_bad_unity(tmp_path, unity):
         parse_ring_spec(f"file:{path}")
 
 
+@pytest.mark.parametrize("entry", [10**30, -1])
+def test_file_loader_rejects_an_entry_out_of_range(tmp_path, entry):
+    path = tmp_path / "z2.txt"
+    path.write_text(f"2\n0 1\n1 0\n0 0\n0 {entry}\n")
+    with pytest.raises(ValueError, match=rf"multiplication table entry {entry} out of range \[0, 2\)"):
+        load_ring_file(path)
+
+
 def test_file_loader_rejects_short_file(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("3\n0 1 2\n")
