@@ -118,10 +118,11 @@ class _LatticeIndex:
     Built with the lattice: ``gens[j]`` holds the additive generators
     enumeration recorded for ideal j, ``principal`` the positions of the
     principal ideals, and bit j of ``member[x]`` says that element x lies in
-    ideal j. Each derived list is absent or complete, stored only once full
-    (racing threads at worst compute it twice). Row j is built when first
-    read, as L ideals would otherwise cost L^2 slots up front:
-    ``row(ctx, j)[k]`` is JK as :meth:`RingContext.product` returned it.
+    ideal j. ``slots[k]`` numbers ideal k's generators among the distinct
+    generator elements ``hs`` of the whole lattice. Each derived list is
+    absent or complete, stored only once full (racing threads at worst
+    compute it twice). Row j is built when first read, as L ideals would
+    otherwise cost L^2 entries up front: ``row(ctx, j)[k]`` is JK.
     ``stable_powers(ctx)[j]`` is ideal j's last power, all computed at once;
     it is the one memo of stable powers.
     """
@@ -132,6 +133,9 @@ class _LatticeIndex:
         self.pos = {m: j for j, m in enumerate(masks)}
         self.gens = lattice.generators
         self.principal = lattice.principal
+        slot: dict[int, int] = {}
+        self.slots = tuple(tuple(slot.setdefault(h, len(slot)) for h in g) for g in self.gens)
+        self.hs = tuple(slot)
         self.rows: list[Optional[list[int]]] = [None] * len(masks)
         self.stable: Optional[list[int]] = None
         self.member = member = [0] * lattice.ring.order
@@ -153,11 +157,26 @@ class _LatticeIndex:
         return self.masks[(hits & -hits).bit_length() - 1]
 
     def row(self, ctx: "RingContext", j: int) -> list[int]:
-        """Products of ideal j with every ideal, filled by ctx.product when first read."""
+        """Products of ideal j with every ideal, as :meth:`product` gives them, when first read.
+
+        One pass: bit i of ``image[s]`` says ideal i holds g*h for every
+        generator g of J, h the s-th of ``hs``; so JK is the first ideal in
+        the AND of ``image`` over K's slots.
+        """
         got = self.rows[j]
         if got is None:
-            jm = self.masks[j]
-            got = self.rows[j] = [ctx.product(jm, km) for km in self.masks]
+            member, masks, hs, mul = self.member, self.masks, self.hs, ctx.ring.mul
+            image = [-1] * len(hs)
+            for g in self.gens[j]:
+                row = mul[g]
+                image = [hits & member[row[h]] for hits, h in zip(image, hs)]
+            got = []
+            for slots in self.slots:
+                hits = -1
+                for s in slots:
+                    hits &= image[s]
+                got.append(masks[(hits & -hits).bit_length() - 1])
+            self.rows[j] = got
         return got
 
     def stable_powers(self, ctx: "RingContext") -> list[int]:
@@ -174,10 +193,10 @@ class RingContext:
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
     with the images of the ideals above each kernel, the last ideal walked
     and verdicts. :attr:`commutative` and :attr:`idempotents` are built whole
-    on first use. :meth:`product` is the one source of products and
-    :meth:`chain` computes power chains; neither keeps what it
-    returns, since index rows keep the products and the index's stable
-    powers keep the chains' last terms. Everything is derived data and
+    on first use. :meth:`product` multiplies any two masks and
+    :meth:`chain` computes power chains; neither keeps what it returns,
+    since index rows hold the products of lattice members and the index's
+    stable powers keep the chains' last terms. Everything is derived data and
     deterministic; the context never mutates its ring, and two threads racing
     on one entry only compute it twice (a quotient is built twice, but both
     callers get the one stored first).

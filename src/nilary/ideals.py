@@ -9,10 +9,12 @@ pass enough, and each term is an OR of the ring's cached Ax / xA masks.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
-Lattices are the principal ideals closed under coset-wise joins; they
-record which members are principal and the generators their spans used,
-so that :class:`nilary.classify.RingContext` multiplies lattice members
-without spanning them again. One walk picks each coset's least element,
+Lattices are the principal ideals closed under coset-wise joins, where a
+join that re-finds a known ideal is recognised by its size and generators
+and only new ideals are spanned; they record which members are principal
+and the generators their spans used, so that
+:class:`nilary.classify.RingContext` multiplies lattice members without
+spanning them again. One walk picks each coset's least element,
 for joins, element scans and quotients. The 2^n subset scan is kept as an
 independent oracle for small orders. Everything here is immutable and pure.
 """
@@ -296,27 +298,49 @@ def enumerate_ideals(
 
     Every ideal is a sum of principal ideals. I + (a) depends only on the
     coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
-    with each distinct (a) over the least element a of each coset outside it,
-    as :func:`coset_walk` lists them. A join's generators are I's plus those
-    its seeded span adds. The lattice records which ideals are principal.
+    with each distinct (a) over the least element a of each coset outside
+    it, as :func:`coset_walk` lists them. |I + (a)| is |I||(a)|/|I & (a)|
+    (second isomorphism theorem), and a found ideal of that size holding
+    the generators of I and (a) is the join, so a join is spanned, seeded
+    with I, only when it is new. Its generators are I's plus those the span
+    adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
     of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
     principal = tuple(gens)
+    holds, by_size = [0] * r.order, {}  # bit t: the t-th ideal found holds x / has that size
+
+    def found(t: int, elems: Sequence[int]) -> int:
+        bit = 1 << t
+        by_size[len(elems)] = by_size.get(len(elems), 0) | bit
+        for x in elems:
+            holds[x] |= bit
+        return bit
+
     queue = [(m, mask_elements(m)) for m in principal]
+    for t, (_, elems) in enumerate(queue):
+        found(t, elems)
     while queue:
         if len(gens) > max_ideals:
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
         im, ielems = queue.pop()
-        joined = set()
+        joined, isize = set(), len(ielems)
+        above = reduce(int.__and__, (holds[g] for g in gens[im]), -1)  # found ideals holding I
         for a in coset_walk(r, ielems)[1][1:]:
-            if of[a] in joined or not im & ~of[a]:
-                continue  # joined already, or I inside (a): the join is (a)
-            joined.add(of[a])
-            jm, jelems, new = _span(r, of[a], (im, ielems))
-            if jm not in gens:
+            pm = of[a]
+            if pm in joined:  # known already, found quicker than by the test below
+                continue
+            joined.add(pm)  # the join is known iff a found ideal of its size holds I and (a)
+            known = by_size.get(isize * pm.bit_count() // (im & pm).bit_count(), 0) & above
+            for g in gens[pm]:
+                if not known:
+                    break
+                known &= holds[g]
+            if not known:
+                jm, jelems, new = _span(r, pm, (im, ielems))
                 gens[jm] = gens[im] + new
                 queue.append((jm, jelems))
+                above |= found(len(gens) - 1, jelems)
     return _sorted_lattice(r, kind, gens.keys(), gens, principal)
 
 

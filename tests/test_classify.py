@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from _oracles import PredicateScan, is_nil_ring
-from test_lattice import HUNT_SHAPES, LADDER, small_specs
+from test_lattice import HUNT_SHAPES, LADDER, assert_tables_whole, small_specs
 from nilary import (
     LEFT,
     RIGHT,
@@ -421,7 +421,8 @@ def test_element_pair_matches_double_loop(builtin_rings):
 
 @given(spec=small_specs())
 def test_verdicts_replay_and_harness_on_random_specs(spec):
-    """On random rings of order <= 16: plain-scan verdicts and witnesses, replay, every case passes."""
+    """On random rings of order <= 16: plain-scan verdicts and witnesses, replay, whole index
+    rows, every case passes."""
     r = parse_ring_spec(spec)
     ctx = RingContext(r)
     scan = PredicateScan(r)
@@ -430,6 +431,7 @@ def test_verdicts_replay_and_harness_on_random_specs(spec):
             v = ctx.verdict(name, m)
             assert v.to_json() == scan.verdict(name, m), (spec, name, m)
             assert replay_verdict(r, mask_elements(m), name, v.holds, v.witness, v.na), (spec, name, m)
+    assert_tables_whole(ctx)
     assert [res.case_id for res in run_all([r]) if not res.passed] == [], spec
 
 

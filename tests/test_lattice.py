@@ -1,6 +1,7 @@
 """Lattice enumeration by coset-wise joins against its oracles, and its count cap."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -23,6 +24,7 @@ from nilary import ideals
 from nilary.classify import RingContext, full_report, ring_context
 from nilary.cli import main
 from nilary.ideals import _principal_spans, additive_closure_mask
+from nilary.theorems import run_all
 
 LADDER = ("Zn:64", "Zn:210", "T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,Zn:12)",
           "M:2:Zn:4")
@@ -44,6 +46,35 @@ def oracle_rings():
 def test_lattice_matches_pairwise_joins(oracle_rings, kind):
     for r in oracle_rings:
         assert enumerate_ideals(r, kind).masks() == enumerate_by_pairwise_joins(r, kind), r.label
+
+
+# sha256 of the JSON list of (masks, generators, principal) per ORACLE_SPECS ring and kind
+LATTICE_SHA256 = "9a837f8497941f619153891a47a07ebb9059227c8ed2e46ea46315210e24df41"
+
+
+def test_lattices_and_their_generators_are_pinned(oracle_rings):
+    """Masks, recorded generators and principal positions, all three kinds, byte for byte."""
+    got = [[list(lat.masks()), lat.generators, lat.principal]
+           for r in oracle_rings for lat in (enumerate_ideals(r, kind) for kind in KINDS)]
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == LATTICE_SHA256
+
+
+def test_every_seeded_span_finds_a_new_ideal(monkeypatch):
+    """Joins that re-find a known ideal are recognised without a span: one span per new ideal."""
+    seeded = []
+    honest = ideals._span
+
+    def counting(r, mask, start=None):
+        seeded.append(start is not None)
+        return honest(r, mask, start)
+
+    monkeypatch.setattr(ideals, "_span", counting)
+    cases = [(s, kind) for s in (*LADDER, *HUNT_SHAPES, ZERO_RING_5) for kind in KINDS]
+    for spec, kind in [*cases, ("T:4:Zn:2", "right")]:
+        r = parse_ring_spec(spec)
+        seeded.clear()
+        lattice = enumerate_ideals(r, kind)
+        assert sum(seeded) == len(lattice) - len(lattice.principal), (spec, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -172,17 +203,28 @@ def test_product_rows_are_allocated_when_read():
     assert sum(row is not None for row in idx.rows) == 1
 
 
+def assert_tables_whole(ctx: RingContext) -> None:
+    """Every allocated product row and stable list equals its fill through ctx.product and chain."""
+    for idx in ctx._indexes.values():
+        for jm, row in zip(idx.masks, idx.rows):
+            assert row in (None, [ctx.product(jm, km) for km in idx.masks]), (ctx.ring.label, idx.kind)
+        assert idx.stable in (None, [ctx.chain(m)[-1] for m in idx.masks]), (ctx.ring.label, idx.kind)
+
+
 def test_lattice_tables_are_whole_once_read():
-    """After full_report every allocated product row and every stable list is complete."""
+    """After full_report every allocated product row and every stable list is complete,
+    and after run_all on T:4:Zn:2 so are those of its one-sided lattices."""
     for spec in (*builtin_specs(), *LADDER, *HUNT_SHAPES):
         r = parse_ring_spec(spec)
         full_report(r)
-        ctx = ring_context(r)
-        for idx in ctx._indexes.values():
-            for jm, row in zip(idx.masks, idx.rows):
-                assert row in (None, [ctx.product(jm, km) for km in idx.masks]), (spec, idx.kind)
-            assert idx.stable in (None, [ctx.chain(m)[-1] for m in idx.masks]), (spec, idx.kind)
-        assert ctx.index().stable is not None, spec  # nilary reads every stable power
+        assert_tables_whole(ring_context(r))
+        assert ring_context(r).index().stable is not None, spec  # nilary reads every stable power
+    r = parse_ring_spec("T:4:Zn:2")
+    run_all([r])
+    ctx = ring_context(r)
+    assert {"left", "right"} <= set(ctx._indexes)
+    assert any(row is not None for kind in ("left", "right") for row in ctx._indexes[kind].rows)
+    assert_tables_whole(ctx)
 
 
 def test_lattice_of_zn_1100_is_one_ideal_per_divisor():

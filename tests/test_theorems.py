@@ -17,7 +17,7 @@ from nilary import (
     replay_verdict,
     ring_context,
 )
-from nilary.classify import REGISTRY, Verdict, Witness
+from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex
 from nilary.theorems import CASE_IDS, render_table, report_json, run_all
 
 HARNESS_SPECS = [
@@ -165,17 +165,30 @@ def test_pcomm_hypothesis_is_a_commutative_quotient(builtin_rings):
         assert res.hypothesis_instances == want, r.label
 
 
+_HONEST_PRODUCT = RingContext.product
+
+
+def _degraded_product(self, jm, km):
+    """A faulty RingContext.product: the product of the union with itself, joined with both."""
+    return _HONEST_PRODUCT(self, jm | km, jm | km) | jm | km
+
+
+def _row_through_product(self, ctx, j):
+    """Index row j filled through ctx.product, so that a fault injected there reaches the rows."""
+    if self.rows[j] is None:
+        self.rows[j] = [ctx.product(self.masks[j], km) for km in self.masks]
+    return self.rows[j]
+
+
+# products degraded to sums, at the context and in the index rows, which do not call it
+DEGRADED = ((RingContext, "product", _degraded_product), (_LatticeIndex, "row", _row_through_product))
+
+
 def test_corrupted_engine_is_caught(monkeypatch):
     """Fault injection below the classifier: products degrading to sums."""
-    from nilary.classify import RingContext
-
-    honest = RingContext.product
-
-    def corrupted(self, jm, km):
-        return honest(self, jm | km, jm | km) | jm | km
-
     clear_caches()
-    monkeypatch.setattr(RingContext, "product", corrupted)
+    for target, name, fake in DEGRADED:
+        monkeypatch.setattr(target, name, fake)
     try:
         rings = [parse_ring_spec(s) for s in ("Zn:6", "Zn:12", "Zn:4")]
         results = run_all(rings)
@@ -233,12 +246,6 @@ def test_fault_injection_report_is_pinned():
     then each registered predicate negated in turn. The lies no case catches
     are pinned too: they are the harness's blind spots.
     """
-    from nilary.classify import RingContext
-
-    honest = RingContext.product
-
-    def degraded(self, jm, km):
-        return honest(self, jm | km, jm | km) | jm | km
 
     def negated(fn):
         def lying(ctx, mask):
@@ -248,20 +255,21 @@ def test_fault_injection_report_is_pinned():
         return lying
 
     rings = [parse_ring_spec(s) for s in FAULT_SPECS]
-    faults = [(RingContext, "product", degraded)]
-    faults += [(REGISTRY, name, negated(fn)) for name, fn in REGISTRY.items()]
+    faults = [("product", DEGRADED)]
+    faults += [(name, ((REGISTRY, name, negated(fn)),)) for name, fn in REGISTRY.items()]
     reports = []
     try:
-        for target, name, fake in faults:
+        for _, patches in faults:
             clear_caches()
             with pytest.MonkeyPatch.context() as mp:
-                (mp.setitem if target is REGISTRY else mp.setattr)(target, name, fake)
+                for target, name, fake in patches:
+                    (mp.setitem if target is REGISTRY else mp.setattr)(target, name, fake)
                 reports.append(report_json(run_all(rings), rings))
     finally:
         clear_caches()
     assert len(reports) == 20
     counts = {name: sum(len(c["violations"]) for c in rep["cases"])
-              for (_, name, _), rep in zip(faults, reports)}
+              for (name, _), rep in zip(faults, reports)}
     assert sum(counts.values()) == FAULT_VIOLATIONS
     assert [name for name, n in counts.items() if n == 0] == [
         "semiprime", "left_primary", "p_right_primary", "p_left_primary", "completely_left_primary"]
