@@ -161,12 +161,13 @@ class _LatticeIndex:
 
         One pass: bit i of ``image[s]`` says ideal i holds g*h for every
         generator g of J, h the s-th of ``hs``; so JK is the first ideal in
-        the AND of ``image`` over K's slots.
+        the AND of ``image`` over K's slots. JK lies in J (at position <= j)
+        unless J is a left ideal, so then ``image`` keeps bits 0..j only.
         """
         got = self.rows[j]
         if got is None:
             member, masks, hs, mul = self.member, self.masks, self.hs, ctx.ring.mul
-            image = [-1] * len(hs)
+            image = [-1 if self.kind == LEFT else (2 << j) - 1] * len(hs)
             for g in self.gens[j]:
                 row = mul[g]
                 image = [hits & member[row[h]] for hits, h in zip(image, hs)]

@@ -5,7 +5,8 @@ tag (two-sided, left, right). This module holds the kernel: additive
 spans, ideal closures, generator products, sums, lattices and quotients.
 The ideal generated by a set S is the additive span of S, AS, SA and ASA
 (left ideals: S and AS; right ideals: S and SA); associativity makes one
-pass enough, and each term is an OR of the ring's cached Ax / xA masks.
+pass enough, and bilinearity lets each term range over the additive
+generators of S and of A only.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -131,22 +134,30 @@ def _span(
     return span, elems, tuple(gens)
 
 
+def _sides(mul, gs: Sequence[int], t: int, left: bool, right: bool) -> int:
+    """Bits of t and, as the sides ask, of Gt, tG and GtG, for the additive generators G of A."""
+    out = 0
+    for x in [t, *(mul[g][t] for g in gs)] if left else [t]:
+        out |= 1 << x
+        if right:
+            row = mul[x]
+            for g in gs:
+                out |= 1 << row[g]
+    return out
+
+
 def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
     """Least ideal containing the subset S, closed on the requested sides.
 
     Two-sided: the additive span of S, AS, SA and ASA; left: S and AS;
-    right: S and SA. SA is an OR of the ring's xA masks, and A times
-    S and SA, that is AS and ASA, an OR of its Ax masks. By associativity
-    that span is already closed (A(AS) is in AS, (SA)A in SA, and so on),
-    so one pass suffices. The additive zero is always included.
+    right: S and SA. By bilinearity that is the span of T, GT, TG and GTG
+    (T with GT, or with TG) for the generators T of S's span and G of A,
+    and by associativity it is already closed (A(AS) is in AS, (SA)A in
+    SA, and so on), so one pass suffices. The additive zero is included.
     """
-    ax, xa = r.product_masks
-    if right:
-        for x in mask_elements(mask):
-            mask |= xa[x]
-    if left:
-        for x in mask_elements(mask):
-            mask |= ax[x]
+    gs, mul = additive_generators(r, full_mask(r)), r.mul
+    for t in additive_generators(r, mask):
+        mask |= _sides(mul, gs, t, left, right)
     return _span(r, mask)[0]
 
 
@@ -252,31 +263,34 @@ def _sorted_lattice(
 
 def _principal_spans(
     r: Ring, kind: str = TWO_SIDED
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], dict[int, list[int]]]:
     """Mask of the principal ideal (a) of the kind for every element a, plus the
-    additive generators of each principal ideal.
+    additive generators and the elements of each principal ideal.
 
-    (a) spans {a} + Aa + aA + A(aA) (left: {a} + Aa; right: {a} + aA). Spans
-    are memoized by that pre-span and A(aA) by aA, since elements share
-    them: Zn:210 has 16 distinct pre-spans among 210 elements.
+    (a) spans :func:`_sides` of a. Every generator ka of <a>, gcd(k, ord a) = 1,
+    shares (a), and with a unity so does every b with bA = aA (Ab = Aa for left
+    ideals): the set of a's row (column) keys the span memo, else a's sides do.
     """
     _check_kind(kind)
-    ax, xa = r.product_masks
+    add, mul, gs = r.add, r.mul, additive_generators(r, full_mask(r))
     left, right = kind != RIGHT, kind != LEFT
-    spans, outer, gens = {}, {}, {}  # pre-span -> (a); aA -> A(aA); (a) -> generators
-    of = []
-    for a in range(r.order):
-        pre = 1 << a | (ax[a] if left else 0) | (xa[a] if right else 0)
-        if left and right:
-            t = xa[a]
-            if t not in outer:
-                outer[t] = reduce(int.__or__, (ax[x] for x in mask_elements(t)), 0)
-            pre |= outer[t]
-        if pre not in spans:
-            m, _, gens[m] = _span(r, pre)
-            spans[pre] = m
-        of.append(spans[pre])
-    return tuple(of), gens
+    of, spans, gens, elems = [0] * r.order, {}, {}, {}  # key -> (a); (a) -> generators, elements
+    for a in r.elements:
+        if of[a]:
+            continue
+        sides = _sides(mul, gs, a, left, right) if r.one is None else None
+        k = sides or frozenset(mul[a] if right else map(itemgetter(a), mul))
+        m = spans.get(k)
+        if m is None:
+            m, e, g = _span(r, sides or _sides(mul, gs, a, left, right))
+            spans[k], gens[m], elems[m] = m, g, e
+        cyc = [a]  # a, 2a, ... up to the first zero: ord a elements
+        while cyc[-1]:
+            cyc.append(add[cyc[-1]][a])
+        for i, c in enumerate(cyc, 1):
+            if gcd(i, len(cyc)) == 1:
+                of[c] = m
+    return tuple(of), gens, elems
 
 
 def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -299,14 +313,15 @@ def enumerate_ideals(
     Every ideal is a sum of principal ideals. I + (a) depends only on the
     coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
     with each distinct (a) over the least element a of each coset outside
-    it, as :func:`coset_walk` lists them. |I + (a)| is |I||(a)|/|I & (a)|
+    it, as :func:`coset_walk` lists them; the zero ideal and an (a) that holds
+    I need no join, as I + (a) is (a) then. |I + (a)| is |I||(a)|/|I & (a)|
     (second isomorphism theorem), and a found ideal of that size holding
     the generators of I and (a) is the join, so a join is spanned, seeded
     with I, only when it is new. Its generators are I's plus those the span
     adds. The lattice records which ideals are principal.
     """
     _check_kind(kind)
-    of, gens = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
+    of, gens, elems = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
     principal = tuple(gens)
     holds, by_size = [0] * r.order, {}  # bit t: the t-th ideal found holds x / has that size
 
@@ -317,18 +332,20 @@ def enumerate_ideals(
             holds[x] |= bit
         return bit
 
-    queue = [(m, mask_elements(m)) for m in principal]
-    for t, (_, elems) in enumerate(queue):
-        found(t, elems)
+    queue = [(m, elems[m]) for m in principal]
+    for t, m in enumerate(principal):
+        found(t, elems[m])
     while queue:
         if len(gens) > max_ideals:
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
         im, ielems = queue.pop()
+        if im == 1:  # 0 + (a) is (a), found already
+            continue
         joined, isize = set(), len(ielems)
         above = reduce(int.__and__, (holds[g] for g in gens[im]), -1)  # found ideals holding I
         for a in coset_walk(r, ielems)[1][1:]:
             pm = of[a]
-            if pm in joined:  # known already, found quicker than by the test below
+            if pm & im == im or pm in joined:  # the join is (a), or known: no test needed
                 continue
             joined.add(pm)  # the join is known iff a found ideal of its size holds I and (a)
             known = by_size.get(isize * pm.bit_count() // (im & pm).bit_count(), 0) & above

@@ -11,17 +11,16 @@ digit arrays, and every entry of all sums and products is one numpy
 gather over all pairs, in int16 (up to order 2**15). :meth:`Ring.from_tables`
 checks the arrays and stores tuples of Python ints, one int object per
 element shared by all its entries; a Ring keeps no numpy arrays and no
-table of negatives: -a is ``add[a].index(0)``. The bitmasks of the
-one-element products Ax and xA are derived on first use and cached on
-the ring, harmless to compute twice; the hash reads no table. Rings can
-be shared freely across threads. All functions here are pure.
+table of negatives: -a is ``add[a].index(0)``, and no derived data:
+product facts are read at the additive generators, at most log2(order)
+elements. The hash reads no table. Rings can be shared freely across
+threads. All functions here are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, product
+from itertools import combinations, compress, product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -58,24 +57,6 @@ class Ring:
     @property
     def is_unital(self) -> bool:
         return self.one is not None
-
-    @cached_property
-    def product_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Bitmasks of Ax and of xA for every element x.
-
-        ``product_masks[0][x]`` has bit ``a*x`` set for every a, and
-        ``product_masks[1][x]`` has bit ``x*a`` set for every a. Built on
-        first use by one scatter into a boolean array; not a field, so
-        equality, hashing and repr ignore it.
-        """
-        n = self.order
-        mul = np.array(self.mul, dtype=np.intp)
-        idx = np.arange(n)
-        bits = np.zeros((2, n, n), dtype=bool)
-        bits[0, idx[None, :], mul] = True
-        bits[1, idx[:, None], mul] = True
-        packed = np.packbits(bits, axis=2, bitorder="little")
-        return tuple(tuple(int.from_bytes(row.tobytes(), "little") for row in side) for side in packed)
 
     def __hash__(self) -> int:
         # reads no table: equal rings share these fields, and rings differing in tables stay unequal
@@ -423,8 +404,8 @@ def element_is_nilpotent(r: Ring, a: int) -> Optional[int]:
 
 
 def is_commutative(r: Ring) -> bool:
-    """ab = ba for all a, b: the table equals its transpose."""
-    return tuple(zip(*r.mul)) == r.mul
+    """ab = ba for all a, b: by bilinearity, gh = hg for all additive generators g, h."""
+    return all(r.mul[g][h] == r.mul[h][g] for g, h in combinations(_additive_generators(r.add), 2))
 
 
 @dataclass(frozen=True)

@@ -88,37 +88,27 @@ def close_by_worklist(r: Ring, mask: int, left: bool, right: bool) -> int:
     the d with x + d = 0, read off x's row of the addition table. The
     additive zero is always included. O(|I| * order) per closure.
     """
-    add, mul, n = r.add, r.mul, r.order
-    mask |= 1
-    queue = list(mask_elements(mask))
+    add, mul = r.add, r.mul
+    queue = list(mask_elements(mask | 1))
+    inside = bytearray(r.order)
+    for x in queue:
+        inside[x] = 1
     members: list[int] = []
     while queue:
         x = queue.pop()
         members.append(x)
         row = add[x]
-        for y in members:
-            s = row[y]
-            if not mask >> s & 1:
-                mask |= 1 << s
-                queue.append(s)
-        nx = row.index(0)
-        if not mask >> nx & 1:
-            mask |= 1 << nx
-            queue.append(nx)
+        reached = [row[y] for y in members]
+        reached.append(row.index(0))
         if left:
-            for z in range(n):
-                p = mul[z][x]
-                if not mask >> p & 1:
-                    mask |= 1 << p
-                    queue.append(p)
+            reached += [m[x] for m in mul]
         if right:
-            row_m = mul[x]
-            for z in range(n):
-                p = row_m[z]
-                if not mask >> p & 1:
-                    mask |= 1 << p
-                    queue.append(p)
-    return mask
+            reached += mul[x]
+        for p in reached:
+            if not inside[p]:
+                inside[p] = 1
+                queue.append(p)
+    return sum(1 << x for x in itertools.compress(range(r.order), inside))
 
 
 def enumerate_by_pairwise_joins(r: Ring, kind: str = TWO_SIDED) -> tuple[int, ...]:

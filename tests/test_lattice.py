@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from _oracles import enumerate_by_pairwise_joins
+from _oracles import close_by_worklist, enumerate_by_pairwise_joins
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from nilary import (
 from nilary import ideals
 from nilary.classify import RingContext, full_report, ring_context
 from nilary.cli import main
-from nilary.ideals import _principal_spans, additive_closure_mask
+from nilary.ideals import _principal_spans, additive_closure_mask, elements_mask
 from nilary.theorems import run_all
 
 LADDER = ("Zn:64", "Zn:210", "T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,Zn:12)",
@@ -48,15 +48,30 @@ def test_lattice_matches_pairwise_joins(oracle_rings, kind):
         assert enumerate_ideals(r, kind).masks() == enumerate_by_pairwise_joins(r, kind), r.label
 
 
-# sha256 of the JSON list of (masks, generators, principal) per ORACLE_SPECS ring and kind
-LATTICE_SHA256 = "9a837f8497941f619153891a47a07ebb9059227c8ed2e46ea46315210e24df41"
+# sha256 of the JSON list of (masks, principal) per ORACLE_SPECS ring and kind
+LATTICE_SHA256 = "db6fbeaa428c9c819b33bb354847dcd9dea3e58a9d9d812bfbc815bfd81d93bb"
+# sha256 of the JSON list of the recorded generators per ORACLE_SPECS ring and kind
+GENERATORS_SHA256 = "ed518eee38bbd141665d5a87a978e518fdaa32157a919724ff4eceabdf8bed54"
 
 
-def test_lattices_and_their_generators_are_pinned(oracle_rings):
-    """Masks, recorded generators and principal positions, all three kinds, byte for byte."""
-    got = [[list(lat.masks()), lat.generators, lat.principal]
+def test_lattices_are_pinned(oracle_rings):
+    """Masks and principal positions, all three kinds, byte for byte."""
+    got = [[list(lat.masks()), lat.principal]
            for r in oracle_rings for lat in (enumerate_ideals(r, kind) for kind in KINDS)]
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == LATTICE_SHA256
+
+
+def test_recorded_generators_are_pinned(oracle_rings):
+    """Each ideal's recorded generators span it, at most order.bit_length() of them, byte for byte."""
+    got = []
+    for r in oracle_rings:
+        for kind in KINDS:
+            lattice = enumerate_ideals(r, kind)
+            for m, gens in zip(lattice.masks(), lattice.generators):
+                assert len(gens) <= r.order.bit_length(), (r.label, kind, m)
+                assert additive_closure_mask(r, elements_mask(gens)) == m, (r.label, kind, m)
+            got.append(lattice.generators)
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == GENERATORS_SHA256
 
 
 def test_every_seeded_span_finds_a_new_ideal(monkeypatch):
@@ -79,10 +94,16 @@ def test_every_seeded_span_finds_a_new_ideal(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_context_principal_ideals_match_generation(oracle_rings, kind):
-    for r in oracle_rings:
+    # ideal_generated_by and _principal_spans share the closure at additive generators; the
+    # worklist oracle reads whole tables (HUNT_SHAPES holds the non-unital dsum(M:2:Zn:2,zmul:8))
+    worklist = {*LADDER, *HUNT_SHAPES, ZERO_RING_5}
+    for spec, r in zip(ORACLE_SPECS, oracle_rings):
         ctx = RingContext(r)
         generated = [ideal_generated_by(r, (a,), kind).mask for a in range(r.order)]
         assert _principal_spans(r, kind)[0] == tuple(generated), r.label
+        if spec in worklist:
+            left, right = kind != ideals.RIGHT, kind != ideals.LEFT
+            assert generated == [close_by_worklist(r, 1 << a, left, right) for a in r.elements], r.label
         assert set(ctx.principal_masks(kind)) == set(generated), r.label
         distinct = sorted(set(generated), key=lambda m: (m.bit_count(), m))
         assert list(ctx.principal_masks(kind)) == distinct
@@ -110,7 +131,7 @@ def test_join_depends_only_on_the_coset():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_joins_walk_each_ideal_once_through_coset_walk(monkeypatch, kind):
-    """Join representatives come from ideals.coset_walk: one walk per ideal, no other."""
+    """Join representatives come from ideals.coset_walk: one walk per nonzero ideal, no other."""
     calls = []
     walk = ideals.coset_walk
 
@@ -123,7 +144,7 @@ def test_joins_walk_each_ideal_once_through_coset_walk(monkeypatch, kind):
         r = parse_ring_spec(spec)  # a quot spec walks its kernel's cosets here
         calls.clear()
         lattice = enumerate_ideals(r, kind)
-        assert len(calls) == len(lattice), spec
+        assert len(calls) == len(lattice) - 1, spec  # the zero ideal joins nothing
 
 
 class CountingRows(tuple):

@@ -327,6 +327,11 @@ def test_hash_reads_no_table():
     assert hash(r) == hash(make_zn(9))
 
 
+def test_ring_memoizes_nothing():
+    """A Ring is its tables: no cached_property keeps derived data on it."""
+    assert not [k for k, v in vars(Ring).items() if isinstance(v, functools.cached_property)]
+
+
 def test_rings_differing_only_in_tables_share_a_hash_not_a_context():
     """Z4 and a Klein-four ring renumbered so its unity is 1, both labelled Zn:4."""
     z4, v = make_zn(4), make_direct_sum(make_zn(2), make_zn(2))
@@ -397,7 +402,7 @@ def test_matrix_ring_m2z2():
 
 
 def test_is_commutative_is_the_pairwise_definition(builtin_rings):
-    """The transpose compare agrees with ab == ba over every pair, both ways."""
+    """The compare at additive generators agrees with ab == ba over every pair, both ways."""
     rings = [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]
     seen = set()
     for r in rings:
