@@ -13,23 +13,22 @@ calls the body and returns the run's result. :func:`run_all` resolves each
 ring's context once and hands that list to every sweep, so a context, with
 its lattices, quotients and verdicts, lives for the whole run whatever the
 size of the corpus. The run does the counting and the timing. A body only
-reports: ``run.instance(hypothesis)`` once per instance,
-``run.violate(description, ideal_mask, witnesses)`` per failure (the run
-adds the ring and turns the mask into elements), and an early ``return``
-skips a ring whose hypothesis fails outright. A case built with ``own=``
-checks the one ring that ``own()`` builds instead of the corpus, so the
-worked examples of the paper run whatever corpus is given.
+reports: ``run.instance(hypothesis)`` once per instance (or ``run.count``
+for many at once), ``run.violate(description, ideal_mask, witnesses)`` per
+failure (the run adds the ring and turns the mask into elements), and an
+early ``return`` skips a ring whose hypothesis fails outright. A case built
+with ``own=`` checks the one ring that ``own()`` builds instead of the
+corpus, so the worked examples of the paper run whatever corpus is given.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .classify import RingContext, Verdict, Witness, ring_context
-from .ideals import TWO_SIDED, additive_generators, elements_mask, mask_elements
+from .ideals import TWO_SIDED, elements_mask, mask_elements
 from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
 
 
@@ -90,6 +89,11 @@ class _Run:
         if hypothesis:
             self.hypothesis_instances += 1
         return hypothesis
+
+    def count(self, instances: int, hypotheses: int) -> None:
+        """Count instances in bulk, hypotheses of them satisfying the hypothesis."""
+        self.instances += instances
+        self.hypothesis_instances += hypotheses
 
     def violate(
         self,
@@ -155,36 +159,61 @@ def _p1_2(run: _Run, ctx: RingContext) -> None:
 
 
 def _p1_3(run: _Run, ctx: RingContext) -> None:
-    """Products Q_1...Q_n of completely nilary ideals stay completely nilary.
+    """Products Q_1...Q_n of completely nilary ideals stay completely nilary, for n <= 3.
 
-    Hypothesis: some Q_k has a power inside the intersection of all Q_i
-    (searched constructively over k and the power chain of Q_k). Tuples up
-    to length 3 are tested; the diagonal tuples (Q, Q, Q) exercise the
-    Q^n clause.
+    Hypothesis: some Q_q in the tuple has its stable power inside every Q_i;
+    bit i of ``inside[q]`` says Q_i holds it. So, as bits over x, the
+    hypothesis tuples (P, x) are ``inside[q]`` for each q in P whose inside
+    holds P, and the x whose inside holds x and P. Their product is pQ_x for
+    the first factor p (Q_a, or Q_aQ_b); each distinct p keeps the bits i where
+    pQ_i is not completely nilary, read off its index row (a lattice product
+    is not iff it is none of the c ideals). Bit order is the tuples' order.
     """
     idx = ctx.index(TWO_SIDED)
-    masks = idx.masks
+    masks, pos, last = idx.masks, idx.pos, idx.stable_powers(ctx)
     cnil = [j for j, m in enumerate(masks) if ctx.verdict("completely_nilary", m).holds]
-    last = idx.stable_powers(ctx)
-    for n in (1, 2, 3):
-        for tup in itertools.product(cnil, repeat=n):
-            inter = ctx.full_mask
-            for q in tup:
-                inter &= masks[q]
-            if not run.instance(any(not last[q] & ~inter for q in tup)):
-                continue
-            prod = masks[tup[0]]
-            for q in tup[1:]:
-                j = idx.pos.get(prod)  # None only if a faulty product left the lattice
-                prod = ctx.product(prod, masks[q]) if j is None else idx.row(ctx, j)[q]
-            v = ctx.verdict("completely_nilary", prod)
-            if not v.holds:
-                run.violate(
-                    f"product of completely nilary ideals {[mask_elements(masks[q]) for q in tup]} "
-                    "is not completely nilary",
-                    prod,
-                    [("completely_nilary", v)],
-                )
+    good, c = {masks[q] for q in cnil}, len(cnil)
+    inside = [sum(1 << i for i, q in enumerate(cnil) if not last[a] & ~masks[q]) for a in cnil]
+    holders = [sum(1 << a for a, bits in enumerate(inside) if bits >> i & 1) for i in range(c)]
+    own = [bits if bits >> a & 1 else 0 for a, bits in enumerate(inside)]  # inside[q] if q in it
+    selfs = sum(1 << a for a, bits in enumerate(own) if bits)
+    firsts: dict[int, tuple[Sequence[int] | dict[int, int], int]] = {}
+
+    def first(p: int) -> tuple[Sequence[int] | dict[int, int], int]:
+        """p's products, by lattice position, and the bits i where pQ_i is not completely nilary."""
+        got = firsts.get(p)
+        if got is None:
+            j = pos.get(p)  # None only if a faulty product left the lattice
+            row = idx.row(ctx, j) if j is not None else {q: ctx.product(p, masks[q]) for q in cnil}
+            bad = sum(1 << i for i, q in enumerate(cnil) if (m := row[q]) not in good and (
+                m in pos or not ctx.verdict("completely_nilary", m).holds))
+            got = firsts[p] = (row, bad)
+        return got
+
+    def prefixes():  # P = (a,), then P = (a, b), with its hypothesis tuples (P, x) as bits over x
+        for a in range(c):
+            yield (a,), own[a] | selfs & holders[a]
+        for a, own_a in enumerate(own):
+            for b, own_b in enumerate(own):
+                hyp = selfs & holders[a] & holders[b] | (own_a if own_a >> b & 1 else 0)
+                yield (a, b), hyp | own_b if own_b >> a & 1 else hyp
+
+    hyps = selfs.bit_count()  # the tuples (x,), each product Q_x completely nilary
+    for tup, hyp in prefixes():
+        hyps += hyp.bit_count()
+        if not hyp:
+            continue
+        row, bad = first(masks[cnil[tup[0]]])
+        if len(tup) == 2:
+            row, bad = first(row[cnil[tup[1]]])
+        bad &= hyp
+        while bad:
+            i = (bad & -bad).bit_length() - 1
+            bad, m = bad & (bad - 1), row[cnil[i]]
+            factors = [mask_elements(masks[cnil[q]]) for q in (*tup, i)]
+            run.violate(f"product of completely nilary ideals {factors} is not completely nilary",
+                        m, [("completely_nilary", ctx.verdict("completely_nilary", m))])
+    run.count(c + c * c + c * c * c, hyps)
 
 
 def _p1_3_nilary_quot(run: _Run, ctx: RingContext) -> None:
@@ -288,10 +317,11 @@ def _pcomm(run: _Run, ctx: RingContext) -> None:
     """Over a commutative quotient, p-nilary iff completely nilary.
 
     A/I is commutative iff I holds every ab - ba; the commutator is
-    bilinear, so iff I holds gh - hg (the d with hg + d = gh) for additive generators g, h.
+    bilinear, so iff I holds gh - hg (the d with hg + d = gh) for additive
+    generators g, h of A: those the two-sided index recorded for its last ideal.
     """
     add, mul = ctx.ring.add, ctx.ring.mul
-    gens = additive_generators(ctx.ring, ctx.full_mask)
+    gens = ctx.index(TWO_SIDED).gens[-1]
     commutators = elements_mask(add[mul[h][g]].index(mul[g][h]) for g in gens for h in gens)
     for m in ctx.lattice_masks(TWO_SIDED):
         if not run.instance(not commutators & ~m):

@@ -225,6 +225,39 @@ def upper_triangular_by_elements(base: Ring, k: int, size_cap: int = 0) -> Ring:
     return ring_by_elements(order, add, mul, one, f"T:{k}:{base.label}")
 
 
+def p1_3_by_tuples(run, ctx) -> None:
+    """The P1.3 case body as a walk over every ordered tuple of one to three ideals, one at a time.
+
+    Hypothesis: some Q_k has a power inside the intersection of all Q_i
+    (searched constructively over k and the power chain of Q_k). Each
+    hypothesis tuple multiplies left to right through the index rows, or
+    through ctx.product when a faulty product leaves the lattice.
+    """
+    idx = ctx.index(TWO_SIDED)
+    masks = idx.masks
+    cnil = [j for j, m in enumerate(masks) if ctx.verdict("completely_nilary", m).holds]
+    last = idx.stable_powers(ctx)
+    for n in (1, 2, 3):
+        for tup in itertools.product(cnil, repeat=n):
+            inter = ctx.full_mask
+            for q in tup:
+                inter &= masks[q]
+            if not run.instance(any(not last[q] & ~inter for q in tup)):
+                continue
+            prod = masks[tup[0]]
+            for q in tup[1:]:
+                j = idx.pos.get(prod)  # None only if a faulty product left the lattice
+                prod = ctx.product(prod, masks[q]) if j is None else idx.row(ctx, j)[q]
+            v = ctx.verdict("completely_nilary", prod)
+            if not v.holds:
+                run.violate(
+                    f"product of completely nilary ideals {[mask_elements(masks[q]) for q in tup]} "
+                    "is not completely nilary",
+                    prod,
+                    [("completely_nilary", v)],
+                )
+
+
 class PredicateScan:
     """Every predicate by its definition, scanning every pair of its domain in order.
 

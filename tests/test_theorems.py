@@ -3,12 +3,16 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
+from _oracles import p1_3_by_tuples
+from hypothesis import given
 
-from test_lattice import HUNT_SHAPES, LADDER
+from test_lattice import HUNT_SHAPES, LADDER, ZERO_RING_5, small_specs
 from nilary import (
     Ideal,
+    Ring,
     clear_caches,
     enumerate_ideals,
     is_commutative,
@@ -18,7 +22,7 @@ from nilary import (
     ring_context,
 )
 from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex
-from nilary.theorems import CASE_IDS, render_table, report_json, run_all
+from nilary.theorems import CASE_IDS, _case, _p1_3, render_table, report_json, run_all
 
 HARNESS_SPECS = [
     "Zn:1",
@@ -233,6 +237,11 @@ def test_corrupted_classifier_is_caught(monkeypatch):
         clear_caches()
 
 
+def _patch(mp, patches):
+    for target, name, fake in patches:
+        (mp.setitem if target is REGISTRY else mp.setattr)(target, name, fake)
+
+
 FAULT_SPECS = ("Zn:6", "Zn:12", "Zn:4", "M:2:Zn:2", "T:2:Zn:2", "zmul:4", "dsum(Zn:2,Zn:3)")
 # sha256 of the JSON list of reports below, and its violation count
 FAULT_REPORT_SHA256 = "6ee90f9dd845c64f5ef6de372f58640f26a5265ccbdc20512070bbcf40595ebf"
@@ -262,8 +271,7 @@ def test_fault_injection_report_is_pinned():
         for _, patches in faults:
             clear_caches()
             with pytest.MonkeyPatch.context() as mp:
-                for target, name, fake in patches:
-                    (mp.setitem if target is REGISTRY else mp.setattr)(target, name, fake)
+                _patch(mp, patches)
                 reports.append(report_json(run_all(rings), rings))
     finally:
         clear_caches()
@@ -286,3 +294,112 @@ def test_p1_3_is_pinned_on_the_zero_ring():
     r = parse_ring_spec("dsum(zmul:2,dsum(zmul:2,dsum(zmul:2,zmul:2)))")
     (res,) = run_all([r], ["P1.3"])
     assert (res.instances, res.hypothesis_instances, len(res.violations)) == (305319, 305319, 0)
+
+
+_HONEST_COMPLETELY_NILARY = REGISTRY["completely_nilary"]
+
+
+def _zero_ideal_liar(ctx, mask):
+    """completely_nilary denied on the zero ideal alone: a product that vanishes fails P1.3."""
+    return Verdict(False, Witness.none()) if mask == 1 else _HONEST_COMPLETELY_NILARY(ctx, mask)
+
+
+ZERO_LIAR = ((REGISTRY, "completely_nilary", _zero_ideal_liar),)
+# the violation count of P1.3 over FAULT_SPECS under ZERO_LIAR, and the sha256 of their JSON list
+P1_3_LIAR_VIOLATIONS = 17
+P1_3_LIAR_SHA256 = "3562cda83a237792ef0e4d7105db946679d11b16a7978227b1e699e7fd587328"
+
+
+def test_p1_3_violations_are_pinned():
+    """Order, descriptions, masks and witnesses of P1.3's violations, under a lie it catches."""
+    rings = [parse_ring_spec(s) for s in FAULT_SPECS]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            (res,) = run_all(rings, ["P1.3"])
+    finally:
+        clear_caches()
+    assert len(res.violations) == P1_3_LIAR_VIOLATIONS
+    text = json.dumps([v.to_json() for v in res.violations], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == P1_3_LIAR_SHA256
+
+
+_HONEST_STABLE_POWERS = _LatticeIndex.stable_powers
+
+
+def _shifted_stable_powers(self, ctx):
+    """Every other ideal's stable power replaced by the next ideal's, which it does not hold."""
+    honest = _HONEST_STABLE_POWERS(self, ctx)
+    return [self.masks[(j + 1) % len(honest)] if j % 2 else m for j, m in enumerate(honest)]
+
+
+def _off_lattice_liar(ctx, mask):
+    """completely_nilary denied on every mask outside the two-sided lattice."""
+    if mask in ctx.index().pos:
+        return _HONEST_COMPLETELY_NILARY(ctx, mask)
+    return Verdict(False, Witness.none())
+
+
+# the oracle comparison's faults; under the last, products that leave the lattice fail P1.3
+FAULTS = {
+    "honest": (),
+    "degraded": DEGRADED,
+    "liar": ZERO_LIAR,
+    "stable": ((_LatticeIndex, "stable_powers", _shifted_stable_powers),),
+    "degraded-liar": (*DEGRADED, (REGISTRY, "completely_nilary", _off_lattice_liar)),
+}
+SWEEP_SPECS = (*FAULT_SPECS, "dsum(zmul:2,dsum(zmul:2,dsum(zmul:2,zmul:2)))", "T:2:Zn:4",
+               "dsum(T:3:Zn:2,zmul:2)")
+
+
+def _p1_3_sweep_and_tuple_walk(ring: Ring, fault) -> tuple[dict, dict]:
+    """P1.3's report on one ring from the case body and from the tuple walk, each on a fresh context."""
+    with pytest.MonkeyPatch.context() as mp:
+        _patch(mp, fault)
+        return tuple(_case("P1.3", body)([RingContext(ring)]).to_json()
+                     for body in (_p1_3, p1_3_by_tuples))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_p1_3_sweep_matches_tuple_walk(fault, builtin_rings):
+    for r in (*builtin_rings, *(parse_ring_spec(s) for s in SWEEP_SPECS)):
+        sweep, walk = _p1_3_sweep_and_tuple_walk(r, FAULTS[fault])
+        assert sweep == walk, r.label
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@given(spec=small_specs())
+def test_p1_3_sweep_matches_tuple_walk_on_random_specs(fault, spec):
+    sweep, walk = _p1_3_sweep_and_tuple_walk(parse_ring_spec(spec), FAULTS[fault])
+    assert sweep == walk
+
+
+def test_p1_3_sweeps_the_5_zero_ring_by_first_factor(monkeypatch):
+    """(Z_2)^5 with zero product: 374 ideals, all completely nilary, all products zero.
+
+    Every one of its 374 + 374^2 + 374^3 tuples is a hypothesis instance.
+    The case asks each ideal's verdict and reads each first factor's index
+    row a bounded number of times, so a walk over the tuples fails here.
+    """
+    r = parse_ring_spec(ZERO_RING_5)
+    calls: Counter = Counter()
+    for target, name in ((RingContext, "verdict"), (_LatticeIndex, "row")):
+        def counted(*args, _fn=getattr(target, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(target, name, counted)
+    clear_caches()
+    try:
+        (res,) = run_all([r], ["P1.3"])
+        monkeypatch.undo()
+        lattice = len(ring_context(r).lattice_masks())
+        assert lattice == 374
+        assert calls["verdict"] <= 3 * lattice and calls["row"] <= 2 * lattice, calls
+        results = run_all([r])
+    finally:
+        clear_caches()
+    assert all(res.passed for res in results), render_table(results)
+    (res,) = [res for res in results if res.case_id == "P1.3"]
+    assert (res.instances, res.hypothesis_instances, len(res.violations)) == (52453874, 52453874, 0)
