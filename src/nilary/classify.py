@@ -57,7 +57,7 @@ from .ideals import (
     make_quotient,
     mask_elements,
 )
-from .rings import Characteristic, Hom, Ring, characteristic, is_commutative
+from .rings import Characteristic, Hom, Ring, SizeCapError, characteristic, is_commutative
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,11 @@ class RingContext:
         if kind != TWO_SIDED and self.commutative:
             kind = TWO_SIDED  # one-sided ideals are the two-sided ones
         got = self._indexes.get(kind)
-        if got is None or len(got.masks) > max_ideals:  # then enumeration raises SizeCapError
+        if got is None:
             lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals)
             got = self._indexes.setdefault(kind, _LatticeIndex(kind, lattice))
+        elif len(got.masks) > max_ideals:  # as enumeration under this cap would raise
+            raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
         return got
 
     def lattice_masks(self, kind: str = TWO_SIDED) -> tuple[int, ...]:

@@ -8,17 +8,20 @@ vacuous pass is visible as such.
 
 A case is a body ``body(run, ctx)`` over one ring's context, and
 :func:`_case` is the one loop that sweeps it over the corpus's contexts:
-it starts the run, points ``run.ring`` at each context's ring in turn,
-calls the body and returns the run's result. :func:`run_all` resolves each
+it creates the case's one record, a :class:`TheoremResult`, points
+``run.ring`` at each context's ring in turn, calls the body, and stamps
+the elapsed time on the record it returns. :func:`run_all` resolves each
 ring's context once and hands that list to every sweep, so a context, with
 its lattices, quotients and verdicts, lives for the whole run whatever the
-size of the corpus. The run does the counting and the timing. A body only
-reports: ``run.instance(hypothesis)`` once per instance (or ``run.count``
-for many at once), ``run.violate(description, ideal_mask, witnesses)`` per
-failure (the run adds the ring and turns the mask into elements), and an
-early ``return`` skips a ring whose hypothesis fails outright. A case built
-with ``own=`` checks the one ring that ``own()`` builds instead of the
-corpus, so the worked examples of the paper run whatever corpus is given.
+size of the corpus. The record does the counting. A body only reports:
+``run.instance(hypothesis)`` once per instance (or ``run.count`` for many
+at once), ``run.violate(description, ideal_mask, witnesses)`` per failure
+(the record adds the ring and turns the mask into elements), and an early
+``return`` skips a ring whose hypothesis fails outright. A case built with
+``own=`` checks that one ring instead of the corpus, so the worked
+examples of the paper run whatever corpus is given; their rings, Z_6 and
+M_2(Z_2), are module constants built once at import, so a second run
+builds no ring.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ class Violation:
 
 @dataclass
 class TheoremResult:
+    """One case's record, filled by its sweep as the bodies report instances and violations."""
+
     case_id: str
-    instances: int
-    hypothesis_instances: int
-    violations: list[Violation]
-    elapsed: float
+    instances: int = 0
+    hypothesis_instances: int = 0
+    violations: list[Violation] = field(default_factory=list)
+    elapsed: float = 0.0
     warning: Optional[str] = None
+    ring: Optional[Ring] = field(default=None, compare=False, repr=False)  # the ring being visited
 
     @property
     def passed(self) -> bool:
@@ -73,16 +79,6 @@ class TheoremResult:
             "violations": [v.to_json() for v in self.violations],
             **({"warning": self.warning} if self.warning else {}),
         }
-
-
-class _Run:
-    def __init__(self, case_id: str):
-        self.case_id = case_id
-        self.ring: Optional[Ring] = None  # the ring the body is visiting
-        self.instances = 0
-        self.hypothesis_instances = 0
-        self.violations: list[Violation] = []
-        self._t0 = time.perf_counter()
 
     def instance(self, hypothesis: bool) -> bool:
         self.instances += 1
@@ -106,29 +102,23 @@ class _Run:
             Violation(self.ring.label, description, mask_elements(ideal_mask), pairs, self.ring)
         )
 
-    def result(self) -> TheoremResult:
-        return TheoremResult(
-            self.case_id,
-            self.instances,
-            self.hypothesis_instances,
-            self.violations,
-            time.perf_counter() - self._t0,
-        )
-
 
 def _case(
     case_id: str,
-    body: Callable[[_Run, RingContext], None],
-    own: Optional[Callable[[], Ring]] = None,
+    body: Callable[[TheoremResult, RingContext], None],
+    own: Optional[Ring] = None,
 ) -> Callable[[Sequence[RingContext]], TheoremResult]:
-    """The sweep of body over the corpus's contexts, or over the one ring own() builds."""
+    """The sweep of body over the corpus's contexts, or over the one ring own."""
 
     def sweep(contexts: Sequence[RingContext]) -> TheoremResult:
-        run = _Run(case_id)
-        for ctx in contexts if own is None else (ring_context(own()),):
+        t0 = time.perf_counter()
+        run = TheoremResult(case_id)
+        for ctx in contexts if own is None else (ring_context(own),):
             run.ring = ctx.ring
             body(run, ctx)
-        return run.result()
+        run.ring = None
+        run.elapsed = time.perf_counter() - t0
+        return run
 
     return sweep
 
@@ -141,7 +131,7 @@ def _proper_masks(ctx: RingContext) -> list[int]:
 # case bodies, in registry order
 
 
-def _p1_2(run: _Run, ctx: RingContext) -> None:
+def _p1_2(run: TheoremResult, ctx: RingContext) -> None:
     """Completely prime iff completely semiprime and completely nilary."""
     for m in _proper_masks(ctx):
         cp = ctx.verdict("completely_prime", m)
@@ -158,7 +148,7 @@ def _p1_2(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _p1_3(run: _Run, ctx: RingContext) -> None:
+def _p1_3(run: TheoremResult, ctx: RingContext) -> None:
     """Products Q_1...Q_n of completely nilary ideals stay completely nilary, for n <= 3.
 
     Hypothesis: some Q_q in the tuple has its stable power inside every Q_i;
@@ -216,7 +206,7 @@ def _p1_3(run: _Run, ctx: RingContext) -> None:
     run.count(c + c * c + c * c * c, hyps)
 
 
-def _p1_3_nilary_quot(run: _Run, ctx: RingContext) -> None:
+def _p1_3_nilary_quot(run: TheoremResult, ctx: RingContext) -> None:
     """A/Q^n is a nilary ring for every completely nilary Q and n <= 3."""
     cnil = [m for m in ctx.lattice_masks(TWO_SIDED)
             if ctx.verdict("completely_nilary", m).holds]
@@ -233,7 +223,7 @@ def _p1_3_nilary_quot(run: _Run, ctx: RingContext) -> None:
                 )
 
 
-def _pquot(run: _Run, ctx: RingContext) -> None:
+def _pquot(run: TheoremResult, ctx: RingContext) -> None:
     """I completely nilary iff A/I is a completely nilary ring."""
     for m in _proper_masks(ctx):
         run.instance(True)
@@ -257,7 +247,7 @@ def _hom_pairs(ctx: RingContext):
                    qctx.verdict("completely_nilary", image))
 
 
-def _phom_fwd(run: _Run, ctx: RingContext) -> None:
+def _phom_fwd(run: TheoremResult, ctx: RingContext) -> None:
     """Surjections forward: I completely nilary implies phi(I) completely nilary."""
     for km, im, v, qv in _hom_pairs(ctx):
         if run.instance(v.holds) and not qv.holds:
@@ -269,7 +259,7 @@ def _phom_fwd(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _phom_back(run: _Run, ctx: RingContext) -> None:
+def _phom_back(run: TheoremResult, ctx: RingContext) -> None:
     """Surjections backward: phi(I) completely nilary implies I completely nilary."""
     for km, im, v, qv in _hom_pairs(ctx):
         if run.instance(qv.holds) and not v.holds:
@@ -281,7 +271,7 @@ def _phom_back(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _cquot_corr(run: _Run, ctx: RingContext) -> None:
+def _cquot_corr(run: TheoremResult, ctx: RingContext) -> None:
     """Corollary: I completely nilary in A iff I/K completely nilary in A/K."""
     for km, im, v, qv in _hom_pairs(ctx):
         run.instance(True)
@@ -294,7 +284,7 @@ def _cquot_corr(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _pnil_lift(run: _Run, ctx: RingContext) -> None:
+def _pnil_lift(run: TheoremResult, ctx: RingContext) -> None:
     """A/I completely nilary with I nil forces A completely nilary."""
     nilpotents = elements_mask(a for a, e in enumerate(ctx.idempotents) if e == 0)
     for m in ctx.lattice_masks(TWO_SIDED):
@@ -313,7 +303,7 @@ def _pnil_lift(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _pcomm(run: _Run, ctx: RingContext) -> None:
+def _pcomm(run: TheoremResult, ctx: RingContext) -> None:
     """Over a commutative quotient, p-nilary iff completely nilary.
 
     A/I is commutative iff I holds every ab - ba; the commutator is
@@ -337,7 +327,7 @@ def _pcomm(run: _Run, ctx: RingContext) -> None:
             )
 
 
-def _pnil_nilpotent(run: _Run, ctx: RingContext) -> None:
+def _pnil_nilpotent(run: TheoremResult, ctx: RingContext) -> None:
     """Completely nilary or p-nilary forces nilary (finite rings: nil => nilpotent)."""
     cn = ctx.verdict("completely_nilary", 1)
     pn = ctx.verdict("p_nilary", 1)
@@ -352,7 +342,7 @@ def _pnil_nilpotent(run: _Run, ctx: RingContext) -> None:
         )
 
 
-def _cchar(run: _Run, ctx: RingContext) -> None:
+def _cchar(run: TheoremResult, ctx: RingContext) -> None:
     """Unital completely nilary rings have prime-power characteristic."""
     if ctx.ring.one is None:
         return
@@ -372,7 +362,7 @@ def _cchar(run: _Run, ctx: RingContext) -> None:
 _FAMILIES = (("nilary", "weakly_nilary", ""), ("p_nilary", "weakly_p_nilary", "p-"))
 
 
-def _d2_1_hierarchy(run: _Run, ctx: RingContext) -> None:
+def _d2_1_hierarchy(run: TheoremResult, ctx: RingContext) -> None:
     """Every (p-)nilary proper ideal is weakly (p-)nilary."""
     for m in _proper_masks(ctx):
         strong = [ctx.verdict(name, m).holds for name, _, _ in _FAMILIES]
@@ -384,7 +374,15 @@ def _d2_1_hierarchy(run: _Run, ctx: RingContext) -> None:
                 run.violate(f"{p}nilary ideal is not weakly {p}nilary", m, [(weak, v)])
 
 
-def _e2_2(run: _Run, ctx: RingContext) -> None:
+# the worked examples' rings, built once: Z_6; M_2(Z_2) with its base and matrix units e11, e22
+_Z6 = make_zn(6)
+_Z2 = make_zn(2)
+_M2Z2 = make_matrix_ring(_Z2, 2)
+_E11 = matrix_entry_index(_Z2, 2, [[1, 0], [0, 0]])
+_E22 = matrix_entry_index(_Z2, 2, [[0, 0], [0, 1]])
+
+
+def _e2_2(run: TheoremResult, ctx: RingContext) -> None:
     """Z_6 reproduction: the zero ideal is weakly nilary but not nilary."""
     run.instance(True)
     wn = ctx.verdict("weakly_nilary", 1)
@@ -407,7 +405,7 @@ def _e2_2(run: _Run, ctx: RingContext) -> None:
                         1, [("nilary", ni)])
 
 
-def _p2_3w(run: _Run, ctx: RingContext) -> None:
+def _p2_3w(run: TheoremResult, ctx: RingContext) -> None:
     """In a (p-)nilary ring, weakly (p-)nilary proper ideals are (p-)nilary."""
     of_ring = [ctx.verdict(strong, 1).holds for strong, _, _ in _FAMILIES]
     for m in _proper_masks(ctx):
@@ -421,7 +419,7 @@ def _p2_3w(run: _Run, ctx: RingContext) -> None:
                             m, [(strong, v)])
 
 
-def _p2_4w(run: _Run, ctx: RingContext) -> None:
+def _p2_4w(run: TheoremResult, ctx: RingContext) -> None:
     """A weakly (p-)nilary ideal satisfies I^2 = 0 or is (p-)nilary."""
     for m in _proper_masks(ctx):
         weak = [ctx.verdict(name, m).holds for _, name, _ in _FAMILIES]
@@ -433,7 +431,7 @@ def _p2_4w(run: _Run, ctx: RingContext) -> None:
                             m, [(strong, v)])
 
 
-def _c2_5w(run: _Run, ctx: RingContext) -> None:
+def _c2_5w(run: TheoremResult, ctx: RingContext) -> None:
     """In a semiprime ring: weakly (p-)nilary iff zero or (p-)nilary."""
     if not ctx.verdict("semiprime", 1).holds:
         return
@@ -450,7 +448,7 @@ def _c2_5w(run: _Run, ctx: RingContext) -> None:
 _ONESIDED_FORMS = tuple((name, name + "_right", name + "_left") for _, name, _ in _FAMILIES)
 
 
-def _p2_6(run: _Run, ctx: RingContext) -> None:
+def _p2_6(run: TheoremResult, ctx: RingContext) -> None:
     """One-sided characterization: two-sided, right and left forms agree (unital)."""
     if ctx.ring.one is None:
         return
@@ -467,12 +465,9 @@ def _p2_6(run: _Run, ctx: RingContext) -> None:
                 )
 
 
-def _em2z2(run: _Run, ctx: RingContext) -> None:
+def _em2z2(run: TheoremResult, ctx: RingContext) -> None:
     """M_2(Z_2) reproduction: prime and nilary but not completely nilary."""
-    base = make_zn(2)
     run.instance(True)
-    e11 = matrix_entry_index(base, 2, [[1, 0], [0, 0]])
-    e22 = matrix_entry_index(base, 2, [[0, 0], [0, 1]])
     expectations = (
         ("prime", True),
         ("nilary", True),
@@ -488,20 +483,20 @@ def _em2z2(run: _Run, ctx: RingContext) -> None:
     cn = ctx.verdict("completely_nilary", 1)
     if not cn.holds:
         w = cn.witness
-        if (w.a, w.b) != (e11, e22):
+        if (w.a, w.b) != (_E11, _E22):
             run.violate(
                 f"completely nilary counter-witness should be (diag(1,0), diag(0,1)) = "
-                f"({e11},{e22}), got ({w.a},{w.b})",
+                f"({_E11},{_E22}), got ({w.a},{w.b})",
                 1,
                 [("completely_nilary", cn)],
             )
-        elif ctx.ring.mul[e11][e22] != 0:
+        elif ctx.ring.mul[_E11][_E22] != 0:
             run.violate("witness product e11*e22 should be 0", 1)
-        elif 0 in (ctx.idempotents[e11], ctx.idempotents[e22]):
+        elif 0 in (ctx.idempotents[_E11], ctx.idempotents[_E22]):
             run.violate("witness elements should both be non-nilpotent", 1)
 
 
-def _rprime_nilary(run: _Run, ctx: RingContext) -> None:
+def _rprime_nilary(run: TheoremResult, ctx: RingContext) -> None:
     """Every prime ring is a nilary ring."""
     pr = ctx.verdict("prime", 1)
     if not run.instance(pr.holds):
@@ -527,13 +522,12 @@ CASES: tuple[tuple[str, str, Callable[[Sequence[RingContext]], TheoremResult]], 
          _pnil_nilpotent),
         ("Cchar", "unital completely nilary ring has prime-power characteristic", _cchar),
         ("D2.1-hierarchy", "(p-)nilary implies weakly (p-)nilary", _d2_1_hierarchy),
-        ("E2.2", "Z_6: zero ideal weakly nilary but not nilary", _e2_2, lambda: make_zn(6)),
+        ("E2.2", "Z_6: zero ideal weakly nilary but not nilary", _e2_2, _Z6),
         ("P2.3w", "weakly (p-)nilary ideal of a (p-)nilary ring is (p-)nilary", _p2_3w),
         ("P2.4w", "weakly (p-)nilary: I^2 = 0 or (p-)nilary", _p2_4w),
         ("C2.5w", "semiprime ring: weakly (p-)nilary iff zero or (p-)nilary", _c2_5w),
         ("P2.6", "one-sided characterization of weakly (p-)nilary", _p2_6),
-        ("EM2Z2", "M_2(Z_2): prime, nilary, p-nilary, not completely nilary", _em2z2,
-         lambda: make_matrix_ring(make_zn(2), 2)),
+        ("EM2Z2", "M_2(Z_2): prime, nilary, p-nilary, not completely nilary", _em2z2, _M2Z2),
         ("Rprime-nilary", "every prime ring is nilary", _rprime_nilary),
     )
 )

@@ -389,9 +389,14 @@ def test_lattice_cap_preflight_enumerates_once(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
     assert code == 0
     assert sorted(calls) == [("M:2:Zn:3", 100000), ("T:2:Zn:4", 100000)]
-    # over the cap: the enumeration itself stops at the cap, so a huge lattice is never
-    # enumerated in full
+    # over the cap with the lattices cached: their sizes decide, with no second enumeration
     corpus.write_text(json.dumps({"specs": ["M:2:Zn:3", "T:2:Zn:4"], "max_lattice": 3}))
+    code, _, err = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
+    assert code == 2 and "lattice exceeds count cap 3" in err
+    assert len(calls) == 2
+    # over the cap on fresh contexts: the enumeration itself stops at the cap, so a huge
+    # lattice is never enumerated in full
+    classify.clear_caches()
     code, _, err = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
     assert code == 2 and "lattice exceeds count cap 3" in err
     assert calls[-1] == ("T:2:Zn:4", 3)

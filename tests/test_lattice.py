@@ -20,7 +20,7 @@ from nilary import (
     ideal_generated_by,
     parse_ring_spec,
 )
-from nilary import ideals
+from nilary import classify, ideals
 from nilary.classify import RingContext, full_report, ring_context
 from nilary.cli import main
 from nilary.ideals import _principal_spans, additive_closure_mask, elements_mask
@@ -179,7 +179,7 @@ def test_coset_walk_reads_one_add_row_per_coset():
 @pytest.mark.parametrize("spec", ["Zn:12", "T:3:Zn:2", "dsum(T:2:Zn:3,zmul:4)",
                                   "dsum(zmul:2,dsum(zmul:2,zmul:2))", ZERO_RING_5])
 @pytest.mark.parametrize("kind", KINDS)
-def test_count_cap_is_exact(spec, kind):
+def test_count_cap_is_exact(spec, kind, monkeypatch):
     r = parse_ring_spec(spec)
     full = enumerate_ideals(r, kind)
     size = len(full)
@@ -188,8 +188,12 @@ def test_count_cap_is_exact(spec, kind):
         enumerate_ideals(r, kind, max_ideals=size - 1)
     ctx = RingContext(r)
     assert ctx.lattice_masks(kind) == full.masks()  # cached under the default cap
-    with pytest.raises(SizeCapError, match=f"count cap {size - 1}"):
+    enumerations = []
+    monkeypatch.setattr(classify, "enumerate_ideals",
+                        lambda *args, **kw: enumerations.append(args) or enumerate_ideals(*args, **kw))
+    with pytest.raises(SizeCapError, match=f"lattice exceeds count cap {size - 1}$"):
         ctx.index(kind, max_ideals=size - 1)
+    assert enumerations == []  # the cached lattice's size decides, with no second enumeration
     assert ctx.index(kind, max_ideals=size).masks == full.masks()
 
 

@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from collections import Counter
 
 import pytest
 from _oracles import p1_3_by_tuples
 from hypothesis import given
 
+from test_cli import ONESIDED_QUERY
 from test_lattice import HUNT_SHAPES, LADDER, ZERO_RING_5, small_specs
 from nilary import (
     Ideal,
@@ -21,7 +23,9 @@ from nilary import (
     replay_verdict,
     ring_context,
 )
-from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex
+from nilary import ideals, rings
+from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex, full_report
+from nilary.hunt import parse_query, run_hunt
 from nilary.theorems import CASE_IDS, _case, _p1_3, render_table, report_json, run_all
 
 HARNESS_SPECS = [
@@ -99,6 +103,58 @@ def test_case_filter_and_unknown_id(harness_rings):
     assert [res.case_id for res in only] == ["Cchar", "E2.2"]  # registry order
     with pytest.raises(ValueError, match="unknown case"):
         run_all(harness_rings, ["NOPE"])
+
+
+# each pass with the specs it runs over; None stands for the builtin corpus
+WARM_PASSES = {
+    "run_all-builtins": (None, lambda rs: [res.to_json() for res in run_all(rs)]),
+    "full_report-ladder": (LADDER, lambda rs: [full_report(r) for r in rs]),
+    "run_hunt-noncomm": (HUNT_SHAPES,
+                         lambda rs: list(run_hunt(rs, parse_query(ONESIDED_QUERY, "any-ideal")))),
+}
+BUILDERS = (*(getattr(rings, name) for name in (
+    "make_zn", "make_zero_mul", "make_direct_sum", "make_matrix_ring", "make_upper_triangular",
+    "matrix_entry_index")), ideals.make_quotient, ideals.enumerate_ideals)
+
+
+@pytest.mark.parametrize("name", WARM_PASSES)
+def test_second_pass_builds_nothing(name, builtin_rings, monkeypatch):
+    """A second pass over the same rings reuses their contexts: no ring, lattice or verdict is built.
+
+    The worked examples of the harness run on module-constant rings, so
+    run_all builds none of its own either.
+    """
+    specs, run = WARM_PASSES[name]
+    corpus = builtin_rings if specs is None else [parse_ring_spec(s) for s in specs]
+    clear_caches()
+    try:
+        first = run(corpus)
+        calls: Counter = Counter()
+
+        def counted(label, fn):
+            def wrapper(*args, **kw):
+                calls[label] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        modules = [m for mod, m in sys.modules.items() if mod.split(".")[0] == "nilary"]
+        for fn in BUILDERS:
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted(fn.__name__, fn))
+        from_tables = Ring.__dict__["from_tables"].__func__
+        monkeypatch.setattr(Ring, "from_tables", classmethod(counted("Ring.from_tables", from_tables)))
+        monkeypatch.setattr(RingContext, "__init__",
+                            counted("RingContext.__init__", RingContext.__init__))
+        for pred, fn in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, pred, counted(f"predicate {pred}", fn))
+        second = run(corpus)
+        monkeypatch.undo()
+    finally:
+        clear_caches()
+    assert calls == Counter(), calls
+    assert second == first
 
 
 def test_empty_corpus_flags_warning():
