@@ -191,16 +191,16 @@ class _LatticeIndex:
 class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
-    Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients
-    with the images of the ideals above each kernel, the last ideal walked
-    and verdicts. :attr:`commutative` and :attr:`idempotents` are built whole
-    on first use. :meth:`product` multiplies any two masks and
-    :meth:`chain` computes power chains; neither keeps what it returns,
-    since index rows hold the products of lattice members and the index's
-    stable powers keep the chains' last terms. Everything is derived data and
-    deterministic; the context never mutates its ring, and two threads racing
-    on one entry only compute it twice (a quotient is built twice, but both
-    callers get the one stored first).
+    Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients with the
+    images of the ideals above each kernel (A/0 is this context itself, and every
+    A/I with 0 < I < A derives its own lattice), the last ideal walked and verdicts.
+    :attr:`commutative`, :attr:`characteristic` and :attr:`idempotents` are built
+    whole on first use. :meth:`product` multiplies any two masks and :meth:`chain`
+    computes power chains; neither keeps what it returns, since index rows hold
+    the products of lattice members and the index's stable powers keep the
+    chains' last terms. Everything is derived data and deterministic; the context
+    never mutates its ring, and two threads racing on one entry only compute it
+    twice (a quotient is built twice, but both callers get the one stored first).
     """
 
     def __init__(self, ring: Ring):
@@ -209,6 +209,7 @@ class RingContext:
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
         self._commutative: Optional[bool] = None
+        self._characteristic: Optional[Characteristic] = None
         self._idempotents: Optional[tuple[int, ...]] = None
         self._walked: tuple[int, Sequence[int], frozenset[int]] = _UNWALKED
         self._indexes: dict[str, _LatticeIndex] = {}
@@ -222,6 +223,13 @@ class RingContext:
         if self._commutative is None:
             self._commutative = is_commutative(self.ring)
         return self._commutative
+
+    @property
+    def characteristic(self) -> Characteristic:
+        """Additive order of the unity, walked on first use; ValueError without unity."""
+        if self._characteristic is None:
+            self._characteristic = characteristic(self.ring)
+        return self._characteristic
 
     @property
     def idempotents(self) -> tuple[int, ...]:
@@ -303,11 +311,21 @@ class RingContext:
         return tuple(powers)
 
     def quotient(self, m: int) -> tuple[RingContext, Hom]:
-        """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I."""
+        """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I.
+
+        A/0 is this context, A/A a one-element ring; make_quotient builds every other A/I.
+        """
         got = self._quotients.get(m)
         if got is None:
-            quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
-            got = self._quotients.setdefault(m, (RingContext(quot), hom))
+            r = self.ring
+            if m == 1:
+                quot, hom = r, Hom(r, r, tuple(r.elements))
+            elif m == self.full_mask:
+                quot = Ring(1, ((0,),), ((0,),), 0 if self.unital else None, f"{r.label}/{r.label}")
+                hom = Hom(r, quot, (0,) * self.n)
+            else:
+                quot, hom = make_quotient(r, Ideal(r, m, TWO_SIDED))
+            got = self._quotients.setdefault(m, (self if quot is r else RingContext(quot), hom))
         return got
 
     def images(self, m: int) -> tuple[tuple[int, int], ...]:
@@ -627,13 +645,12 @@ def classify_ideal(i: Ideal) -> PropertyReport:
     """Evaluate every registered predicate on one two-sided ideal."""
     ctx = _require_two_sided(i)
     verdicts = {name: ctx.verdict(name, i.mask) for name in PREDICATE_NAMES}
-    ring = i.ring
     return PropertyReport(
-        ring_label=ring.label,
+        ring_label=i.ring.label,
         ideal_elements=i.elements,
         proper=i.mask != ctx.full_mask,
         verdicts=verdicts,
-        char=characteristic(ring) if ctx.unital else None,
+        char=ctx.characteristic if ctx.unital else None,
         commutative=ctx.commutative,
         unital=ctx.unital,
         nil=not any(ctx.idempotents),

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .classify import PREDICATE_NAMES, RingContext, ring_context
 from .ideals import TWO_SIDED, mask_elements
-from .rings import Ring, characteristic
+from .rings import Ring
 from .specs import MAX_NESTING
 
 FACT_ATOMS = ("proper", "commutative", "unital", "prime_power_char")
@@ -121,7 +121,7 @@ def _eval_atom(name: str, ctx: RingContext, mask: int) -> bool:
     if name == "unital":
         return ctx.unital
     if name == "prime_power_char":
-        return ctx.unital and characteristic(ctx.ring).is_prime_power
+        return ctx.unital and ctx.characteristic.is_prime_power
     v = ctx.verdict(name, mask)
     return v.holds and not v.na
 

@@ -408,12 +408,11 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
         raise ValueError("ideal belongs to a different ring")
     if i.kind != TWO_SIDED or _close(r, i.mask, True, True) != i.mask:
         raise ValueError(f"{i!r} is not a two-sided ideal of {r.label}")
-    q_of, reps = coset_walk(r, i.elements)
+    q_of, reps = coset_walk(r, elems := i.elements)
     qadd = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.add[a] for a in reps))
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None
-    label = f"{r.label}/{{{','.join(map(str, i.elements))}}}"
-    q = Ring(len(reps), qadd, qmul, qone, label)
+    q = Ring(len(reps), qadd, qmul, qone, f"{r.label}/{{{','.join(map(str, elems))}}}")
     return q, Hom(r, q, tuple(q_of))
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from .classify import RingContext, Verdict, Witness, ring_context
 from .ideals import TWO_SIDED, elements_mask, mask_elements
-from .rings import Ring, characteristic, make_matrix_ring, make_zn, matrix_entry_index
+from .rings import Ring, make_matrix_ring, make_zn, matrix_entry_index
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,7 @@ def _cchar(run: TheoremResult, ctx: RingContext) -> None:
     cn = ctx.verdict("completely_nilary", 1)
     if not run.instance(cn.holds):
         return
-    ch = characteristic(ctx.ring)
-    if not ch.is_prime_power:
+    if not (ch := ctx.characteristic).is_prime_power:
         run.violate(
             f"completely nilary but characteristic {ch.value} is not a prime power",
             1,

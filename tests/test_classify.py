@@ -443,7 +443,10 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
             qctx, hom = ctx.quotient(m)
             assert ctx.quotient(m)[0] is qctx, (r.label, m)
             quot, fresh_hom = make_quotient(r, Ideal(r, m))
-            assert qctx.ring == quot and hom.map == fresh_hom.map, (r.label, m)
+            q = qctx.ring  # A/0 is the ring itself, so only its label differs from quot's
+            assert (q.order, q.add, q.mul, q.one) == (quot.order, quot.add, quot.mul, quot.one), (
+                r.label, m)
+            assert hom.map == fresh_hom.map, (r.label, m)
             checked = Ring.from_tables(quot.order, quot.add, quot.mul, one=quot.one,
                                        label=quot.label)
             for f in dataclasses.fields(Ring):
@@ -453,6 +456,23 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
             fresh = RingContext(quot)
             for name in ("completely_nilary", "nilary"):
                 assert qctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, m, name)
+
+
+def test_quotients_by_zero_and_by_the_ring_are_not_built(builtin_rings):
+    """A/0 is the ring's own context under the identity; A/A a one-element ring's."""
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]
+    assert any(r.one is None for r in rings) and any(r.order == 1 for r in rings)
+    for r in rings:
+        ctx = RingContext(r)
+        qctx, hom = ctx.quotient(1)
+        assert qctx is ctx and (hom.source, hom.target) == (r, r), r.label
+        assert hom.map == tuple(range(r.order)), r.label
+        zctx, hom = ctx.quotient(ctx.full_mask)
+        assert ctx.quotient(ctx.full_mask)[0] is zctx and hom.target is zctx.ring, r.label
+        assert (zctx.n, zctx.unital, hom.map) == (1, ctx.unital, (0,) * r.order), r.label
+        fresh = RingContext(make_quotient(r, Ideal(r, ctx.full_mask))[0])
+        for name in classify.REGISTRY:
+            assert zctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, name)
 
 
 def test_threads_sharing_rings_match_the_serial_run():

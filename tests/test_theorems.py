@@ -23,7 +23,7 @@ from nilary import (
     replay_verdict,
     ring_context,
 )
-from nilary import ideals, rings
+from nilary import classify, ideals, rings
 from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex, full_report
 from nilary.hunt import parse_query, run_hunt
 from nilary.theorems import CASE_IDS, _case, _p1_3, render_table, report_json, run_all
@@ -190,11 +190,32 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
     try:
         cold = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert ring_context.cache_info().misses <= len(builtin_rings)
-        quotients = [q for r in builtin_rings for q, _ in ring_context(r)._quotients.values()]
+        quotients = [(ctx, q) for ctx in map(ring_context, builtin_rings)
+                     for q, _ in ctx._quotients.values()]
         assert len(quotients) == 346
-        assert all(q._commutative is None for q in quotients)  # nothing asked them
+        # nothing asked them; A/0 is the ring's own context, which the cases did ask
+        assert all(q._commutative is None for ctx, q in quotients if q is not ctx)
         warm = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert warm == cold
+    finally:
+        clear_caches()
+
+
+def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, monkeypatch):
+    """Of the 346 quotients a builtin run asks for, the 191 by 0 < I < A are built, once."""
+    built = []
+
+    def counting(r, i):
+        built.append((r.label, i.mask))
+        return make_quotient(r, i)
+
+    monkeypatch.setattr(classify, "make_quotient", counting)
+    clear_caches()
+    try:
+        run_all(builtin_rings)
+        assert len(built) == 191
+        run_all(builtin_rings)  # a warm run builds nothing
+        assert len(built) == 191 == len(set(built))
     finally:
         clear_caches()
 
