@@ -34,10 +34,11 @@ encoded as holds=False with na=True.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .ideals import (
     DEFAULT_LATTICE_COUNT_CAP,
@@ -192,8 +193,8 @@ class RingContext:
     """Memoized quantification data for one ring: its one mask algebra.
 
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients with the
-    images of the ideals above each kernel (A/0 is this context itself, and every
-    A/I with 0 < I < A derives its own lattice), the last ideal walked and verdicts.
+    images of the ideals above each kernel (A/0 is this context itself, any other
+    A/I is any live context with its tables), the last ideal walked and verdicts.
     :attr:`commutative`, :attr:`characteristic` and :attr:`idempotents` are built
     whole on first use. :meth:`product` multiplies any two masks and :meth:`chain`
     computes power chains; neither keeps what it returns, since index rows hold
@@ -314,6 +315,7 @@ class RingContext:
         """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I.
 
         A/0 is this context, A/A a one-element ring; make_quotient builds every other A/I.
+        A/I's context is any live one with its tables, new only if none is; hom targets its ring.
         """
         got = self._quotients.get(m)
         if got is None:
@@ -325,7 +327,8 @@ class RingContext:
                 hom = Hom(r, quot, (0,) * self.n)
             else:
                 quot, hom = make_quotient(r, Ideal(r, m, TWO_SIDED))
-            got = self._quotients.setdefault(m, (self if quot is r else RingContext(quot), hom))
+            qctx = self if quot is r else next(_live_contexts(quot), None) or _register(RingContext(quot))
+            got = self._quotients.setdefault(m, (qctx, Hom(r, qctx.ring, hom.map)))
         return got
 
     def images(self, m: int) -> tuple[tuple[int, int], ...]:
@@ -347,13 +350,35 @@ class RingContext:
         return got
 
 
+_LIVE: dict[tuple[int, Optional[int]], tuple[weakref.ref, ...]] = {}  # weak, by (order, one)
+
+
+def _live_contexts(r: Ring) -> Iterator[RingContext]:
+    """Live registered contexts whose rings have r's tables, compared, never hashed."""
+    for ref in _LIVE.get((r.order, r.one), ()):  # a tuple: registering replaces it whole
+        ctx = ref()
+        if ctx is not None and ctx.ring.mul == r.mul and ctx.ring.add == r.add:
+            yield ctx
+
+
+def _register(ctx: RingContext) -> RingContext:
+    """Make ctx findable while it lives; one lost to a racing thread only costs a share."""
+    key = (ctx.n, ctx.ring.one)
+    _LIVE[key] = (*(ref for ref in _LIVE.get(key, ()) if ref() is not None), weakref.ref(ctx))
+    return ctx
+
+
 @lru_cache(maxsize=256)
 def ring_context(ring: Ring) -> RingContext:
-    return RingContext(ring)
+    """The context of ring: a live one in the weak registry whose ring equals it, else a new one."""
+    got = next((ctx for ctx in _live_contexts(ring) if ctx.ring.label == ring.label), None)
+    return got or _register(RingContext(ring))
 
 
 def clear_caches() -> None:
+    """Forget every context: the LRU and the registry, so no later lookup finds an old memo."""
     ring_context.cache_clear()
+    _LIVE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,17 @@ def _max_order(args) -> Optional[int]:
     return int(value)
 
 
-def _corpus_rings(args) -> list:
+def _corpus_rings(args) -> tuple[list, list]:
+    """The corpus's rings, and the contexts a max_lattice pre-flight keeps live for the run."""
     config = build_builtin_corpus() if args.builtin else load_corpus_file(args.corpus)
     cap = _max_order(args)
     if cap is not None:
         config = dataclasses.replace(config, max_order=cap)
     rings = build_rings(config)
-    if config.max_lattice is not None:
-        # pre-flight before any classification; the run reuses the lattices
-        for r in rings:
-            ring_context(r).index(max_ideals=config.max_lattice)
-    return rings
+    held = [ring_context(r) for r in rings] if config.max_lattice is not None else []
+    for ctx in held:  # pre-flight before any classification; the run finds these contexts again
+        ctx.index(max_ideals=config.max_lattice)
+    return rings, held
 
 
 def _parse_single(args):
@@ -175,7 +175,7 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rings = _corpus_rings(args)
+    rings, _held = _corpus_rings(args)
     case_ids = args.case if args.case else None
     results = run_all(rings, case_ids)
     if args.json:
@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
 def cmd_hunt(args) -> int:
     target = "any-ideal" if args.target == "any" else "ring-zero-ideal"
     query = parse_query(args.query, target)
-    rings = _corpus_rings(args)
+    rings, _held = _corpus_rings(args)
     matches = list(run_hunt(rings, query))
     if args.json:
         _print_json({"query": query.text, "target": query.target,

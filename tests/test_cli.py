@@ -402,6 +402,27 @@ def test_lattice_cap_preflight_enumerates_once(capsys, tmp_path, monkeypatch):
     assert calls[-1] == ("T:2:Zn:4", 3)
 
 
+def test_lattice_cap_preflight_past_the_context_cache_enumerates_once(capsys, tmp_path, monkeypatch):
+    """260 rings overflow the 256-entry context cache; the run finds the pre-flight's contexts."""
+    calls = []
+    enumerate_ideals = classify.enumerate_ideals
+
+    def counted(r, *args, **kwargs):
+        calls.append(r.label)
+        return enumerate_ideals(r, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "enumerate_ideals", counted)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"specs": [f"Zn:{n}" for n in range(1, 261)], "max_lattice": 100000}))
+    classify.clear_caches()
+    try:
+        code, out, _ = run(capsys, "hunt", "--corpus", str(corpus), "nilary")
+    finally:
+        classify.clear_caches()
+    assert code == 0 and out.endswith("\n72 match(es) for: nilary\n")  # 1 and 71 prime powers
+    assert sorted(calls) == sorted(f"Zn:{n}" for n in range(1, 261))
+
+
 def test_table_file_entry_beyond_int64_exits_2(capsys, tmp_path):
     path = tmp_path / "huge.tbl"
     path.write_text(f"2\n0 1\n1 {10**30}\n0 0\n0 1\n")

@@ -1,9 +1,11 @@
 """Theorem harness: cases pass on honest engines and catch corrupted ones."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -190,11 +192,13 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
     try:
         cold = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert ring_context.cache_info().misses <= len(builtin_rings)
-        quotients = [(ctx, q) for ctx in map(ring_context, builtin_rings)
-                     for q, _ in ctx._quotients.values()]
+        contexts = list(map(ring_context, builtin_rings))
+        quotients = [(ctx, q) for ctx in contexts for q, _ in ctx._quotients.values()]
         assert len(quotients) == 346
-        # nothing asked them; A/0 is the ring's own context, which the cases did ask
-        assert all(q._commutative is None for ctx, q in quotients if q is not ctx)
+        assert len({id(q) for _, q in quotients}) == 80  # the corpus's, and A/A without unity
+        # nothing asked them; a corpus context, A/0 among them, is one the cases did ask
+        owned = {id(ctx) for ctx in contexts}
+        assert all(q._commutative is None for _, q in quotients if id(q) not in owned)
         warm = json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
         assert warm == cold
     finally:
@@ -216,6 +220,106 @@ def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, mon
         assert len(built) == 191
         run_all(builtin_rings)  # a warm run builds nothing
         assert len(built) == 191 == len(set(built))
+    finally:
+        clear_caches()
+
+
+def test_builtin_run_all_makes_one_context_per_table_pair(builtin_rings, monkeypatch):
+    """Cold, the 79 corpus contexts serve every quotient with their tables: 80 contexts, not 346."""
+    made = []
+    init = RingContext.__init__
+
+    def counting(self, ring):
+        made.append(ring.label)
+        init(self, ring)
+
+    monkeypatch.setattr(RingContext, "__init__", counting)
+    clear_caches()
+    try:
+        run_all(builtin_rings)
+        assert len(made) == 80
+        run_all(builtin_rings)
+        assert len(made) == 80  # a warm run makes none
+    finally:
+        clear_caches()
+
+
+def test_quotient_with_a_corpus_rings_tables_is_its_context(builtin_rings):
+    """A/I whose tables equal a corpus ring's resolves to that ring's context."""
+    def tables(r):
+        return r.order, r.one, r.add, r.mul
+
+    clear_caches()
+    try:
+        contexts = [ring_context(r) for r in builtin_rings]
+        z12, z4 = (ring_context(parse_ring_spec(s)) for s in ("Zn:12", "Zn:4"))
+        assert z12 in contexts and z4 in contexts
+        assert z12.quotient(ideals.elements_mask([0, 4, 8]))[0] is z4
+        shared = 0
+        for ctx in contexts:
+            for m in ctx.lattice_masks():
+                qctx, hom = ctx.quotient(m)
+                owners = [c for c in contexts if tables(c.ring) == tables(qctx.ring)]
+                assert owners == [] or qctx in owners, (ctx.ring.label, m)
+                shared += qctx in owners
+        assert shared == 339  # of 346: all but A/A of the 7 rings without unity
+    finally:
+        clear_caches()
+
+
+def test_shared_quotient_contexts_match_fresh_ones(builtin_rings):
+    """Every quotient's context, shared or new, agrees with a fresh build of A/I."""
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]
+    clear_caches()
+    try:
+        for ctx in [ring_context(r) for r in rings]:
+            r = ctx.ring
+            for m in ctx.lattice_masks():
+                qctx, hom = ctx.quotient(m)
+                quot, fresh_hom = make_quotient(r, Ideal(r, m))
+                q = qctx.ring
+                assert hom.target is q and (hom.source, hom.map) == (r, fresh_hom.map), (r.label, m)
+                assert (q.order, q.one, q.add, q.mul) == (quot.order, quot.one, quot.add, quot.mul)
+                fresh = RingContext(quot)
+                for name in REGISTRY:
+                    assert qctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, m, name)
+    finally:
+        clear_caches()
+
+
+def test_the_registry_keeps_no_context_alive(builtin_rings):
+    """The registry holds contexts weakly: a quotient's dies with its parent, and all with the caches."""
+    clear_caches()
+    try:
+        ctx = RingContext(parse_ring_spec("Zn:12"))  # unregistered; its quotients are registered
+        quotient = weakref.ref(ctx.quotient(ideals.elements_mask([0, 4, 8]))[0])
+        assert RingContext(parse_ring_spec("Zn:24")).quotient(
+            ideals.elements_mask(range(0, 24, 4)))[0] is quotient()  # Z/4 again: shared
+        del ctx
+        gc.collect()
+        assert quotient() is None
+        run_all(builtin_rings)
+        old = weakref.ref(ring_context(builtin_rings[0]))
+    finally:
+        clear_caches()
+    gc.collect()
+    assert old() is None
+
+
+def test_a_lie_does_not_outlive_the_caches(builtin_rings):
+    """Verdicts decided under a liar leave with clear_caches, though contexts are shared."""
+    def text():
+        return json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
+
+    clear_caches()
+    try:
+        honest = text()
+        clear_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            assert text() != honest
+            clear_caches()
+        assert text() == honest
     finally:
         clear_caches()
 
