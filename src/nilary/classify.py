@@ -38,7 +38,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ideals import (
     DEFAULT_LATTICE_COUNT_CAP,
@@ -190,11 +190,13 @@ class _LatticeIndex:
 
 
 class RingContext:
-    """Memoized quantification data for one ring: its one mask algebra.
+    """Memoized quantification data for one table pair: its one mask algebra.
 
+    Everything here depends on the tables alone, so rings that differ only in
+    their labels share a context, and :attr:`ring` is just one of them.
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients with the
     images of the ideals above each kernel (A/0 is this context itself, any other
-    A/I is any live context with its tables), the last ideal walked and verdicts.
+    A/I is the shared context of its tables), the last ideal walked and verdicts.
     :attr:`commutative`, :attr:`characteristic` and :attr:`idempotents` are built
     whole on first use. :meth:`product` multiplies any two masks and :meth:`chain`
     computes power chains; neither keeps what it returns, since index rows hold
@@ -205,7 +207,7 @@ class RingContext:
     """
 
     def __init__(self, ring: Ring):
-        self.ring = ring
+        self.ring = ring  # a representative of the table pair: no output reads its label
         self.n = ring.order
         self.full_mask = full_mask(ring)
         self.unital = ring.one is not None
@@ -315,7 +317,7 @@ class RingContext:
         """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I.
 
         A/0 is this context, A/A a one-element ring; make_quotient builds every other A/I.
-        A/I's context is any live one with its tables, new only if none is; hom targets its ring.
+        A/I's context is _shared_context's, as for any ring; hom targets its representative.
         """
         got = self._quotients.get(m)
         if got is None:
@@ -327,7 +329,7 @@ class RingContext:
                 hom = Hom(r, quot, (0,) * self.n)
             else:
                 quot, hom = make_quotient(r, Ideal(r, m, TWO_SIDED))
-            qctx = self if quot is r else next(_live_contexts(quot), None) or _register(RingContext(quot))
+            qctx = self if quot is r else _shared_context(quot)
             got = self._quotients.setdefault(m, (qctx, Hom(r, qctx.ring, hom.map)))
         return got
 
@@ -353,26 +355,21 @@ class RingContext:
 _LIVE: dict[tuple[int, Optional[int]], tuple[weakref.ref, ...]] = {}  # weak, by (order, one)
 
 
-def _live_contexts(r: Ring) -> Iterator[RingContext]:
-    """Live registered contexts whose rings have r's tables, compared, never hashed."""
-    for ref in _LIVE.get((r.order, r.one), ()):  # a tuple: registering replaces it whole
-        ctx = ref()
-        if ctx is not None and ctx.ring.mul == r.mul and ctx.ring.add == r.add:
-            yield ctx
-
-
-def _register(ctx: RingContext) -> RingContext:
-    """Make ctx findable while it lives; one lost to a racing thread only costs a share."""
-    key = (ctx.n, ctx.ring.one)
+def _shared_context(r: Ring) -> RingContext:
+    """A live registered context with r's order, unity and tables (==, unhashed), or a new one."""
+    key = (r.order, r.one)
+    for ref in _LIVE.get(key, ()):  # a tuple: registering replaces it whole
+        if (ctx := ref()) is not None and ctx.ring.mul == r.mul and ctx.ring.add == r.add:
+            return ctx
+    ctx = RingContext(r)  # if a racing thread registers its own too, one share is lost
     _LIVE[key] = (*(ref for ref in _LIVE.get(key, ()) if ref() is not None), weakref.ref(ctx))
     return ctx
 
 
 @lru_cache(maxsize=256)
 def ring_context(ring: Ring) -> RingContext:
-    """The context of ring: a live one in the weak registry whose ring equals it, else a new one."""
-    got = next((ctx for ctx in _live_contexts(ring) if ctx.ring.label == ring.label), None)
-    return got or _register(RingContext(ring))
+    """The shared context of ring's tables, whose ring may carry another label than ring's."""
+    return _shared_context(ring)
 
 
 def clear_caches() -> None:

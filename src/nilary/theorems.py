@@ -7,13 +7,14 @@ number of hypothesis-satisfying instances is reported separately, so a
 vacuous pass is visible as such.
 
 A case is a body ``body(run, ctx)`` over one ring's context, and
-:func:`_case` is the one loop that sweeps it over the corpus's contexts:
-it creates the case's one record, a :class:`TheoremResult`, points
-``run.ring`` at each context's ring in turn, calls the body, and stamps
-the elapsed time on the record it returns. :func:`run_all` resolves each
-ring's context once and hands that list to every sweep, so a context, with
-its lattices, quotients and verdicts, lives for the whole run whatever the
-size of the corpus. The record does the counting. A body only reports:
+:func:`_case` is the one loop that sweeps it over the corpus's (ring,
+context) pairs: it creates the case's one record, a :class:`TheoremResult`,
+points ``run.ring`` at each ring in turn (rings that differ only in their
+labels share a context, so a label is always the swept ring's), calls the
+body, and stamps the elapsed time on the record it returns. :func:`run_all`
+resolves each ring's context once and hands the pairs to every sweep, so a
+context lives for the whole run whatever the size of the corpus. The
+record does the counting. A body only reports:
 ``run.instance(hypothesis)`` once per instance (or ``run.count`` for many
 at once), ``run.violate(description, ideal_mask, witnesses)`` per failure
 (the record adds the ring and turns the mask into elements), and an early
@@ -107,14 +108,14 @@ def _case(
     case_id: str,
     body: Callable[[TheoremResult, RingContext], None],
     own: Optional[Ring] = None,
-) -> Callable[[Sequence[RingContext]], TheoremResult]:
-    """The sweep of body over the corpus's contexts, or over the one ring own."""
+) -> Callable[[Sequence[tuple[Ring, RingContext]]], TheoremResult]:
+    """The sweep of body over (ring, context) pairs, or own's; run.ring is the ring swept."""
 
-    def sweep(contexts: Sequence[RingContext]) -> TheoremResult:
+    def sweep(pairs: Sequence[tuple[Ring, RingContext]]) -> TheoremResult:
         t0 = time.perf_counter()
         run = TheoremResult(case_id)
-        for ctx in contexts if own is None else (ring_context(own),):
-            run.ring = ctx.ring
+        for ring, ctx in pairs if own is None else ((own, ring_context(own)),):
+            run.ring = ring
             body(run, ctx)
         run.ring = None
         run.elapsed = time.perf_counter() - t0
@@ -168,6 +169,7 @@ def _p1_3(run: TheoremResult, ctx: RingContext) -> None:
     own = [bits if bits >> a & 1 else 0 for a, bits in enumerate(inside)]  # inside[q] if q in it
     selfs = sum(1 << a for a, bits in enumerate(own) if bits)
     firsts: dict[int, tuple[Sequence[int] | dict[int, int], int]] = {}
+    named: dict[int, tuple[int, ...]] = {}  # factor q's elements, decoded when first named
 
     def first(p: int) -> tuple[Sequence[int] | dict[int, int], int]:
         """p's products, by lattice position, and the bits i where pQ_i is not completely nilary."""
@@ -200,7 +202,8 @@ def _p1_3(run: TheoremResult, ctx: RingContext) -> None:
         while bad:
             i = (bad & -bad).bit_length() - 1
             bad, m = bad & (bad - 1), row[cnil[i]]
-            factors = [mask_elements(masks[cnil[q]]) for q in (*tup, i)]
+            factors = [named.get(q) or named.setdefault(q, mask_elements(masks[cnil[q]]))
+                       for q in (*tup, i)]
             run.violate(f"product of completely nilary ideals {factors} is not completely nilary",
                         m, [("completely_nilary", ctx.verdict("completely_nilary", m))])
     run.count(c + c * c + c * c * c, hyps)
@@ -506,7 +509,7 @@ def _rprime_nilary(run: TheoremResult, ctx: RingContext) -> None:
 
 
 # (id, text, body[, own]); see _case for own
-CASES: tuple[tuple[str, str, Callable[[Sequence[RingContext]], TheoremResult]], ...] = tuple(
+CASES: tuple[tuple[str, str, Callable[..., TheoremResult]], ...] = tuple(
     (cid, text, _case(cid, body, *own)) for cid, text, body, *own in (
         ("P1.2", "completely prime iff completely semiprime + completely nilary", _p1_2),
         ("P1.3", "products of completely nilary ideals", _p1_3),
@@ -543,10 +546,10 @@ def run_all(rings: Sequence[Ring], case_ids: Optional[Sequence[str]] = None) -> 
             raise ValueError(f"unknown case id(s): {', '.join(unknown)}")
         selected = tuple(c for c in CASES if c[0] in case_ids)
     warning = "empty corpus" if not rings else None
-    contexts = [ring_context(r) for r in rings]
+    pairs = [(r, ring_context(r)) for r in rings]
     results = []
     for _, _, fn in selected:
-        res = fn(contexts)
+        res = fn(pairs)
         if warning and res.instances == 0:
             res.warning = warning
         results.append(res)

@@ -478,9 +478,11 @@ def test_quotients_by_zero_and_by_the_ring_are_not_built(builtin_rings):
 def test_threads_sharing_rings_match_the_serial_run():
     """Reports and theorem cases from four threads over shared fresh rings, switching every 1 µs.
 
-    Zn:12's quotient by (4) has Zn:4's tables, so the threads race on that shared context too.
+    Zn:12's quotient by (4) has Zn:4's tables, as does dsum(Zn:1,Zn:4), so the threads race
+    on that shared context too, under two corpus labels.
     """
-    specs = ("T:2:Zn:4", "M:2:Zn:2", "dsum(T:2:Zn:2,Zn:3)", "Zn:12", "T:3:Zn:2", "Zn:4")
+    specs = ("T:2:Zn:4", "M:2:Zn:2", "dsum(T:2:Zn:2,Zn:3)", "Zn:12", "T:3:Zn:2", "Zn:4",
+             "dsum(Zn:1,Zn:4)")
 
     def job(k: int, rings: list) -> str:
         if k % 2:

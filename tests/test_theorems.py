@@ -195,7 +195,7 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
         contexts = list(map(ring_context, builtin_rings))
         quotients = [(ctx, q) for ctx in contexts for q, _ in ctx._quotients.values()]
         assert len(quotients) == 346
-        assert len({id(q) for _, q in quotients}) == 80  # the corpus's, and A/A without unity
+        assert len({id(q) for _, q in quotients}) == 66  # 65 corpus table pairs, A/A without unity
         # nothing asked them; a corpus context, A/0 among them, is one the cases did ask
         owned = {id(ctx) for ctx in contexts}
         assert all(q._commutative is None for _, q in quotients if id(q) not in owned)
@@ -206,7 +206,7 @@ def test_quotients_stay_out_of_the_context_cache(builtin_rings):
 
 
 def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, monkeypatch):
-    """Of the 346 quotients a builtin run asks for, the 191 by 0 < I < A are built, once."""
+    """Of the 346 quotients a builtin run asks for, the 182 by 0 < I < A are built, once."""
     built = []
 
     def counting(r, i):
@@ -217,15 +217,15 @@ def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, mon
     clear_caches()
     try:
         run_all(builtin_rings)
-        assert len(built) == 191
+        assert len(built) == 182
         run_all(builtin_rings)  # a warm run builds nothing
-        assert len(built) == 191 == len(set(built))
+        assert len(built) == 182 == len(set(built))
     finally:
         clear_caches()
 
 
 def test_builtin_run_all_makes_one_context_per_table_pair(builtin_rings, monkeypatch):
-    """Cold, the 79 corpus contexts serve every quotient with their tables: 80 contexts, not 346."""
+    """Cold, one context per table pair serves the 79 rings and their quotients: 66, not 346."""
     made = []
     init = RingContext.__init__
 
@@ -237,18 +237,34 @@ def test_builtin_run_all_makes_one_context_per_table_pair(builtin_rings, monkeyp
     clear_caches()
     try:
         run_all(builtin_rings)
-        assert len(made) == 80
+        assert len(made) == 66
         run_all(builtin_rings)
-        assert len(made) == 80  # a warm run makes none
+        assert len(made) == 66  # a warm run makes none
+    finally:
+        clear_caches()
+
+
+def _tables(r):
+    return r.order, r.one, r.add, r.mul
+
+
+def test_rings_with_equal_tables_share_one_context(builtin_rings):
+    """ring_context resolves each builtin to the context of the first builtin with its tables."""
+    clear_caches()
+    try:
+        contexts = [ring_context(r) for r in builtin_rings]
+        for r, ctx in zip(builtin_rings, contexts):
+            first = next(k for k, s in enumerate(builtin_rings) if _tables(s) == _tables(r))
+            assert ctx is contexts[first] and ctx.ring is builtin_rings[first], r.label
+        assert len({id(ctx) for ctx in contexts}) == 65
+        z4, z4_again = (ring_context(parse_ring_spec(s)) for s in ("dsum(Zn:1,Zn:4)", "Zn:4"))
+        assert z4 is z4_again
     finally:
         clear_caches()
 
 
 def test_quotient_with_a_corpus_rings_tables_is_its_context(builtin_rings):
     """A/I whose tables equal a corpus ring's resolves to that ring's context."""
-    def tables(r):
-        return r.order, r.one, r.add, r.mul
-
     clear_caches()
     try:
         contexts = [ring_context(r) for r in builtin_rings]
@@ -259,7 +275,7 @@ def test_quotient_with_a_corpus_rings_tables_is_its_context(builtin_rings):
         for ctx in contexts:
             for m in ctx.lattice_masks():
                 qctx, hom = ctx.quotient(m)
-                owners = [c for c in contexts if tables(c.ring) == tables(qctx.ring)]
+                owners = [c for c in contexts if _tables(c.ring) == _tables(qctx.ring)]
                 assert owners == [] or qctx in owners, (ctx.ring.label, m)
                 shared += qctx in owners
         assert shared == 339  # of 346: all but A/A of the 7 rings without unity
@@ -506,6 +522,61 @@ def test_p1_3_violations_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == P1_3_LIAR_SHA256
 
 
+# three labels on Z_6's tables; the first creates the context the three share
+Z6_LABELS = ("dsum(Zn:1,Zn:6)", "Zn:6", "quot(Zn:12,gen(6))")
+
+
+def _by_label(items, label_of) -> dict:
+    grouped: dict = {}
+    for item in items:
+        grouped.setdefault(label_of(item), []).append(item.to_json())
+    return grouped
+
+
+def test_violations_carry_the_label_of_the_ring_swept():
+    """Under a lie, each violation names the ring swept, not the one whose label the context has."""
+    rings = [parse_ring_spec(s) for s in Z6_LABELS]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            assert {id(ring_context(r)) for r in rings} == {id(ring_context(rings[0]))}
+            results = run_all(rings)
+            ours = [v for res in results for v in res.violations if v.ring_label in Z6_LABELS]
+            assert ours and all(v.ring is rings[Z6_LABELS.index(v.ring_label)] for v in ours)
+            shared = [_by_label(res.violations, lambda v: v.ring_label) for res in results]
+            for r in rings:
+                clear_caches()
+                alone = [_by_label(res.violations, lambda v: v.ring_label) for res in run_all([r])]
+                assert [got.get(r.label, []) for got in shared] == [
+                    got.get(r.label, []) for got in alone], r.label
+                assert any(r.label in got for got in shared), r.label
+    finally:
+        clear_caches()
+
+
+def test_hunt_and_reports_name_each_rings_own_label():
+    """Matches and reports on rings that share a context carry their own ring's label."""
+    rings = [parse_ring_spec(s) for s in Z6_LABELS]
+    query = parse_query("nilary or not nilary", "any-ideal")
+
+    def outputs(corpus):
+        matches = _by_label(run_hunt(corpus, query), lambda m: m.ring_label)
+        reports = _by_label((rep for r in corpus for rep in full_report(r)), lambda p: p.ring_label)
+        return matches, reports
+
+    clear_caches()
+    try:
+        shared = outputs(rings)
+        for r in rings:
+            clear_caches()
+            alone = outputs([r])
+            assert all(got[r.label] == want[r.label] for got, want in zip(shared, alone)), r.label
+        assert all(list(got) == list(Z6_LABELS) for got in shared)
+    finally:
+        clear_caches()
+
+
 _HONEST_STABLE_POWERS = _LatticeIndex.stable_powers
 
 
@@ -538,7 +609,7 @@ def _p1_3_sweep_and_tuple_walk(ring: Ring, fault) -> tuple[dict, dict]:
     """P1.3's report on one ring from the case body and from the tuple walk, each on a fresh context."""
     with pytest.MonkeyPatch.context() as mp:
         _patch(mp, fault)
-        return tuple(_case("P1.3", body)([RingContext(ring)]).to_json()
+        return tuple(_case("P1.3", body)([(ring, RingContext(ring))]).to_json()
                      for body in (_p1_3, p1_3_by_tuples))
 
 
