@@ -52,6 +52,7 @@ from .ideals import (
     enumerate_ideals_bruteforce,
     ideal_generated_by,
     ideal_sum,
+    is_commutative,
     make_quotient,
     principal_ideal,
     zero_ideal,
@@ -66,7 +67,6 @@ from .rings import (
     characteristic,
     element_is_nilpotent,
     element_powers,
-    is_commutative,
     make_direct_sum,
     make_matrix_ring,
     make_upper_triangular,

@@ -54,11 +54,11 @@ from .ideals import (
     enumerate_ideals,
     full_mask,
     generator_product,
-    hom_image_mask,
+    is_commutative,
     make_quotient,
     mask_elements,
 )
-from .rings import Characteristic, Hom, Ring, SizeCapError, characteristic, is_commutative
+from .rings import Characteristic, Ring, SizeCapError, characteristic
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,9 @@ class RingContext:
 
     Everything here depends on the tables alone, so rings that differ only in
     their labels share a context, and :attr:`ring` is just one of them.
-    Caches a :class:`_LatticeIndex` per enumerated lattice kind, quotients with the
-    images of the ideals above each kernel (A/0 is this context itself, any other
-    A/I is the shared context of its tables), the last ideal walked and verdicts.
+    Caches a :class:`_LatticeIndex` per enumerated lattice kind, one quotient record
+    per kernel K (A/K's context, this one for A/0 and else the shared context of its
+    tables, with the images of the ideals above K), the last ideal walked and verdicts.
     :attr:`commutative`, :attr:`characteristic` and :attr:`idempotents` are built
     whole on first use. :meth:`product` multiplies any two masks and :meth:`chain`
     computes power chains; neither keeps what it returns, since index rows hold
@@ -216,8 +216,7 @@ class RingContext:
         self._idempotents: Optional[tuple[int, ...]] = None
         self._walked: tuple[int, Sequence[int], frozenset[int]] = _UNWALKED
         self._indexes: dict[str, _LatticeIndex] = {}
-        self._quotients: dict[int, tuple[RingContext, Hom]] = {}
-        self._images: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._quotients: dict[int, tuple[RingContext, tuple[tuple[int, int], ...]]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
 
     @property
@@ -313,33 +312,29 @@ class RingContext:
             powers.append(nxt)
         return tuple(powers)
 
-    def quotient(self, m: int) -> tuple[RingContext, Hom]:
-        """Context of A/I for a two-sided ideal mask, plus the projection A -> A/I.
+    def quotient(self, m: int) -> tuple[RingContext, tuple[tuple[int, int], ...]]:
+        """A/K's context for a two-sided ideal mask K, with (I, I/K) for the two-sided I above K.
 
-        A/0 is this context, A/A a one-element ring; make_quotient builds every other A/I.
-        A/I's context is _shared_context's, as for any ring; hom targets its representative.
+        One record per K, in lattice order, off one coset map: the identity for A/0 (this
+        context), 0 for A/A (_POINTS' ring), else make_quotient's, shared by _shared_context.
         """
         got = self._quotients.get(m)
         if got is None:
-            r = self.ring
             if m == 1:
-                quot, hom = r, Hom(r, r, tuple(r.elements))
+                qctx, q_of = self, range(self.n)
             elif m == self.full_mask:
-                quot = Ring(1, ((0,),), ((0,),), 0 if self.unital else None, f"{r.label}/{r.label}")
-                hom = Hom(r, quot, (0,) * self.n)
+                qctx, q_of = _shared_context(_POINTS[self.unital]), (0,) * self.n
             else:
-                quot, hom = make_quotient(r, Ideal(r, m, TWO_SIDED))
-            qctx = self if quot is r else _shared_context(quot)
-            got = self._quotients.setdefault(m, (qctx, Hom(r, qctx.ring, hom.map)))
-        return got
-
-    def images(self, m: int) -> tuple[tuple[int, int], ...]:
-        """(I, I/K) for the two-sided ideals I above K = m, in lattice order."""
-        got = self._images.get(m)
-        if got is None:
-            hom = self.quotient(m)[1]
-            got = self._images[m] = tuple(
-                (im, hom_image_mask(hom, im)) for im in self.lattice_masks() if not m & ~im)
+                quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
+                qctx, q_of = _shared_context(quot), hom.map
+            images = []
+            for im in self.lattice_masks():
+                if not m & ~im:
+                    image = 0
+                    for a in mask_elements(im):
+                        image |= 1 << q_of[a]
+                    images.append((im, image))
+            got = self._quotients.setdefault(m, (qctx, tuple(images)))
         return got
 
     # verdicts -------------------------------------------------------------
@@ -353,6 +348,8 @@ class RingContext:
 
 
 _LIVE: dict[tuple[int, Optional[int]], tuple[weakref.ref, ...]] = {}  # weak, by (order, one)
+# A/A for every A, by whether A has a unity: the one-element ring, built once at import
+_POINTS = {unital: Ring(1, ((0,),), ((0,),), 0 if unital else None, "A/A") for unital in (False, True)}
 
 
 def _shared_context(r: Ring) -> RingContext:

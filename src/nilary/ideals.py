@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -164,6 +165,12 @@ def _close(r: Ring, mask: int, left: bool, right: bool) -> int:
 def additive_generators(r: Ring, mask: int) -> tuple[int, ...]:
     """At most log2(order) generators of the additive span of the subset."""
     return _span(r, mask)[2]
+
+
+def is_commutative(r: Ring) -> bool:
+    """ab = ba for all a, b: by bilinearity, gh = hg for all additive generators g, h."""
+    mul = r.mul
+    return all(mul[g][h] == mul[h][g] for g, h in combinations(additive_generators(r, full_mask(r)), 2))
 
 
 def generator_product(r: Ring, jgens: tuple[int, ...], kgens: tuple[int, ...]) -> int:
@@ -416,14 +423,6 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     return q, Hom(r, q, tuple(q_of))
 
 
-def hom_image_mask(h: Hom, mask: int) -> int:
-    """Image of a subset mask of the source under the homomorphism."""
-    out = 0
-    for a in mask_elements(mask):
-        out |= 1 << h.map[a]
-    return out
-
-
 __all__ = [
     "BRUTE_FORCE_ORDER_CAP",
     "DEFAULT_LATTICE_COUNT_CAP",
@@ -441,9 +440,9 @@ __all__ = [
     "enumerate_ideals_bruteforce",
     "full_mask",
     "generator_product",
-    "hom_image_mask",
     "ideal_generated_by",
     "ideal_sum",
+    "is_commutative",
     "make_quotient",
     "mask_elements",
     "principal_ideal",

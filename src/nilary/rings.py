@@ -20,7 +20,7 @@ threads. All functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import compress, product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -298,7 +298,11 @@ class ValidationReport:
 
 
 def _additive_generators(add: Table) -> list[int]:
-    """Least-first elements whose right-added span from 0 covers A; at most n.bit_length()."""
+    """Least-first elements whose right-added span from 0 covers A; at most n.bit_length().
+
+    validate_ring's generators: a DFS that reads nothing but the table, so it
+    runs on tables not yet known to be a group. Valid rings use ideals' spans.
+    """
     n = len(add)
     reached = bytearray(n)
     reached[0] = 1
@@ -403,11 +407,6 @@ def element_is_nilpotent(r: Ring, a: int) -> Optional[int]:
     return powers.index(0) + 1 if 0 in powers else None
 
 
-def is_commutative(r: Ring) -> bool:
-    """ab = ba for all a, b: by bilinearity, gh = hg for all additive generators g, h."""
-    return all(r.mul[g][h] == r.mul[h][g] for g, h in combinations(_additive_generators(r.add), 2))
-
-
 @dataclass(frozen=True)
 class Characteristic:
     """Additive order of the unity, with its prime factorization."""
@@ -462,7 +461,6 @@ __all__ = [
     "element_is_nilpotent",
     "element_powers",
     "factorize",
-    "is_commutative",
     "make_direct_sum",
     "make_matrix_ring",
     "make_upper_triangular",

@@ -242,10 +242,10 @@ def _pquot(run: TheoremResult, ctx: RingContext) -> None:
 
 
 def _hom_pairs(ctx: RingContext):
-    """Canonical-surjection instances: (K, I, verdict on I, verdict on phi(I))."""
+    """Instances of A -> A/K: (K, I, verdict on I, verdict on I/K), off K's quotient record."""
     for km in ctx.lattice_masks(TWO_SIDED):
-        qctx = ctx.quotient(km)[0]
-        for im, image in ctx.images(km):
+        qctx, images = ctx.quotient(km)
+        for im, image in images:
             yield (km, im, ctx.verdict("completely_nilary", im),
                    qctx.verdict("completely_nilary", image))
 

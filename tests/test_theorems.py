@@ -224,6 +224,27 @@ def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, mon
         clear_caches()
 
 
+def test_builtin_run_all_builds_no_ring_for_a_by_a(builtin_rings, monkeypatch):
+    """Cold, a builtin run builds only quotient rings, none of order 1; warm, it builds no Ring."""
+    built = []
+    init = Ring.__init__
+
+    def counting(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self.order)
+
+    monkeypatch.setattr(Ring, "__init__", counting)
+    clear_caches()
+    try:
+        run_all(builtin_rings)
+        assert built and 1 not in built
+        built.clear()
+        run_all(builtin_rings)
+        assert built == []
+    finally:
+        clear_caches()
+
+
 def test_builtin_run_all_makes_one_context_per_table_pair(builtin_rings, monkeypatch):
     """Cold, one context per table pair serves the 79 rings and their quotients: 66, not 346."""
     made = []
@@ -274,7 +295,7 @@ def test_quotient_with_a_corpus_rings_tables_is_its_context(builtin_rings):
         shared = 0
         for ctx in contexts:
             for m in ctx.lattice_masks():
-                qctx, hom = ctx.quotient(m)
+                qctx = ctx.quotient(m)[0]
                 owners = [c for c in contexts if _tables(c.ring) == _tables(qctx.ring)]
                 assert owners == [] or qctx in owners, (ctx.ring.label, m)
                 shared += qctx in owners
@@ -284,17 +305,19 @@ def test_quotient_with_a_corpus_rings_tables_is_its_context(builtin_rings):
 
 
 def test_shared_quotient_contexts_match_fresh_ones(builtin_rings):
-    """Every quotient's context, shared or new, agrees with a fresh build of A/I."""
+    """Every quotient record, its context shared or new, agrees with a fresh build of A/I."""
     rings = [*builtin_rings, *(parse_ring_spec(s) for s in HUNT_SHAPES)]
     clear_caches()
     try:
         for ctx in [ring_context(r) for r in rings]:
             r = ctx.ring
             for m in ctx.lattice_masks():
-                qctx, hom = ctx.quotient(m)
+                qctx, images = ctx.quotient(m)
                 quot, fresh_hom = make_quotient(r, Ideal(r, m))
                 q = qctx.ring
-                assert hom.target is q and (hom.source, hom.map) == (r, fresh_hom.map), (r.label, m)
+                want = [(i, ideals.elements_mask(fresh_hom.map[a] for a in ideals.mask_elements(i)))
+                        for i in ctx.lattice_masks() if not m & ~i]
+                assert list(images) == want, (r.label, m)
                 assert (q.order, q.one, q.add, q.mul) == (quot.order, quot.one, quot.add, quot.mul)
                 fresh = RingContext(quot)
                 for name in REGISTRY:
@@ -605,12 +628,17 @@ SWEEP_SPECS = (*FAULT_SPECS, "dsum(zmul:2,dsum(zmul:2,dsum(zmul:2,zmul:2)))", "T
                "dsum(T:3:Zn:2,zmul:2)")
 
 
-def _p1_3_sweep_and_tuple_walk(ring: Ring, fault) -> tuple[dict, dict]:
-    """P1.3's report on one ring from the case body and from the tuple walk, each on a fresh context."""
+def _p1_3_sweep_and_tuple_walk(ring: Ring, fault) -> tuple[tuple, tuple]:
+    """P1.3's record on one ring from the case body and from the tuple walk, each on a fresh context.
+
+    A side is (case_id, instances, hypothesis_instances, violations, warning), the fields
+    to_json renders, with the violations compared as Violation objects, unrendered.
+    """
     with pytest.MonkeyPatch.context() as mp:
         _patch(mp, fault)
-        return tuple(_case("P1.3", body)([(ring, RingContext(ring))]).to_json()
-                     for body in (_p1_3, p1_3_by_tuples))
+        runs = [_case("P1.3", body)([(ring, RingContext(ring))]) for body in (_p1_3, p1_3_by_tuples)]
+    return tuple((run.case_id, run.instances, run.hypothesis_instances, run.violations, run.warning)
+                 for run in runs)
 
 
 @pytest.mark.parametrize("fault", FAULTS)
