@@ -10,13 +10,15 @@ generators of S and of A only.
 Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
-Lattices are the principal ideals closed under coset-wise joins, where a
-join that re-finds a known ideal is recognised by its size and generators
-and only new ideals are spanned; they record which members are principal
-and the generators their spans used, so that
-:class:`nilary.classify.RingContext` multiplies lattice members without
-spanning them again. One walk picks each coset's least element,
-for joins, element scans and quotients. The 2^n subset scan is kept as an
+Principal ideals are spanned once per orbit of Jacobson's circle group G° of the
+q with q∘q' = 0, x∘y = x + y + xy, since then (a + aq) = (a); G° grows from the
+seed k·1 - 1, gcd(k, char) = 1, until Lagrange shows it whole. Lattices are the
+principal ideals closed under coset-wise joins, where a join that re-finds a
+known ideal is recognised by its size and generators and only new ideals are
+spanned; they record which members are principal and the generators their spans
+used, so that :class:`nilary.classify.RingContext` multiplies lattice members
+without spanning them again. One walk picks each coset's least element, for
+joins, element scans and quotients. The 2^n subset scan is kept as an
 independent oracle for small orders. Everything here is immutable and pure.
 """
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -268,35 +269,79 @@ def _sorted_lattice(
                         tuple(j for j, m in enumerate(ordered) if m in principal))
 
 
+def _circle_group(r: Ring) -> list[int]:
+    """Generators over the seed ({0}, or the k·1 - 1 with gcd(k, char) = 1) of the circle group G°
+    of the q with q∘q' = 0: q is in G° iff its ∘-powers reach 0, or one of them is in G°."""
+    add, mul, n, one = r.add, r.mul, r.order, r.one
+    state, h = [1] + [0] * (n - 1), [0]  # 1: in H, 2: outside G° or on the walk
+    if one is not None:
+        cyc = [one]  # 1, 2·1, ... up to char·1 = 0: k·1 - 1 is cyc[k - 2]
+        while cyc[-1]:
+            cyc.append(add[one][cyc[-1]])
+        if len(cyc) == n:  # A = Z·1: G° is the seed
+            return []
+        for k, c in enumerate(cyc, 2):  # else k·1 is a zero divisor; -1 is among these
+            state[c] = 1 if gcd(k, len(cyc)) == 1 else 2
+        h = [c for c in cyc if state[c] == 1]
+    gens, out = [], state.count(2)
+    for q in range(n):
+        if 2 * len(h) > n - out:  # H is G°, by Lagrange
+            break
+        p, steps, qadd, qmul = q, 0, add[q], mul[q]
+        while not state[p]:
+            state[p] = 2
+            p, steps = add[qadd[p]][qmul[p]], steps + 1  # q∘p
+        if state[p] == 2:
+            out += steps
+        elif steps:  # q in G° but not in H
+            gens.append(q)
+            for x in h:  # grows while read, over the walk's powers of q too
+                for g in gens:
+                    if state[y := add[add[g][x]][mul[g][x]]] != 1:
+                        state[y] = 1
+                        h.append(y)
+    return gens
+
+
 def _principal_spans(
     r: Ring, kind: str = TWO_SIDED
 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], dict[int, list[int]]]:
     """Mask of the principal ideal (a) of the kind for every element a, plus the
     additive generators and the elements of each principal ideal.
 
-    (a) spans :func:`_sides` of a. Every generator ka of <a>, gcd(k, ord a) = 1,
-    shares (a), and with a unity so does every b with bA = aA (Ab = Aa for left
-    ideals): the set of a's row (column) keys the span memo, else a's sides do.
+    (a) spans :func:`_sides` of a and is (ka), gcd(k, ord a) = 1, and (a + aq) for q in the
+    circle group G° of x∘y = x + y + xy: a = (a + aq) + (a + aq)q' when q∘q' = 0 (left: a + qa;
+    two-sided: both). So a ascending spans (a) once per orbit, which a worklist marks over a's
+    coprime multiples and G°'s generators over the seed {0} or {k·1 - 1 : gcd(k, char) = 1},
+    grown until 2|H| > n - [unital] less the elements known outside G° (Lagrange). First spans win.
     """
     _check_kind(kind)
     add, mul, gs = r.add, r.mul, additive_generators(r, full_mask(r))
-    left, right = kind != RIGHT, kind != LEFT
-    of, spans, gens, elems = [0] * r.order, {}, {}, {}  # key -> (a); (a) -> generators, elements
+    left, right, moves = kind != RIGHT, kind != LEFT, []  # moves: x + xq (right), x + qx (left)
+    for q in _circle_group(r) if len(gs) > 1 else ():  # cyclic A: x + xq is a coprime multiple of x
+        if right:
+            moves.append([s[row[q]] for s, row in zip(add, mul)])
+        if left:
+            moves.append([s[z] for s, z in zip(add, mul[q])])
+    of, gens, elems = [0] * r.order, {}, {}  # (a) for a; (a) -> generators, elements
     for a in r.elements:
         if of[a]:
             continue
-        sides = _sides(mul, gs, a, left, right) if r.one is None else None
-        k = sides or frozenset(mul[a] if right else map(itemgetter(a), mul))
-        m = spans.get(k)
-        if m is None:
-            m, e, g = _span(r, sides or _sides(mul, gs, a, left, right))
-            spans[k], gens[m], elems[m] = m, g, e
-        cyc = [a]  # a, 2a, ... up to the first zero: ord a elements
+        m, e, g = _span(r, _sides(mul, gs, a, left, right))
+        if m not in gens:
+            gens[m], elems[m] = g, e
+        row, cyc, orbit = add[a], [a], []  # a, 2a, ... up to the first zero: ord a elements
         while cyc[-1]:
-            cyc.append(add[cyc[-1]][a])
+            cyc.append(row[cyc[-1]])
         for i, c in enumerate(cyc, 1):
             if gcd(i, len(cyc)) == 1:
                 of[c] = m
+                orbit.append(c)
+        for x in orbit if moves else ():  # grows while read
+            for move in moves:
+                if not of[y := move[x]]:
+                    of[y] = m
+                    orbit.append(y)
     return tuple(of), gens, elems
 
 

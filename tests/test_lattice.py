@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from math import gcd
 
 import pytest
 from _oracles import close_by_worklist, enumerate_by_pairwise_joins
@@ -15,6 +16,7 @@ from nilary import (
     PREDICATE_NAMES,
     SizeCapError,
     builtin_specs,
+    characteristic,
     enumerate_ideals,
     enumerate_ideals_bruteforce,
     ideal_generated_by,
@@ -51,7 +53,7 @@ def test_lattice_matches_pairwise_joins(oracle_rings, kind):
 # sha256 of the JSON list of (masks, principal) per ORACLE_SPECS ring and kind
 LATTICE_SHA256 = "db6fbeaa428c9c819b33bb354847dcd9dea3e58a9d9d812bfbc815bfd81d93bb"
 # sha256 of the JSON list of the recorded generators per ORACLE_SPECS ring and kind
-GENERATORS_SHA256 = "ed518eee38bbd141665d5a87a978e518fdaa32157a919724ff4eceabdf8bed54"
+GENERATORS_SHA256 = "8fc7c9e43747a49c9a7d644b5999847abb418df4567bee98a3902d1cc5e3b536"
 
 
 def test_lattices_are_pinned(oracle_rings):
@@ -90,6 +92,48 @@ def test_every_seeded_span_finds_a_new_ideal(monkeypatch):
         seeded.clear()
         lattice = enumerate_ideals(r, kind)
         assert sum(seeded) == len(lattice) - len(lattice.principal), (spec, kind)
+
+
+def test_principal_passes_span_once_per_orbit(oracle_rings, monkeypatch):
+    """A one-sided pass spans once per distinct principal ideal; a two-sided one once per
+    orbit of x -> (1 + p)x(1 + q), finer than the classes AaA = AbA on matrix rings."""
+    spans = []
+    honest = ideals._span
+    monkeypatch.setattr(ideals, "_span", lambda *args: spans.append(1) or honest(*args))
+    counts, distinct = dict.fromkeys(KINDS, 0), dict.fromkeys(KINDS, 0)
+    for r in oracle_rings:
+        for kind in KINDS:
+            spans.clear()
+            distinct[kind] += len(set(_principal_spans(r, kind)[0]))
+            counts[kind] += len(spans) - 1  # the span of A for its additive generators
+    assert counts[ideals.LEFT] == distinct[ideals.LEFT] == 757
+    assert counts[ideals.RIGHT] == distinct[ideals.RIGHT] == 757
+    assert distinct[ideals.TWO_SIDED] == 614 and counts[ideals.TWO_SIDED] <= 634
+
+
+def test_circle_group_is_generated_by_the_seed_and_the_generators(oracle_rings):
+    """The seed and the returned generators generate {q : q∘q' = 0 for some q'} under
+    x∘y = x + y + xy, and each generator at least doubles the group grown so far."""
+    for r in oracle_rings:
+        add, mul = r.add, r.mul
+        brute = {q for q in r.elements if any(add[add[q][p]][mul[q][p]] == 0 for p in r.elements)}
+        seed = {0}
+        if r.one is not None:  # the k·1 - 1 for gcd(k, char) = 1
+            char, minus_one, k1 = characteristic(r).value, add[r.one].index(0), 0
+            for k in range(1, char + 1):
+                k1 = add[k1][r.one]
+                if gcd(k, char) == 1:
+                    seed.add(add[k1][minus_one])
+        gens = ideals._circle_group(r)
+        group, todo = {0}, [0]
+        while todo:
+            x = todo.pop()
+            for q in (*seed, *gens):
+                if (y := add[add[x][q]][mul[x][q]]) not in group:
+                    group.add(y)
+                    todo.append(y)
+        assert group == brute, r.label
+        assert len(seed) << len(gens) <= len(brute), r.label
 
 
 @pytest.mark.parametrize("kind", KINDS)
