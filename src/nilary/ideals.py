@@ -12,7 +12,7 @@ generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
 Principal ideals are spanned once per orbit of Jacobson's circle group G° of the
 q with q∘q' = 0, x∘y = x + y + xy, since then (a + aq) = (a); G° grows from the
-seed k·1 - 1, gcd(k, char) = 1, until Lagrange shows it whole. Lattices are the
+seed k·1 - 1, gcd(k, char) = 1, over one walk of every element. Lattices are the
 principal ideals closed under coset-wise joins, where a join that re-finds a
 known ideal is recognised by its size and generators and only new ideals are
 spanned; they record which members are principal and the generators their spans
@@ -278,22 +278,16 @@ def _circle_group(r: Ring) -> list[int]:
         cyc = [one]  # 1, 2·1, ... up to char·1 = 0: k·1 - 1 is cyc[k - 2]
         while cyc[-1]:
             cyc.append(add[one][cyc[-1]])
-        if len(cyc) == n:  # A = Z·1: G° is the seed
-            return []
-        for k, c in enumerate(cyc, 2):  # else k·1 is a zero divisor; -1 is among these
+        for k, c in enumerate(cyc, 2):  # k·1 is a unit iff gcd(k, char) = 1, else a zero divisor
             state[c] = 1 if gcd(k, len(cyc)) == 1 else 2
         h = [c for c in cyc if state[c] == 1]
-    gens, out = [], state.count(2)
-    for q in range(n):
-        if 2 * len(h) > n - out:  # H is G°, by Lagrange
-            break
+    gens = []
+    for q in range(n):  # each element is walked at most once
         p, steps, qadd, qmul = q, 0, add[q], mul[q]
         while not state[p]:
             state[p] = 2
             p, steps = add[qadd[p]][qmul[p]], steps + 1  # q∘p
-        if state[p] == 2:
-            out += steps
-        elif steps:  # q in G° but not in H
+        if state[p] == 1 and steps:  # q in G° but not in H
             gens.append(q)
             for x in h:  # grows while read, over the walk's powers of q too
                 for g in gens:
@@ -313,7 +307,7 @@ def _principal_spans(
     circle group G° of x∘y = x + y + xy: a = (a + aq) + (a + aq)q' when q∘q' = 0 (left: a + qa;
     two-sided: both). So a ascending spans (a) once per orbit, which a worklist marks over a's
     coprime multiples and G°'s generators over the seed {0} or {k·1 - 1 : gcd(k, char) = 1},
-    grown until 2|H| > n - [unital] less the elements known outside G° (Lagrange). First spans win.
+    found by one walk of every element, each ∘-power walked at most once. First spans win.
     """
     _check_kind(kind)
     add, mul, gs = r.add, r.mul, additive_generators(r, full_mask(r))

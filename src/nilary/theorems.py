@@ -9,20 +9,19 @@ vacuous pass is visible as such.
 A case is a body ``body(run, ctx)`` over one ring's context, and
 :func:`_case` is the one loop that sweeps it over the corpus's (ring,
 context) pairs: it creates the case's one record, a :class:`TheoremResult`,
-points ``run.ring`` at each ring in turn (rings that differ only in their
-labels share a context, so a label is always the swept ring's), calls the
-body, and stamps the elapsed time on the record it returns. :func:`run_all`
-resolves each ring's context once and hands the pairs to every sweep, so a
-context lives for the whole run whatever the size of the corpus. The
-record does the counting. A body only reports:
-``run.instance(hypothesis)`` once per instance (or ``run.count`` for many
-at once), ``run.violate(description, ideal_mask, witnesses)`` per failure
-(the record adds the ring and turns the mask into elements), and an early
-``return`` skips a ring whose hypothesis fails outright. A case built with
-``own=`` checks that one ring instead of the corpus, so the worked
-examples of the paper run whatever corpus is given; their rings, Z_6 and
-M_2(Z_2), are module constants built once at import, so a second run
-builds no ring.
+sets ``run.label`` to each ring's label in turn (rings that differ only in
+their labels share a context), calls the body, and stamps the elapsed time
+on the record. :func:`run_all` resolves each ring's context once and hands
+the pairs to every sweep, so a context lives for the whole run. The record
+does the counting. A body only reports: ``run.instance(hypothesis)`` once
+per instance (or ``run.count`` for many at once), ``run.violate(description,
+ideal_mask, witnesses)`` per failure (the record adds the ring's label and
+keeps the mask; no result holds a ring, so replay finds it by label in the
+corpus), and an early ``return`` skips a ring whose hypothesis fails
+outright. A case built with ``own=`` checks that one ring instead of the
+corpus, so the worked examples of the paper run whatever corpus is given;
+their rings, Z_6 and M_2(Z_2), are module constants built once at import, so
+a second run builds no ring.
 """
 
 from __future__ import annotations
@@ -40,9 +39,12 @@ from .rings import Ring, make_matrix_ring, make_zn, matrix_entry_index
 class Violation:
     ring_label: str
     description: str
-    ideal_elements: tuple[int, ...]
+    ideal_mask: int
     witnesses: tuple[tuple[str, Witness], ...]
-    ring: Ring = field(compare=False)
+
+    @property
+    def ideal_elements(self) -> tuple[int, ...]:
+        return mask_elements(self.ideal_mask)
 
     def to_json(self) -> dict:
         return {
@@ -65,7 +67,7 @@ class TheoremResult:
     violations: list[Violation] = field(default_factory=list)
     elapsed: float = 0.0
     warning: Optional[str] = None
-    ring: Optional[Ring] = field(default=None, compare=False, repr=False)  # the ring being visited
+    label: str = field(default="", compare=False, repr=False)  # the label of the ring being visited
 
     @property
     def passed(self) -> bool:
@@ -98,10 +100,9 @@ class TheoremResult:
         ideal_mask: int,
         witnesses: Sequence[tuple[str, Verdict]] = (),
     ) -> None:
+        """Record a violation on the ring being visited, by its label and the ideal's mask."""
         pairs = tuple((name, v.witness) for name, v in witnesses)
-        self.violations.append(
-            Violation(self.ring.label, description, mask_elements(ideal_mask), pairs, self.ring)
-        )
+        self.violations.append(Violation(self.label, description, ideal_mask, pairs))
 
 
 def _case(
@@ -109,15 +110,14 @@ def _case(
     body: Callable[[TheoremResult, RingContext], None],
     own: Optional[Ring] = None,
 ) -> Callable[[Sequence[tuple[Ring, RingContext]]], TheoremResult]:
-    """The sweep of body over (ring, context) pairs, or own's; run.ring is the ring swept."""
+    """The sweep of body over (ring, context) pairs, or own's; run.label is the swept ring's."""
 
     def sweep(pairs: Sequence[tuple[Ring, RingContext]]) -> TheoremResult:
         t0 = time.perf_counter()
         run = TheoremResult(case_id)
         for ring, ctx in pairs if own is None else ((own, ring_context(own)),):
-            run.ring = ring
+            run.label = ring.label
             body(run, ctx)
-        run.ring = None
         run.elapsed = time.perf_counter() - t0
         return run
 

@@ -236,6 +236,7 @@ def p1_3_by_tuples(run, ctx) -> None:
     idx = ctx.index(TWO_SIDED)
     masks = idx.masks
     cnil = [j for j, m in enumerate(masks) if ctx.verdict("completely_nilary", m).holds]
+    elements = {q: mask_elements(masks[q]) for q in cnil}
     last = idx.stable_powers(ctx)
     for n in (1, 2, 3):
         for tup in itertools.product(cnil, repeat=n):
@@ -251,7 +252,7 @@ def p1_3_by_tuples(run, ctx) -> None:
             v = ctx.verdict("completely_nilary", prod)
             if not v.holds:
                 run.violate(
-                    f"product of completely nilary ideals {[mask_elements(masks[q]) for q in tup]} "
+                    f"product of completely nilary ideals {[elements[q] for q in tup]} "
                     "is not completely nilary",
                     prod,
                     [("completely_nilary", v)],

@@ -164,12 +164,12 @@ def test_criterion_7_witness_replay():
             ), (report.ring_label, report.ideal_elements, name)
             total += 1
     rings = build_rings(build_builtin_corpus())
+    by_label = {r.label: r for r in rings}
     for res in run_all(rings):
         for violation in res.violations:  # none expected; replay if any appear
             for pred, w in violation.witnesses:
-                assert replay_verdict(
-                    violation.ring, violation.ideal_elements or (0,), pred, False, w
-                )
+                ring = by_label[violation.ring_label]
+                assert replay_verdict(ring, violation.ideal_elements or (0,), pred, False, w)
                 total += 1
     _pass(7, f"{total} witnesses re-verified by the independent replay routine")
 

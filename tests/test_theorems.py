@@ -363,6 +363,25 @@ def test_a_lie_does_not_outlive_the_caches(builtin_rings):
         clear_caches()
 
 
+def test_no_result_keeps_a_ring_alive():
+    """Violations name their rings by label: with the corpus and the caches dropped, no ring lives."""
+    rings = [parse_ring_spec(s) for s in ("Zn:6", "Zn:12", "M:2:Zn:2", "T:2:Zn:2", "dsum(Zn:2,Zn:3)")]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            results = run_all(rings)
+    finally:
+        clear_caches()
+    assert sum(len(res.violations) for res in results) == 38
+    before = [res.to_json() for res in results]
+    alive = [weakref.ref(r) for r in rings]
+    del rings
+    gc.collect()
+    assert [r() for r in alive] == [None] * len(alive)
+    assert [res.to_json() for res in results] == before
+
+
 def test_run_all_fetches_each_context_once():
     """260 distinct rings overflow the 256-entry context cache; no case refetches one."""
     specs = [f"Zn:{n}" for n in range(1, 65)]
@@ -441,13 +460,14 @@ def test_corrupted_classifier_is_caught(monkeypatch):
         assert "P1.2" in violated or "Pquot" in violated
         for cid in violated:
             for violation in results[cid].violations:
+                assert violation.ring_label == rings[0].label  # replayed through the one ring
                 for pred, witness in violation.witnesses:
                     if witness.variant == "none":
                         continue
                     # honest sub-verdicts attached to the violation replay fine
                     if pred != "completely_nilary":
                         assert replay_verdict(
-                            violation.ring,
+                            rings[0],
                             violation.ideal_elements or (0,),
                             pred,
                             False,
@@ -565,8 +585,6 @@ def test_violations_carry_the_label_of_the_ring_swept():
             _patch(mp, ZERO_LIAR)
             assert {id(ring_context(r)) for r in rings} == {id(ring_context(rings[0]))}
             results = run_all(rings)
-            ours = [v for res in results for v in res.violations if v.ring_label in Z6_LABELS]
-            assert ours and all(v.ring is rings[Z6_LABELS.index(v.ring_label)] for v in ours)
             shared = [_by_label(res.violations, lambda v: v.ring_label) for res in results]
             for r in rings:
                 clear_caches()
