@@ -23,7 +23,7 @@ hold each coset's least element, from one walk per ideal; the excuses and
 is among them. An element search probes each row in C and scans only the
 first that hits. Ideal domains are positions in the context's lattice
 index, in lattice order; a search reads products from index rows, filled
-when first read.
+when first read, and its witnesses J and K are the index's element tuples.
 
 Properness conventions: prime and completely prime require a proper
 ideal (a domain is nonzero); the nilary/primary family is evaluated on
@@ -118,8 +118,9 @@ class _LatticeIndex:
 
     Built with the lattice: ``gens[j]`` holds the additive generators
     enumeration recorded for ideal j, ``principal`` the positions of the
-    principal ideals, and bit j of ``member[x]`` says that element x lies in
-    ideal j. ``slots[k]`` numbers ideal k's generators among the distinct
+    principal ideals, ``elements[j]`` ideal j's elements (the one decode of
+    its mask, read by witnesses and quotient images) and bit j of ``member[x]``
+    says that x lies in ideal j. ``slots[k]`` numbers ideal k's generators among the distinct
     generator elements ``hs`` of the whole lattice. Each derived list is
     absent or complete, stored only once full (racing threads at worst
     compute it twice). Row j is built when first read, as L ideals would
@@ -139,9 +140,10 @@ class _LatticeIndex:
         self.hs = tuple(slot)
         self.rows: list[Optional[list[int]]] = [None] * len(masks)
         self.stable: Optional[list[int]] = None
+        self.elements = elements = tuple(map(mask_elements, masks))
         self.member = member = [0] * lattice.ring.order
-        for j, m in enumerate(masks):
-            for x in mask_elements(m):
+        for j, elems in enumerate(elements):
+            for x in elems:
                 member[x] |= 1 << j
 
     def product(self, mul, j: int, k: int) -> int:
@@ -328,10 +330,10 @@ class RingContext:
                 quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
                 qctx, q_of = _shared_context(quot), hom.map
             images = []
-            for im in self.lattice_masks():
+            for im, elems in zip(self.lattice_masks(), self.index().elements):
                 if not m & ~im:
                     image = 0
-                    for a in mask_elements(im):
+                    for a in elems:
                         image |= 1 << q_of[a]
                     images.append((im, image))
             got = self._quotients.setdefault(m, (qctx, tuple(images)))
@@ -468,30 +470,26 @@ def _element_pair(
 def _ideal_pair(
     ctx: RingContext, m: int, idx: _LatticeIndex, js: list[int], ks: list[int],
     nonzero: bool = False,
-) -> Optional[tuple[int, int]]:
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """First (J, K) in lattice order from js x ks, positions in idx, with JK inside I.
 
-    Products are read from J's row, filled whole when first read. With
-    nonzero set, pairs with JK = 0 are skipped.
+    Products are read from J's row, filled whole when first read; with nonzero
+    set, pairs with JK = 0 are skipped. Witnesses read J and K as idx's element tuples.
     """
     if not ks:  # no pair, and no row allocated for each j
         return None
-    masks = idx.masks
+    elements = idx.elements
     for j in js:
         row = idx.row(ctx, j)
         for k in ks:
             prod = row[k]
             if not prod & ~m and not (nonzero and prod == 1):
-                return masks[j], masks[k]
+                return elements[j], elements[k]
     return None
 
 
-def _refuted(pair: Optional[tuple[int, int]], witness: Callable[[int, int], Witness]) -> Verdict:
+def _refuted(pair: Optional[tuple], witness: Callable[..., Witness]) -> Verdict:
     return _TRUE if pair is None else Verdict(False, witness(*pair))
-
-
-def _wit_ideals(jm: int, km: int) -> Witness:
-    return Witness.ideals(mask_elements(jm), mask_elements(km))
 
 
 Predicate = Callable[[RingContext, int], Verdict]
@@ -534,7 +532,7 @@ def _ideal_pairs(
         domain = idx, idx.principal if principal else range(len(idx.masks))
         js = first(ctx, domain, m)
         ks = js if second is first else second(ctx, domain, m)
-        return _refuted(_ideal_pair(ctx, m, idx, js, ks, nonzero=weakly), _wit_ideals)
+        return _refuted(_ideal_pair(ctx, m, idx, js, ks, nonzero=weakly), Witness.ideals)
 
     return check
 
@@ -551,9 +549,10 @@ def _completely_semiprime(ctx: RingContext, m: int) -> Verdict:
 
 def _semiprime(ctx: RingContext, m: int) -> Verdict:
     """J^2 inside I implies J inside I."""
-    for jm in ctx.index(TWO_SIDED).masks:
+    idx = ctx.index(TWO_SIDED)
+    for jm, elems in zip(idx.masks, idx.elements):
         if jm & ~m and not ctx.product(jm, jm) & ~m:
-            return Verdict(False, _wit_ideals(jm, jm))
+            return Verdict(False, Witness.ideals(elems, elems))
     return _TRUE
 
 

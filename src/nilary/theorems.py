@@ -169,7 +169,6 @@ def _p1_3(run: TheoremResult, ctx: RingContext) -> None:
     own = [bits if bits >> a & 1 else 0 for a, bits in enumerate(inside)]  # inside[q] if q in it
     selfs = sum(1 << a for a, bits in enumerate(own) if bits)
     firsts: dict[int, tuple[Sequence[int] | dict[int, int], int]] = {}
-    named: dict[int, tuple[int, ...]] = {}  # factor q's elements, decoded when first named
 
     def first(p: int) -> tuple[Sequence[int] | dict[int, int], int]:
         """p's products, by lattice position, and the bits i where pQ_i is not completely nilary."""
@@ -202,8 +201,7 @@ def _p1_3(run: TheoremResult, ctx: RingContext) -> None:
         while bad:
             i = (bad & -bad).bit_length() - 1
             bad, m = bad & (bad - 1), row[cnil[i]]
-            factors = [named.get(q) or named.setdefault(q, mask_elements(masks[cnil[q]]))
-                       for q in (*tup, i)]
+            factors = [idx.elements[cnil[q]] for q in (*tup, i)]
             run.violate(f"product of completely nilary ideals {factors} is not completely nilary",
                         m, [("completely_nilary", ctx.verdict("completely_nilary", m))])
     run.count(c + c * c + c * c * c, hyps)

@@ -15,6 +15,7 @@ from test_lattice import HUNT_SHAPES, LADDER, assert_tables_whole, small_specs
 from nilary import (
     LEFT,
     RIGHT,
+    TWO_SIDED,
     Ideal,
     Ring,
     builtin_specs,
@@ -472,6 +473,33 @@ def test_quotients_by_zero_and_by_the_ring_are_not_built(builtin_rings):
         fresh = RingContext(make_quotient(r, Ideal(r, ctx.full_mask))[0])
         for name in classify.REGISTRY:
             assert zctx.verdict(name, 1) == fresh.verdict(name, 1), (r.label, name)
+
+
+def test_indexes_own_the_decodes(builtin_rings, monkeypatch):
+    """Once a context's indexes exist, ideal-pair verdicts and quotient records decode no mask.
+
+    Witnesses J, K and images I/K read each ideal's elements from its lattice index.
+    """
+    rings = [*builtin_rings, *(parse_ring_spec(s) for s in (
+        "T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(T:3:Zn:2,zmul:2)"))]
+    contexts = [RingContext(r) for r in rings]
+    for ctx in contexts:
+        for kind in (TWO_SIDED, RIGHT, LEFT):
+            ctx.index(kind)
+    decoded = []
+
+    def counting_decode(mask):
+        decoded.append(mask)
+        return mask_elements(mask)
+
+    monkeypatch.setattr(classify, "mask_elements", counting_decode)
+    pair_names = [name for name in classify.REGISTRY if name not in ELEMENT_PREDICATES]
+    for ctx in contexts:
+        for m in ctx.lattice_masks():
+            for name in pair_names:
+                classify.REGISTRY[name](ctx, m)
+            ctx.quotient(m)
+    assert len(decoded) == 0
 
 
 def test_threads_sharing_rings_match_the_serial_run():

@@ -25,7 +25,7 @@ from nilary import (
     replay_verdict,
     ring_context,
 )
-from nilary import classify, ideals, rings
+from nilary import classify, ideals, rings, theorems
 from nilary.classify import REGISTRY, RingContext, Verdict, Witness, _LatticeIndex, full_report
 from nilary.hunt import parse_query, run_hunt
 from nilary.theorems import CASE_IDS, _case, _p1_3, render_table, report_json, run_all
@@ -184,6 +184,26 @@ def test_report_shape(harness_rings):
     assert [c["id"] for c in data["cases"]] == list(CASE_IDS)
     for c in data["cases"]:
         assert {"id", "pass", "instances", "hypothesis_instances", "violations"} <= set(c)
+
+
+@pytest.mark.parametrize("case_id, pred, label, ring", [
+    ("E2.2", "weakly_nilary", "Zn:6", theorems._Z6),
+    ("EM2Z2", "prime", "M:2:Zn:2", theorems._M2Z2),
+])
+def test_worked_example_violations_name_a_spec_of_their_ring(case_id, pred, label, ring, monkeypatch):
+    """A worked example runs on its own ring whatever the corpus, and its violations name that
+    ring by a spec that parses back to its tables, so a replay can rebuild a ring outside its corpus."""
+    monkeypatch.setitem(REGISTRY, pred, lambda ctx, m: Verdict(False, Witness.none()))
+    clear_caches()
+    try:
+        res, = run_all([parse_ring_spec("Zn:4")], [case_id])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert res.violations and {v.ring_label for v in res.violations} == {label}
+    parsed = parse_ring_spec(label)
+    assert (parsed.order, parsed.add, parsed.mul, parsed.one) == (ring.order, ring.add, ring.mul,
+                                                                  ring.one)
 
 
 def test_quotients_stay_out_of_the_context_cache(builtin_rings):
