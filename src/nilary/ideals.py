@@ -11,15 +11,15 @@ Spans grow a subgroup coset by coset and record the at most log2(order)
 generators they use. A product needs only those: by bilinearity JK spans
 the same subgroup as the products g*h of the generators of J and K.
 Principal ideals are spanned once per orbit of Jacobson's circle group G° of the
-q with q∘q' = 0, x∘y = x + y + xy, since then (a + aq) = (a); G° grows from the
-seed k·1 - 1, gcd(k, char) = 1, over one walk of every element. Lattices are the
-principal ideals closed under coset-wise joins, where a join that re-finds a
-known ideal is recognised by its size and generators and only new ideals are
-spanned; they record which members are principal and the generators their spans
-used, so that :class:`nilary.classify.RingContext` multiplies lattice members
-without spanning them again. One walk picks each coset's least element, for
-joins, element scans and quotients. The 2^n subset scan is kept as an
-independent oracle for small orders. Everything here is immutable and pure.
+q with q∘q' = 0, x∘y = x + y + xy, since then (a + aq) = (a); G° grows from {0}
+over one walk of every element. Lattices are the principal ideals closed under
+coset-wise joins, where a join that re-finds a known ideal is recognised by its
+size and generators and only new ideals are spanned; they record which members
+are principal and the generators their spans used, so that
+:class:`nilary.classify.RingContext` multiplies lattice members without spanning
+them again. One walk picks each coset's least element, for joins, element scans
+and quotients. The 2^n subset scan is kept as an independent oracle for small
+orders. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -270,18 +270,10 @@ def _sorted_lattice(
 
 
 def _circle_group(r: Ring) -> list[int]:
-    """Generators over the seed ({0}, or the k·1 - 1 with gcd(k, char) = 1) of the circle group G°
-    of the q with q∘q' = 0: q is in G° iff its ∘-powers reach 0, or one of them is in G°."""
-    add, mul, n, one = r.add, r.mul, r.order, r.one
-    state, h = [1] + [0] * (n - 1), [0]  # 1: in H, 2: outside G° or on the walk
-    if one is not None:
-        cyc = [one]  # 1, 2·1, ... up to char·1 = 0: k·1 - 1 is cyc[k - 2]
-        while cyc[-1]:
-            cyc.append(add[one][cyc[-1]])
-        for k, c in enumerate(cyc, 2):  # k·1 is a unit iff gcd(k, char) = 1, else a zero divisor
-            state[c] = 1 if gcd(k, len(cyc)) == 1 else 2
-        h = [c for c in cyc if state[c] == 1]
-    gens = []
+    """Generators of the circle group G° of the q with q∘q' = 0, grown from H = {0}: q is in G°
+    iff its ∘-powers reach 0, or one of them is in G°."""
+    add, mul, n = r.add, r.mul, r.order
+    state, h, gens = [1] + [0] * (n - 1), [0], []  # 1: in H, 2: outside G° or on the walk
     for q in range(n):  # each element is walked at most once
         p, steps, qadd, qmul = q, 0, add[q], mul[q]
         while not state[p]:
@@ -306,8 +298,8 @@ def _principal_spans(
     (a) spans :func:`_sides` of a and is (ka), gcd(k, ord a) = 1, and (a + aq) for q in the
     circle group G° of x∘y = x + y + xy: a = (a + aq) + (a + aq)q' when q∘q' = 0 (left: a + qa;
     two-sided: both). So a ascending spans (a) once per orbit, which a worklist marks over a's
-    coprime multiples and G°'s generators over the seed {0} or {k·1 - 1 : gcd(k, char) = 1},
-    found by one walk of every element, each ∘-power walked at most once. First spans win.
+    coprime multiples and G°'s generators, found by one walk of every element, each ∘-power
+    walked at most once. First spans win.
     """
     _check_kind(kind)
     add, mul, gs = r.add, r.mul, additive_generators(r, full_mask(r))

@@ -335,7 +335,24 @@ def validate_ring(r: Ring) -> ValidationReport:
     witness list is capped at ``MAX_VIOLATIONS``, and ``truncated`` records
     whether anything was cut.
     """
+    out: list[tuple[str, tuple[int, ...]]] = []
+
+    def checked(name: str, check, *args) -> Optional[np.ndarray]:
+        try:
+            return check(*args)
+        except ValueError:
+            out.append((f"{name}-malformed", ()))
+
+    add = checked("add-table", _table_array, r.order, r.add, "addition")
+    mul = checked("mul-table", _table_array, r.order, r.mul, "multiplication")
+    checked("unity", _check_unity, r.order, r.one)
+    return ValidationReport(r.label, tuple(out)) if out else _check_axioms(r, add, mul)
+
+
+def _check_axioms(r: Ring, add: np.ndarray, mul: np.ndarray) -> ValidationReport:
+    """validate_ring's axiom checks, reading r's tables as arrays that passed from_tables' checks."""
     n = r.order
+    add, mul = (t.astype(_index_dtype(n), copy=False) for t in (add, mul))  # narrow: faster reads
     out: list[tuple[str, tuple[int, ...]]] = []
     truncated = False
 
@@ -346,18 +363,6 @@ def validate_ring(r: Ring) -> ValidationReport:
                 truncated = True
                 return
             out.append((axiom, tuple(int(x) for x in w)))
-
-    def checked(name: str, check, *args) -> Optional[np.ndarray]:
-        try:
-            return check(*args)
-        except ValueError:
-            out.append((f"{name}-malformed", ()))
-
-    add = checked("add-table", _table_array, n, r.add, "addition")
-    mul = checked("mul-table", _table_array, n, r.mul, "multiplication")
-    checked("unity", _check_unity, n, r.one)
-    if out:
-        return ValidationReport(r.label, tuple(out), truncated)
 
     rng = np.arange(n)
     extend("add-zero-identity", [(a,) for a in np.nonzero((add[0] != rng) | (add[:, 0] != rng))[0]])

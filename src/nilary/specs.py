@@ -22,17 +22,19 @@ from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from .ideals import ideal_generated_by, make_quotient
 from .rings import (
     DEFAULT_SIZE_CAP,
     Ring,
     SizeCapError,
+    _check_axioms,
     make_direct_sum,
     make_matrix_ring,
     make_upper_triangular,
     make_zero_mul,
     make_zn,
-    validate_ring,
 )
 
 # deepest nesting a ring spec or hunt query may have; it keeps the recursive
@@ -197,8 +199,8 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             raise ValueError(f"{path}: line {line_no} has {len(vals)} entries, expected {n}")
         return vals
 
-    add = tuple(row(i) for i in range(n))
-    mul = tuple(row(n + i) for i in range(n))
+    # one array per table, which from_tables and the axiom checks both read: no dtype is inferred twice
+    add, mul = (np.array([row(i) for i in range(k, k + n)]) for k in (0, n))
     one = None
     rest = rows[2 * n:]
     if rest:
@@ -210,7 +212,7 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             raise ValueError(f"{path}: line {line_no} must be 'one <index>' with index below {n}")
         one = int(parts[1])
     ring = Ring.from_tables(n, add, mul, one=one, label=f"file:{path}")
-    report = validate_ring(ring)
+    report = _check_axioms(ring, add, mul)
     if not report.ok:
         first = report.violations[0]
         raise ValueError(f"{path}: ring axioms violated, e.g. {first[0]} at {first[1]}")

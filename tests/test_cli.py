@@ -148,6 +148,12 @@ def test_classify_bad_ideal_token_exits_2(capsys, ideal, token):
     assert err == f"error: --ideal takes comma-separated element indices, got {token}\n"
 
 
+def test_classify_ideal_element_out_of_range_exits_2(capsys):
+    code, out, err = run(capsys, "classify", "Zn:5", "--ideal", "2,99")
+    assert code == 2 and out == ""
+    assert err == "error: element 99 out of range for Zn:5\n"
+
+
 def test_ideals_text_and_oracle(capsys):
     code, out, _ = run(capsys, "ideals", "Zn:12", "--oracle")
     assert code == 0
@@ -449,6 +455,23 @@ def test_corpus_file_bad_key_exits_2(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "verify", "--corpus", str(corpus))
     assert code == 2
     assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"spex": ["Zn:4"]}', "expected a JSON list of specs or an object with 'specs'"),
+        ('"Zn:4"', "expected a JSON list of specs or an object with 'specs'"),
+        ('{"specs": "Zn:4"}', "'specs' must be a list of strings"),
+        ('["Zn:4", 4]', "'specs' must be a list of strings"),
+    ],
+)
+def test_corpus_file_of_the_wrong_shape_exits_2(capsys, tmp_path, content, message):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(content)
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err == f"error: {corpus}: {message}\n"
 
 
 def test_corpus_max_order_caps_construction(capsys, tmp_path):

@@ -59,6 +59,10 @@ def test_parse_errors():
         parse_query("prime and")
     with pytest.raises(ValueError, match="bad character in query at position 6"):
         parse_query("prime && nilary")
+    with pytest.raises(ValueError, match="^trailing tokens in query: nilary prime$"):
+        parse_query("prime nilary prime")
+    with pytest.raises(ValueError, match="^expected a predicate name, got 'or'$"):
+        parse_query("prime and or nilary")
     assert parse_query(" prime  ").expression == parse_query("prime").expression
     with pytest.raises(ValueError, match="target"):
         parse_query("prime", target="sideways")

@@ -60,6 +60,7 @@ def test_parse_nested_and_whitespace():
         ("quot(Zn:6,gen(9))", "out of range"),
         ("foo:3", "constructor"),
         ("", "constructor"),
+        ("file:", "expected a file path"),
     ],
 )
 def test_parse_errors_carry_position(text, fragment):
@@ -212,6 +213,24 @@ def test_file_loader_rejects_an_entry_out_of_range(tmp_path, entry):
     path.write_text(f"2\n0 1\n1 0\n0 0\n0 {entry}\n")
     with pytest.raises(ValueError, match=rf"multiplication table entry {entry} out of range \[0, 2\)"):
         load_ring_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty ring file"),
+        ("two\n0\n0\n", "first line must be the ring order"),
+        ("0\n", "order must be >= 1"),
+        ("2\n0 1\n1 x\n0 0\n0 1\n", "line 3 is not a table row"),
+        ("2\n0 1\n1 0\n0 0 0\n0 1\n", "line 4 has 3 entries, expected 2"),
+    ],
+)
+def test_file_loader_names_a_malformed_header_or_row(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_ring_file(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_file_loader_rejects_short_file(tmp_path):
