@@ -48,6 +48,6 @@ e11 = matrix_entry_index(make_zn(2), 2, [[1, 0], [0, 0]])
 e22 = matrix_entry_index(make_zn(2), 2, [[0, 0], [0, 1]])
 print("e11 * e22 =", m.mul[e11][e22], "(the classic zero product of idempotents)")
 
-# quotients come with their canonical surjection
-q, hom = make_quotient(z12, principal_ideal(z12, 4))
-print(q, "kernel:", hom.kernel_elements())
+# quotients come with their canonical surjection, as a coset map: a -> the index of a + I
+q, q_of = make_quotient(z12, principal_ideal(z12, 4))
+print(q, "kernel:", [a for a in z12.elements if q_of[a] == 0], "map:", q_of)

@@ -30,10 +30,10 @@ print("<4> =", four.elements, " <6> =", six.elements)
 print("<4> + <6> =", ideal_sum(four, six).elements)
 print("<4> * <6> =", ideal_product(four, six).elements)
 
-# power chains decide "some power of J lands in I" queries
+# power chains decide "some power of J lands in I" queries: J, J^2, ... up to the stable power
 two = principal_ideal(z12, 2)
 chain = power_chain(two)
-print("<2> chain:", [p.elements for p in chain.powers], "stable at", chain.stable_index)
+print("<2> chain:", [p.elements for p in chain], "stable at", len(chain))
 print("least m with <2>^m inside <4>:", some_power_contained(two, four))
 print("least m with <2>^m inside {0}:", some_power_contained(two, zero_ideal(z12)))
 

@@ -9,7 +9,6 @@ propositions over a ring corpus.
 
 from .classify import (
     PREDICATE_NAMES,
-    PowerChain,
     PropertyReport,
     Verdict,
     Witness,
@@ -60,7 +59,6 @@ from .ideals import (
 from .replay import replay_report, replay_verdict
 from .rings import (
     Characteristic,
-    Hom,
     Ring,
     SizeCapError,
     ValidationReport,

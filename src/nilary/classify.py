@@ -327,8 +327,8 @@ class RingContext:
             elif m == self.full_mask:
                 qctx, q_of = _shared_context(_POINTS[self.unital]), (0,) * self.n
             else:
-                quot, hom = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
-                qctx, q_of = _shared_context(quot), hom.map
+                quot, q_of = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
+                qctx = _shared_context(quot)
             images = []
             for im, elems in zip(self.lattice_masks(), self.index().elements):
                 if not m & ~im:
@@ -393,20 +393,9 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(i.ring, ring_context(i.ring).product(i.mask, j.mask), i.kind)
 
 
-@dataclass(frozen=True)
-class PowerChain:
-    """Descending chain I, I^2, ... up to its stabilization point."""
-
-    base: Ideal
-    powers: tuple[Ideal, ...]
-    stable_index: int
-    stable_value: Ideal
-
-
-def power_chain(i: Ideal) -> PowerChain:
-    """I, I^2, ... until two consecutive powers coincide."""
-    powers = tuple(Ideal(i.ring, m, i.kind) for m in ring_context(i.ring).chain(i.mask))
-    return PowerChain(i, powers, len(powers), powers[-1])
+def power_chain(i: Ideal) -> tuple[Ideal, ...]:
+    """I, I^2, ... until two consecutive powers coincide: the last is the stable power."""
+    return tuple(Ideal(i.ring, m, i.kind) for m in ring_context(i.ring).chain(i.mask))
 
 
 def some_power_contained(j: Ideal, i: Ideal) -> Optional[int]:
@@ -688,7 +677,6 @@ def full_report(r: Ring) -> list[PropertyReport]:
 
 __all__ = [
     "PREDICATE_NAMES",
-    "PowerChain",
     "PropertyReport",
     "REGISTRY",
     "RingContext",

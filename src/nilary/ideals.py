@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rings import Hom, Ring, SizeCapError, element_powers
+from .rings import Ring, SizeCapError, element_powers
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -436,11 +436,11 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
 # quotients
 
 
-def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
-    """Quotient ring on least-index coset representatives, plus the projection onto it.
+def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, tuple[int, ...]]:
+    """Quotient ring on least-index coset representatives, and the projection a -> a + I onto it.
 
-    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers. Both
-    tables are read off the parent's through the coset map.
+    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers; that numbering, one
+    entry per element, is the projection. Both tables are read off the parent's through it.
     """
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
@@ -451,7 +451,7 @@ def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, Hom]:
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None
     q = Ring(len(reps), qadd, qmul, qone, f"{r.label}/{{{','.join(map(str, elems))}}}")
-    return q, Hom(r, q, tuple(q_of))
+    return q, tuple(q_of)
 
 
 __all__ = [

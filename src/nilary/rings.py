@@ -114,7 +114,8 @@ def _index_array(order: int, values, what: str, shape: tuple[int, ...]) -> np.nd
     t = np.asarray(values)  # object dtype if an entry does not fit int64
     if t.shape != shape:
         raise ValueError(f"{what} has shape {t.shape}, expected {shape}")
-    if t.dtype.kind not in "iu":
+    if t.dtype.kind not in "iu":  # a float or str dtype hides the entries: read them as given
+        t = np.asarray(values, dtype=object)
         odd = [x for x in t.ravel().tolist() if not isinstance(x, (int, np.integer))]
         if odd:
             raise ValueError(f"{what} entries must be integers, got {odd[0]!r}")
@@ -131,18 +132,6 @@ def _check_unity(order: int, one) -> None:
         raise ValueError(f"unity index {one!r} is not an integer")
     if one is not None and not 0 <= one < order:
         raise ValueError(f"unity index {one} out of range")
-
-
-@dataclass(frozen=True)
-class Hom:
-    """Ring homomorphism given by an element-index map table, unchecked; make_quotient's are onto."""
-
-    source: Ring
-    target: Ring
-    map: tuple[int, ...]
-
-    def kernel_elements(self) -> tuple[int, ...]:
-        return tuple(a for a in self.source.elements if self.map[a] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +447,6 @@ def characteristic(r: Ring) -> Characteristic:
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "Characteristic",
-    "Hom",
     "Ring",
     "SizeCapError",
     "ValidationReport",

@@ -199,8 +199,13 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             raise ValueError(f"{path}: line {line_no} has {len(vals)} entries, expected {n}")
         return vals
 
+    def table(k: int) -> np.ndarray:  # float64 only for an entry in [2**63, 2**64): keep its int
+        rows_k = [row(i) for i in range(k, k + n)]
+        t = np.array(rows_k)
+        return np.array(rows_k, dtype=object) if t.dtype.kind == "f" else t
+
     # one array per table, which from_tables and the axiom checks both read: no dtype is inferred twice
-    add, mul = (np.array([row(i) for i in range(k, k + n)]) for k in (0, n))
+    add, mul = table(0), table(n)
     one = None
     rest = rows[2 * n:]
     if rest:

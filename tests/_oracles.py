@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from nilary import LEFT, RIGHT, TWO_SIDED, Hom, Ring, ValidationReport, element_is_nilpotent
+from nilary import LEFT, RIGHT, TWO_SIDED, Ring, ValidationReport, element_is_nilpotent
 from nilary.ideals import (
     additive_closure_mask,
     enumerate_ideals,
@@ -55,16 +55,15 @@ def is_ideal_mask(r: Ring, mask: int, kind: str = TWO_SIDED) -> bool:
     return True
 
 
-def hom_violations(h: Hom) -> list[str]:
-    """Additivity, multiplicativity and surjectivity defects of a Hom, as descriptions."""
+def hom_violations(src: Ring, tgt: Ring, f: Sequence[int]) -> list[str]:
+    """Additivity, multiplicativity and surjectivity defects of the map f: src -> tgt, as descriptions."""
     out = []
-    src, tgt = h.source, h.target
     for a, b in itertools.product(src.elements, repeat=2):
-        if h.map[src.add[a][b]] != tgt.add[h.map[a]][h.map[b]]:
+        if f[src.add[a][b]] != tgt.add[f[a]][f[b]]:
             out.append(f"additivity fails at ({a},{b})")
-        if h.map[src.mul[a][b]] != tgt.mul[h.map[a]][h.map[b]]:
+        if f[src.mul[a][b]] != tgt.mul[f[a]][f[b]]:
             out.append(f"multiplicativity fails at ({a},{b})")
-    if len(set(h.map)) != tgt.order:
+    if len(set(f)) != tgt.order:
         out.append("image is not the whole target")
     return out
 

@@ -365,8 +365,8 @@ def test_coset_reps_are_the_least_element_of_each_coset(builtin_rings):
             assert reps[0] == 0 and list(reps) == sorted(set(reps)), (r.label, m)
             assert len(reps) == len(cosets) == r.order // len(ideal), (r.label, m)
             assert all(min(r.add[a][x] for x in ideal) == a for a in reps), (r.label, m)
-            hom = make_quotient(r, Ideal(r, m))[1]
-            assert [hom.map[a] for a in reps] == list(range(len(reps))), (r.label, m)
+            q_of = make_quotient(r, Ideal(r, m))[1]
+            assert [q_of[a] for a in reps] == list(range(len(reps))), (r.label, m)
 
 
 def test_element_predicates_walk_each_ideal_once(builtin_rings, monkeypatch):
@@ -443,7 +443,7 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
         for m in ctx.lattice_masks():
             qctx, images = ctx.quotient(m)
             assert ctx.quotient(m) is ctx.quotient(m), (r.label, m)
-            quot, fresh_hom = make_quotient(r, Ideal(r, m))
+            quot, q_of = make_quotient(r, Ideal(r, m))
             q = qctx.ring  # A/0 is the ring itself, so only its label differs from quot's
             assert (q.order, q.add, q.mul, q.one) == (quot.order, quot.add, quot.mul, quot.one), (
                 r.label, m)
@@ -451,7 +451,7 @@ def test_quotient_memo_matches_fresh_quotients(builtin_rings):
                                        label=quot.label)
             for f in dataclasses.fields(Ring):
                 assert getattr(quot, f.name) == getattr(checked, f.name), (r.label, m, f.name)
-            want = [(i, elements_mask(fresh_hom.map[a] for a in mask_elements(i)))
+            want = [(i, elements_mask(q_of[a] for a in mask_elements(i)))
                     for i in ctx.lattice_masks() if not m & ~i]
             assert list(images) == want, (r.label, m)
             fresh = RingContext(quot)

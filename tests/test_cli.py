@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import re
 
 import jsonschema
 import pytest
 
-from nilary import classify, cli, rings
+from nilary import IdealLattice, classify, cli, rings
+from nilary.classify import REGISTRY, Verdict, Witness
 from nilary.cli import main
 from nilary.corpus import MAX_CORPUS_BYTES
 
@@ -204,6 +206,9 @@ GOLDEN_OUTPUTS = {
         "4f92558ae093969e78c7072d729f26dc42e3d76f4b55341d0550464b5fbb5121",
     ("classify", "T:3:Zn:2", "--json"):
         "a48ff7ab763f29ac93cad23ef49508f9e6f06785e4b1dc07d3951812fc84b58f",
+    # no unity: "char": null, and the one-sided weakly forms not applicable
+    ("classify", "dsum(T:2:Zn:2,zmul:2)", "--json"):
+        "eb0ebc1c83f062616d439e26278c422445e8190c188f278749dea7200b1ba6b6",
 }
 
 
@@ -212,6 +217,78 @@ def test_golden_outputs_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[argv]
+
+
+def test_classify_text_without_a_unity(capsys):
+    code, out, _ = run(capsys, "classify", "dsum(T:2:Zn:2,zmul:2)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "ring dsum(T:2:Zn:2,zmul:2)  char -"
+    cols = lines[1].split()
+    assert cols[:2] == ["ideal", "proper"] and len(lines) == 12
+    for line in lines[2:]:
+        verdict = dict(zip(cols[1:], line.split()[1:]))
+        assert verdict["wnr"] == verdict["wnl"] == "-", line
+        assert (verdict["wn"] == "-") == (verdict["proper"] == "F"), line
+    assert lines[2].split() == ["{0}", "T", *"FFFFFFFFFFFFFTT--"]
+
+
+VERIFY_UNDER_A_LIE = """\
+case               result instances     hyp  viol
+P1.2               FAIL           3       3     1
+    Zn:6: completely_prime=False vs completely_semiprime=True and completely_nilary=True
+P1.3               pass          84      70     0
+P1.3-nilary-quot   FAIL           4       4     1
+    Zn:6: quotient by Q^1 of Q=(0,) is not a nilary ring
+Pquot              pass           3       3     0
+Phom-fwd           pass           9       9     0
+Phom-back          pass           9       9     0
+Cquot-corr         pass           9       9     0
+Pnil-lift          pass           4       1     0
+Pcomm-pnilary      FAIL           4       4     1
+    Zn:6: commutative quotient but p_nilary=False, completely_nilary=True
+Pnil-nilpotent     FAIL           1       1     1
+    Zn:6: completely_nilary=True, p_nilary=False but ring not nilary
+Cchar              FAIL           1       1     1
+    Zn:6: completely nilary but characteristic 6 is not a prime power
+D2.1-hierarchy     pass           3       2     0
+E2.2               pass           1       1     0
+P2.3w              pass           3       0     0
+P2.4w              pass           3       3     0
+C2.5w              pass           3       3     0
+P2.6               pass           3       3     0
+EM2Z2              pass           1       1     0
+Rprime-nilary      pass           1       0     0
+19 case(s), 5 violation(s): FAILURES PRESENT
+"""
+
+
+def test_verify_text_names_each_violation(capsys, tmp_path, monkeypatch):
+    """Text verify under a liar that calls Zn:6's zero ideal completely nilary; the ms column is cut."""
+    honest = REGISTRY["completely_nilary"]
+
+    def lying(ctx, mask):
+        if ctx.ring.label == "Zn:6" and mask == 1:
+            return Verdict(True, Witness.none())
+        return honest(ctx, mask)
+
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6"]))
+    classify.clear_caches()
+    monkeypatch.setitem(REGISTRY, "completely_nilary", lying)
+    try:
+        code, out, _ = run(capsys, "verify", "--corpus", str(corpus))
+    finally:
+        classify.clear_caches()
+    assert code == 1
+    assert re.sub(r"(?m) +(ms|\d+\.\d)$", "", out) == VERIFY_UNDER_A_LIE
+
+
+def test_ideals_oracle_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_ideals_bruteforce", lambda r, kind: IdealLattice(r, kind, ()))
+    code, out, err = run(capsys, "ideals", "Zn:12", "--oracle")
+    assert code == 1 and out == ""
+    assert err == "ORACLE MISMATCH: closure found 6 ideals, subset scan found 0\n"
 
 
 def test_hunt_exit_codes(capsys):

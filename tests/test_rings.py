@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilary import (
-    Hom,
     Ideal,
     Ring,
     SizeCapError,
     characteristic,
     element_is_nilpotent,
+    element_power_in,
+    element_powers,
     full_report,
     ideal_generated_by,
     is_commutative,
@@ -25,12 +26,14 @@ from nilary import (
     make_zn,
     matrix_entry_index,
     parse_ring_spec,
+    replay_verdict,
     validate_ring,
+    zero_ideal,
 )
 from nilary import classify, rings, specs
-from nilary.classify import clear_caches, ring_context
+from nilary.classify import Witness, clear_caches, ring_context
 from nilary.corpus import builtin_specs
-from nilary.rings import MAX_VIOLATIONS, _additive_generators, _matrix_tables
+from nilary.rings import MAX_VIOLATIONS, _additive_generators, _matrix_tables, factorize
 
 from test_lattice import HUNT_SHAPES, LADDER
 from _oracles import (
@@ -302,11 +305,38 @@ def test_matrix_tables_reject_an_unclosed_support():
         (((0, None), (1, 10**30)), ((0, 0), (0, 1)), None, "addition table entries must be integers"),
         (((0, 1), (1, 0)), ((0, 0), (0, 1)), 1.0, r"unity index 1\.0 is not an integer"),
         (((0, 1), (1, 0)), ((0, 0), (0, 1)), "1", "unity index '1' is not an integer"),
+        # the entry named is the bad one, not the first of a table numpy coerced to float or str
+        (((0, 1), (1, 0)), ((0, 0), (0, 1.5)), None, r"multiplication table entries must be integers, got 1\.5$"),
+        (((0, 1), (1, 0)), ((0, 0), (0, "x")), None, "multiplication table entries must be integers, got 'x'$"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 2**63)), None,
+         r"multiplication table entry 9223372036854775808 out of range \[0, 2\)$"),
+        (((0, 1), (1, 0)), ((0, 0), (0, 2**64 - 1)), None,
+         r"multiplication table entry 18446744073709551615 out of range \[0, 2\)$"),
     ],
 )
 def test_from_tables_structural_errors(add, mul, one, message):
     with pytest.raises(ValueError, match=message):
         Ring.from_tables(2, add, mul, one=one)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Ring.from_tables(0, (), ()), "ring order must be >= 1, got 0"),
+    (lambda: make_zn(0), "modulus must be >= 1, got 0"),
+    (lambda: make_zero_mul(0), "order must be >= 1, got 0"),
+    (lambda: make_matrix_ring(make_zn(2), 0), "matrix dimension must be >= 1, got 0"),
+    (lambda: element_powers(make_zn(6), 6), "element 6 out of range"),
+    (lambda: factorize(0), "cannot factorize 0"),
+    (lambda: ideal_generated_by(make_zn(6), (), "middle"), "unknown ideal kind 'middle'"),
+    (lambda: element_power_in(make_zn(6), 2, zero_ideal(make_zn(4))), "ideal belongs to a different ring"),
+    (lambda: make_quotient(make_zn(6), zero_ideal(make_zn(4))), "ideal belongs to a different ring"),
+    (lambda: replay_verdict(make_zn(6), (0,), "bogus", False, Witness.none()), "unknown predicate 'bogus'"),
+], ids=["from_tables-order-0", "make_zn-0", "make_zero_mul-0", "matrix-dimension-0",
+        "element_powers-out-of-range", "factorize-0", "unknown-kind", "element_power_in-foreign-ideal",
+        "make_quotient-foreign-ideal", "replay-unknown-predicate"])
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
 
 
 def test_equal_rings_share_one_context():
@@ -456,11 +486,11 @@ def test_upper_triangular():
 def test_quotient_z12_by_4_is_z4():
     z12 = make_zn(12)
     i = ideal_generated_by(z12, [4])
-    q, hom = make_quotient(z12, i)
+    q, q_of = make_quotient(z12, i)
     assert q.order == 4
     assert find_isomorphism(q, make_zn(4)) is not None
-    assert set(hom.kernel_elements()) == {0, 4, 8}
-    assert not hom_violations(hom)
+    assert [a for a in z12.elements if q_of[a] == 0] == [0, 4, 8]
+    assert not hom_violations(z12, q, q_of)
 
 
 def test_quotient_z6_by_2_is_z2():
@@ -472,9 +502,9 @@ def test_quotient_z6_by_2_is_z2():
 
 def test_quotient_by_zero_is_identity_relabel():
     z6 = make_zn(6)
-    q, hom = make_quotient(z6, ideal_generated_by(z6, []))
+    q, q_of = make_quotient(z6, ideal_generated_by(z6, []))
     assert q.order == 6
-    assert hom.map == tuple(range(6))
+    assert q_of == tuple(range(6))
     assert q.add == z6.add and q.mul == z6.mul
 
 
@@ -486,8 +516,7 @@ def test_quotient_rejects_non_ideal():
 
 def test_hom_violations_detect_breakage():
     z4 = make_zn(4)
-    h = Hom(z4, z4, (0, 2, 1, 3))
-    assert hom_violations(h)
+    assert hom_violations(z4, z4, (0, 2, 1, 3))
 
 
 @pytest.mark.parametrize(

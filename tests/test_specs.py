@@ -207,12 +207,14 @@ def test_file_loader_names_the_line_of_a_bad_unity(tmp_path, unity):
         parse_ring_spec(f"file:{path}")
 
 
-@pytest.mark.parametrize("entry", [10**30, -1])
+@pytest.mark.parametrize("entry", [10**30, -1, 2**63, 2**64 - 1])
 def test_file_loader_rejects_an_entry_out_of_range(tmp_path, entry):
     path = tmp_path / "z2.txt"
     path.write_text(f"2\n0 1\n1 0\n0 0\n0 {entry}\n")
     with pytest.raises(ValueError, match=rf"multiplication table entry {entry} out of range \[0, 2\)"):
         load_ring_file(path)
+    with pytest.raises(RingSpecError, match=rf"^multiplication table entry {entry} out of range"):
+        parse_ring_spec(f"file:{path}")
 
 
 @pytest.mark.parametrize(
@@ -223,6 +225,8 @@ def test_file_loader_rejects_an_entry_out_of_range(tmp_path, entry):
         ("0\n", "order must be >= 1"),
         ("2\n0 1\n1 x\n0 0\n0 1\n", "line 3 is not a table row"),
         ("2\n0 1\n1 0\n0 0 0\n0 1\n", "line 4 has 3 entries, expected 2"),
+        ("2\n0 1\n1 0\n0 0\n0 1.5\n", "line 5 is not a table row"),
+        ("2\n0 1\n1 0\n0 0\n0 x\n", "line 5 is not a table row"),
     ],
 )
 def test_file_loader_names_a_malformed_header_or_row(tmp_path, text, message):
@@ -231,6 +235,9 @@ def test_file_loader_names_a_malformed_header_or_row(tmp_path, text, message):
     with pytest.raises(ValueError) as exc:
         load_ring_file(path)
     assert str(exc.value) == f"{path}: {message}"
+    with pytest.raises(RingSpecError) as exc:
+        parse_ring_spec(f"file:{path}")
+    assert str(exc.value).startswith(f"{path}: {message} (at position ")
 
 
 def test_file_loader_rejects_short_file(tmp_path):

@@ -333,9 +333,9 @@ def test_shared_quotient_contexts_match_fresh_ones(builtin_rings):
             r = ctx.ring
             for m in ctx.lattice_masks():
                 qctx, images = ctx.quotient(m)
-                quot, fresh_hom = make_quotient(r, Ideal(r, m))
+                quot, q_of = make_quotient(r, Ideal(r, m))
                 q = qctx.ring
-                want = [(i, ideals.elements_mask(fresh_hom.map[a] for a in ideals.mask_elements(i)))
+                want = [(i, ideals.elements_mask(q_of[a] for a in ideals.mask_elements(i)))
                         for i in ctx.lattice_masks() if not m & ~i]
                 assert list(images) == want, (r.label, m)
                 assert (q.order, q.one, q.add, q.mul) == (quot.order, quot.one, quot.add, quot.mul)
@@ -493,6 +493,34 @@ def test_corrupted_classifier_is_caught(monkeypatch):
                             False,
                             witness,
                         )
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("case_id, label, denied, says", [
+    # every verdict on Zn:6's own ideals is denied; its quotients A/K, K > 0, answer honestly
+    ("Phom-back", "Zn:6", lambda mask: True, "preimage of completely nilary image"),
+    # {0,2} is nil and Zn:4/{0,2} is completely nilary, so Zn:4's zero ideal must be too
+    ("Pnil-lift", "Zn:4", lambda mask: mask == 1, "ring is not completely nilary despite a nil ideal"),
+], ids=["Phom-back", "Pnil-lift"])
+def test_a_lie_on_the_ring_but_not_its_quotients_is_caught(monkeypatch, case_id, label, denied, says):
+    """A completely_nilary liar on the swept ring alone trips the case that lifts from quotients."""
+    honest = REGISTRY["completely_nilary"]
+
+    def lying(ctx, mask):
+        if ctx.ring.label == label and denied(mask):
+            return Verdict(False, Witness.none())
+        return honest(ctx, mask)
+
+    clear_caches()
+    try:
+        assert run_all([parse_ring_spec(label)], [case_id])[0].passed
+        clear_caches()
+        monkeypatch.setitem(REGISTRY, "completely_nilary", lying)
+        (res,) = run_all([parse_ring_spec(label)], [case_id])
+        assert not res.passed and res.violations
+        assert {v.ring_label for v in res.violations} == {label}
+        assert all(v.description.startswith(says) for v in res.violations)
     finally:
         clear_caches()
 
