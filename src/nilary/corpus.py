@@ -85,13 +85,17 @@ def build_rings(config: CorpusConfig) -> list[Ring]:
     """Parse every spec, with max_order as the construction cap when it is lower.
 
     A spec is dropped when any ring built for it is above max_order; one
-    above the construction cap alone raises SizeCapError.
+    above the construction cap alone raises SizeCapError. The specs share
+    one map from label to ring, so a sub-spec repeated across the corpus is
+    built once, and a table file is parsed by ``np.loadtxt`` unless its rows
+    need the per-row fallback (see :mod:`nilary.specs`). The nodes of a
+    ``quot`` operand are not shared, and the map is dropped on return.
     """
     cap = DEFAULT_SIZE_CAP if config.max_order is None else min(config.max_order, DEFAULT_SIZE_CAP)
-    rings = []
+    rings, built = [], {}
     for spec in config.specs:
         try:
-            rings.append(parse_ring_spec(spec, size_cap=cap))
+            rings.append(parse_ring_spec(spec, size_cap=cap, _built=built))
         except SizeCapError:
             if cap == DEFAULT_SIZE_CAP:
                 raise

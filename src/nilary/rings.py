@@ -101,11 +101,12 @@ def _index_dtype(order: int) -> type:
 
 
 def _table_array(order: int, table, what: str) -> np.ndarray:
-    if len(table) != order:
-        raise ValueError(f"{what} table has {len(table)} rows, expected {order}")
-    for i, row in enumerate(table):
-        if len(row) != order:
-            raise ValueError(f"{what} table row {i} has length {len(row)}, expected {order}")
+    if not (isinstance(table, np.ndarray) and table.shape == (order, order)):  # else name the defect
+        if len(table) != order:
+            raise ValueError(f"{what} table has {len(table)} rows, expected {order}")
+        for i, row in enumerate(table):
+            if len(row) != order:
+                raise ValueError(f"{what} table row {i} has length {len(row)}, expected {order}")
     return _index_array(order, table, f"{what} table", (order, order))
 
 

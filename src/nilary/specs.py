@@ -13,11 +13,21 @@ Grammar (whitespace allowed around tokens):
 Table files: line 1 is the order n, the next n lines are addition-table
 rows, the following n lines multiplication-table rows (space-separated
 element indices), and an optional final line ``one <index>``. Element 0
-must be the additive zero.
+must be the additive zero. Each table's n lines are parsed by
+``np.loadtxt``; a table it rejects, or whose lines hold a byte other than
+ASCII digits, ``+``, ``-``, space and tab, is parsed row by row with
+``int``, which names the defect.
+
+Each sub-spec is built once per parse: a node whose label was built
+earlier in the same ``parse_ring_spec`` call (or the same
+``corpus.build_rings`` call) is reused. The nodes inside a ``quot``
+operand are shared within that operand only, since each is larger than
+the quotient and would otherwise stay alive for the rest of the call.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -51,10 +61,18 @@ class RingSpecError(ValueError):
 
 
 class _Parser:
-    def __init__(self, text: str, size_cap: int):
+    def __init__(self, text: str, size_cap: int, built: dict[str, Ring]):
         self.text = text
         self.pos = 0
         self.size_cap = size_cap
+        self.built = built  # label -> the ring built for it
+
+    def once(self, label: str, make, *args) -> Ring:
+        """The ring built for label, made by make(*args) on the first request."""
+        ring = self.built.get(label)
+        if ring is None:
+            ring = self.built[label] = make(*args, size_cap=self.size_cap)
+        return ring
 
     def error(self, message: str) -> RingSpecError:
         return RingSpecError(message, self.pos)
@@ -89,23 +107,30 @@ class _Parser:
             raise self.error("expected a ring constructor (Zn:, M:, T:, dsum(, zmul:, quot(, file:)")
         self.pos += len(head)
         if head == "Zn:":
-            return make_zn(self.natural(), size_cap=self.size_cap)
+            n = self.natural()
+            return self.once(f"Zn:{n}", make_zn, n)
         if head == "zmul:":
-            return make_zero_mul(self.natural(), size_cap=self.size_cap)
+            n = self.natural()
+            return self.once(f"zmul:{n}", make_zero_mul, n)
         if head in ("M:", "T:"):
             k = self.natural()
             self.expect(":")
             base = self.spec(depth + 1)
             maker = make_matrix_ring if head == "M:" else make_upper_triangular
-            return maker(base, k, size_cap=self.size_cap)
+            return self.once(f"{head}{k}:{base.label}", maker, base, k)
         if head == "dsum(":
             a = self.spec(depth + 1)
             self.expect(",")
             b = self.spec(depth + 1)
             self.expect(")")
-            return make_direct_sum(a, b, size_cap=self.size_cap)
+            return self.once(f"dsum({a.label},{b.label})", make_direct_sum, a, b)
         if head == "quot(":
-            inner = self.spec(depth + 1)
+            # the operand's own nodes are dropped with it: each is larger than the quotient
+            outer, self.built = self.built, ChainMap({}, self.built)
+            try:
+                inner = self.spec(depth + 1)
+            finally:
+                self.built = outer
             self.expect(",")
             self.expect("gen(")
             gens = [self.natural()]
@@ -119,10 +144,11 @@ class _Parser:
             bad = [g for g in gens if not 0 <= g < inner.order]
             if bad:
                 raise self.error(f"generator {bad[0]} out of range for {inner.label}")
-            ideal = ideal_generated_by(inner, gens)
-            quot, _ = make_quotient(inner, ideal)
             label = f"quot({inner.label},gen({','.join(map(str, gens))}))"
-            return replace(quot, label=label)
+            if label not in self.built:
+                quot, _ = make_quotient(inner, ideal_generated_by(inner, gens))
+                self.built[label] = replace(quot, label=label)
+            return self.built[label]
         # file:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] not in ",)":
@@ -130,12 +156,17 @@ class _Parser:
         path = self.text[start:self.pos].strip()
         if not path:
             raise self.error("expected a file path")
-        return load_ring_file(path, size_cap=self.size_cap)
+        return self.once(f"file:{path}", load_ring_file, path)
 
 
-def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
-    """Evaluate a ring spec string to a Ring."""
-    parser = _Parser(text, size_cap)
+def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP, *,
+                    _built: dict[str, Ring] | None = None) -> Ring:
+    """Evaluate a ring spec string to a Ring, building each repeated sub-spec once.
+
+    ``_built`` is ``corpus.build_rings``'s label -> ring map, shared by the
+    specs of one corpus; on its own a call keeps a map of its own.
+    """
+    parser = _Parser(text, size_cap, {} if _built is None else _built)
     try:
         ring = parser.spec()
     except (SizeCapError, RingSpecError):
@@ -150,6 +181,10 @@ def parse_ring_spec(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
 
 # bytes a table-file line may hold before the order is known
 HEADER_LINE_BYTES = 64
+# np.loadtxt parses a table only when its rows hold these bytes alone: over them it splits where
+# bytes.split() does and reads the tokens int() reads (within int64), but it also splits on
+# bytes such as b"\xa0", b"\x85" and b"\x1c", where int() rejects the row
+_LOADTXT_BYTES = b"0123456789+- \t"
 
 
 def _lines(fh, path, limit: int, line_no: int = 0):
@@ -199,7 +234,17 @@ def load_ring_file(path: str | Path, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             raise ValueError(f"{path}: line {line_no} has {len(vals)} entries, expected {n}")
         return vals
 
-    def table(k: int) -> np.ndarray:  # float64 only for an entry in [2**63, 2**64): keep its int
+    def table(k: int) -> np.ndarray:
+        lines = [text for _, text in rows[k:k + n]]
+        if not b"".join(lines).translate(None, _LOADTXT_BYTES):
+            try:
+                t = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+            except Exception:  # the per-row parse below names the defect
+                pass
+            else:
+                if t.shape == (n, n):
+                    return t
+        # float64 only for an entry in [2**63, 2**64): keep its int
         rows_k = [row(i) for i in range(k, k + n)]
         t = np.array(rows_k)
         return np.array(rows_k, dtype=object) if t.dtype.kind == "f" else t

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,6 +318,19 @@ def test_matrix_tables_reject_an_unclosed_support():
 def test_from_tables_structural_errors(add, mul, one, message):
     with pytest.raises(ValueError, match=message):
         Ring.from_tables(2, add, mul, one=one)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2, 2, 1)])
+def test_from_tables_names_a_misshapen_array_as_its_rows(shape):
+    """An array of the wrong shape gets the message its nested lists get."""
+    table = np.zeros(shape, dtype=np.int64)
+    messages = []
+    for add in (table, table.tolist()):
+        with pytest.raises(ValueError) as exc:
+            Ring.from_tables(2, add, ((0, 0), (0, 1)))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("addition table ")
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,12 +1,20 @@
-"""Ring spec DSL parsing and the table file format."""
+"""Ring spec DSL parsing, the table file format and corpus building."""
 
+import gc
+import random
 import tracemalloc
+import weakref
 
+import numpy as np
 import pytest
 
 from nilary import (
+    CorpusConfig,
+    Ring,
     RingSpecError,
     SizeCapError,
+    build_rings,
+    builtin_specs,
     load_ring_file,
     make_direct_sum,
     make_matrix_ring,
@@ -16,6 +24,11 @@ from nilary import (
     validate_ring,
     write_ring_file,
 )
+
+# the ring shapes of the hunt-noncomm benchmark workload (perfbench/workloads.py)
+HUNT_SHAPES = ("T:2:Zn:4", "T:2:dsum(Zn:2,Zn:2)", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,zmul:8)",
+               "dsum(T:2:Zn:3,zmul:4)", "dsum(T:3:Zn:2,zmul:2)", "T:2:Zn:2", "T:2:Zn:3", "M:2:Zn:2",
+               "dsum(T:2:Zn:2,Zn:3)", "dsum(T:2:Zn:2,zmul:4)", "dsum(M:2:Zn:2,zmul:2)")
 
 
 @pytest.mark.parametrize(
@@ -253,3 +266,145 @@ def test_every_builtin_spec_validates(builtin_rings):
     assert "Zn:6" in labels and "M:2:Zn:2" in labels
     for r in builtin_rings:
         assert validate_ring(r).ok, r.label
+
+
+def _renumbered(ring, rng):
+    """An isomorphic copy of ring with its nonzero elements renumbered at random."""
+    new = np.array([0] + rng.sample(range(1, ring.order), ring.order - 1))
+    old = np.argsort(new)
+    add, mul = (new[np.array(t)[old][:, old]] for t in (ring.add, ring.mul))
+    one = None if ring.one is None else int(new[ring.one])
+    return Ring.from_tables(ring.order, add, mul, one=one, label=ring.label)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The shapes np.loadtxt returns, one per call."""
+    shapes = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return shapes
+
+
+def test_file_loader_reloads_every_corpus_ring_renumbered(tmp_path, loadtxt_calls):
+    """Every builtin and hunt shape, renumbered, reloads with its tables and unity, by np.loadtxt."""
+    rng = random.Random(20261021)
+    shapes = []
+    for i, spec in enumerate(builtin_specs() + HUNT_SHAPES):
+        ring = parse_ring_spec(spec)
+        if ring.order > 1:
+            ring = _renumbered(ring, rng)
+        path = tmp_path / f"ring{i}.txt"
+        write_ring_file(ring, path)
+        loaded = load_ring_file(path)
+        assert (loaded.add, loaded.mul, loaded.one) == (ring.add, ring.mul, ring.one), spec
+        shapes += [(ring.order, ring.order)] * 2  # the addition and the multiplication table
+    assert loadtxt_calls == shapes
+
+
+# table files at the edge of what np.loadtxt and int() read alike, each with the loader's message
+# ({} stands for the path; None: the file loads as Zn:2 with no unity); the per-row parse
+# gives every message
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"2\n0 1\n1\xa00\n0 0\n0 1\n", "{}: line 3 is not a table row"),
+        (b"2\n0 1\n1 0\n0\x850\n0 1\n", "{}: line 4 is not a table row"),
+        (b"2\n0 1\n1 0\n0 0\n0\x1c1\n", "{}: line 5 is not a table row"),
+        (b"2\n0 0_1\n1 0\n0 0\n0 1\n", None),
+        (b"2\n0 +1\n1 0\n0 0\n0 +1\n", None),
+        (b"2\r\n0 1\r\n1 0\r\n0 0\r\n0 1\r\n", None),
+        (b"2\n0 1\n1 0\n0 0\n0 9223372036854775808\n",
+         "multiplication table entry 9223372036854775808 out of range [0, 2)"),
+        (f"2\n0 1\n1 0\n0 0\n0 {10**30}\n".encode(),
+         f"multiplication table entry {10**30} out of range [0, 2)"),
+        (b"2\n0 1\n1 -1\n0 0\n0 1\n", "addition table entry -1 out of range [0, 2)"),
+        (b"2\n0 1\n1\n0 0\n0 1\n", "{}: line 3 has 1 entries, expected 2"),
+        (b"2\n0 1 0\n1 0 1\n0 0\n0 1\n", "{}: line 2 has 3 entries, expected 2"),
+        (b"2\n0 1\n1 0\n0 0\n0 1.5\n", "{}: line 5 is not a table row"),
+    ],
+)
+def test_file_loader_edge_cases_load_as_by_rows(tmp_path, monkeypatch, text, message):
+    path = tmp_path / "edge.txt"
+    path.write_bytes(text)
+
+    def outcome():
+        try:
+            ring = load_ring_file(path)
+        except ValueError as exc:
+            return str(exc)
+        return ring.add, ring.mul, ring.one
+
+    expected = (make_zn(2).add, make_zn(2).mul, None) if message is None else message.format(path)
+    assert outcome() == expected
+    monkeypatch.setattr(np, "loadtxt", None)  # every table by the per-row parse
+    assert outcome() == expected
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The labels of the rings Ring.from_tables builds, in order."""
+    labels = []
+    from_tables = Ring.from_tables.__func__
+
+    def counted(cls, *args, **kwargs):
+        ring = from_tables(cls, *args, **kwargs)
+        labels.append(ring.label)
+        return ring
+
+    monkeypatch.setattr(Ring, "from_tables", classmethod(counted))
+    return labels
+
+
+def test_parse_builds_a_repeated_sub_spec_once(built):
+    ring = parse_ring_spec("dsum(Zn:4,Zn:4)")
+    assert built == ["Zn:4", "dsum(Zn:4,Zn:4)"]
+    parse_ring_spec("dsum(Zn:4,Zn:4)")
+    assert built.count("Zn:4") == 2  # a map lives for one call only
+    z4 = make_zn(4)
+    assert ring == make_direct_sum(z4, z4)
+
+
+def test_builtin_corpus_builds_each_ring_once(built):
+    build_rings(CorpusConfig(specs=builtin_specs()))
+    assert len(built) == 77  # 79 specs, two of them quotients, which from_tables does not build
+    assert len(set(built)) == len(built)
+
+
+def test_corpus_rings_equal_their_specs_parsed_alone():
+    specs = builtin_specs() + HUNT_SHAPES + ("quot(T:2:Zn:4,gen(2))", "quot(Zn:12,gen(4))")
+    for spec, ring in zip(specs, build_rings(CorpusConfig(specs=specs)), strict=True):
+        alone = parse_ring_spec(spec)
+        assert (ring.add, ring.mul, ring.one, ring.label) == (alone.add, alone.mul, alone.one,
+                                                              alone.label), spec
+
+
+def test_corpus_keeps_no_operand_after_the_call(monkeypatch):
+    refs = {}
+    from_tables = Ring.from_tables.__func__
+
+    def watched(cls, *args, **kwargs):
+        ring = from_tables(cls, *args, **kwargs)
+        refs[ring.label] = weakref.ref(ring)
+        return ring
+
+    monkeypatch.setattr(Ring, "from_tables", classmethod(watched))
+    rings = build_rings(CorpusConfig(specs=("dsum(Zn:4,Zn:5)", "T:2:Zn:3", "dsum(Zn:4,Zn:3)")))
+    gc.collect()
+    assert sorted(label for label, ref in refs.items() if ref() is not None) == sorted(
+        r.label for r in rings)
+    assert refs["Zn:4"]() is None and refs["Zn:3"]() is None
+
+
+def test_corpus_keeps_no_quotient_operand(built):
+    build_rings(CorpusConfig(specs=("quot(Zn:64,gen(2))", "Zn:64")))
+    assert built == ["Zn:64", "Zn:64"]
+    built.clear()
+    build_rings(CorpusConfig(specs=("Zn:64", "quot(Zn:64,gen(2))", "quot(dsum(Zn:2,Zn:2),gen(1))")))
+    assert built == ["Zn:64", "Zn:2", "dsum(Zn:2,Zn:2)"]  # an earlier spec is reused inside quot
