@@ -47,6 +47,7 @@ from .ideals import (
     TWO_SIDED,
     Ideal,
     IdealLattice,
+    _ring_circle,
     _same_ring,
     additive_generators,
     coset_walk,
@@ -118,8 +119,8 @@ class _LatticeIndex:
 
     Built with the lattice: ``gens[j]`` holds the additive generators
     enumeration recorded for ideal j, ``principal`` the positions of the
-    principal ideals, ``elements[j]`` ideal j's elements (the one decode of
-    its mask, read by witnesses and quotient images) and bit j of ``member[x]``
+    principal ideals, ``elements[j]`` ideal j's elements (the list its span made,
+    read by witnesses, walks, reports and quotient images) and bit j of ``member[x]``
     says that x lies in ideal j. ``slots[k]`` numbers ideal k's generators among the distinct
     generator elements ``hs`` of the whole lattice. Each derived list is
     absent or complete, stored only once full (racing threads at worst
@@ -140,7 +141,7 @@ class _LatticeIndex:
         self.hs = tuple(slot)
         self.rows: list[Optional[list[int]]] = [None] * len(masks)
         self.stable: Optional[list[int]] = None
-        self.elements = elements = tuple(map(mask_elements, masks))
+        self.elements = elements = lattice.elements
         self.member = member = [0] * lattice.ring.order
         for j, elems in enumerate(elements):
             for x in elems:
@@ -217,6 +218,7 @@ class RingContext:
         self._characteristic: Optional[Characteristic] = None
         self._idempotents: Optional[tuple[int, ...]] = None
         self._walked: tuple[int, Sequence[int], frozenset[int]] = _UNWALKED
+        self._circle: tuple = ()  # _ring_circle's pair, shared by the enumerations of every kind
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, tuple[tuple[int, int], ...]]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
@@ -266,22 +268,27 @@ class RingContext:
         """
         got = self._walked
         if got[0] != m:
-            elems = mask_elements(m)
+            elems = self.elements(m)
             if m == 1 or m == self.full_mask:  # cosets are the elements, or A alone: no walk
                 return m, range(self.n if m == 1 else 1), frozenset(elems)
             got = self._walked = (m, coset_walk(self.ring, elems)[1], frozenset(elems))
         return got
 
     # ideal data ----------------------------------------------------------
-    def index(
-        self, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
-    ) -> _LatticeIndex:
+    def elements(self, m: int) -> tuple[int, ...]:
+        """m's elements ascending: the two-sided index's list when it holds m, else decoded."""
+        idx = self._indexes.get(TWO_SIDED)
+        return idx.elements[idx.pos[m]] if idx and m in idx.pos else mask_elements(m)
+
+    def index(self, kind: str = TWO_SIDED,
+              max_ideals: int = DEFAULT_LATTICE_COUNT_CAP) -> _LatticeIndex:
         """The lattice of the kind with its product rows, enumerated on first use."""
         if kind != TWO_SIDED and self.commutative:
             kind = TWO_SIDED  # one-sided ideals are the two-sided ones
         got = self._indexes.get(kind)
         if got is None:
-            lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals)
+            self._circle = self._circle or _ring_circle(self.ring)
+            lattice = enumerate_ideals(self.ring, kind, max_ideals=max_ideals, _circle=self._circle)
             got = self._indexes.setdefault(kind, _LatticeIndex(kind, lattice))
         elif len(got.masks) > max_ideals:  # as enumeration under this cap would raise
             raise SizeCapError(f"lattice exceeds count cap {max_ideals}")
@@ -327,7 +334,7 @@ class RingContext:
             elif m == self.full_mask:
                 qctx, q_of = _shared_context(_POINTS[self.unital]), (0,) * self.n
             else:
-                quot, q_of = make_quotient(self.ring, Ideal(self.ring, m, TWO_SIDED))
+                quot, q_of = make_quotient(self.ring, Ideal(self.ring, m), _elements=self.elements(m))
                 qctx = _shared_context(quot)
             images = []
             for im, elems in zip(self.lattice_masks(), self.index().elements):
@@ -424,13 +431,13 @@ Domain = tuple[_LatticeIndex, Sequence[int]]  # an index and positions in it, as
 
 
 def _outside_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
-    masks = domain[0].masks
-    return [j for j in domain[1] if masks[j] & ~m]
+    masks, out = domain[0].masks, ~m
+    return [j for j in domain[1] if masks[j] & out]
 
 
 def _powerless_ideals(ctx: RingContext, domain: Domain, m: int) -> list[int]:
-    stable = domain[0].stable_powers(ctx)
-    return [j for j in domain[1] if stable[j] & ~m]
+    stable, out = domain[0].stable_powers(ctx), ~m
+    return [j for j in domain[1] if stable[j] & out]
 
 
 def _element_pair(
@@ -467,12 +474,12 @@ def _ideal_pair(
     """
     if not ks:  # no pair, and no row allocated for each j
         return None
-    elements = idx.elements
+    elements, rows, out = idx.elements, idx.rows, ~m
     for j in js:
-        row = idx.row(ctx, j)
+        row = rows[j] or idx.row(ctx, j)
         for k in ks:
             prod = row[k]
-            if not prod & ~m and not (nonzero and prod == 1):
+            if not prod & out and not (nonzero and prod == 1):
                 return elements[j], elements[k]
     return None
 
@@ -654,7 +661,7 @@ def classify_ideal(i: Ideal) -> PropertyReport:
     verdicts = {name: ctx.verdict(name, i.mask) for name in PREDICATE_NAMES}
     return PropertyReport(
         ring_label=i.ring.label,
-        ideal_elements=i.elements,
+        ideal_elements=ctx.elements(i.mask),
         proper=i.mask != ctx.full_mask,
         verdicts=verdicts,
         char=ctx.characteristic if ctx.unital else None,

@@ -164,11 +164,12 @@ def cmd_ideals(args) -> int:
             oracle_note = f"oracle skipped: order {ring.order} > {BRUTE_FORCE_ORDER_CAP}"
     if args.json:
         _print_json({"ring": ring.label, "kind": args.kind, "count": len(lattice),
-                     "ideals": [i.to_json() for i in lattice], "oracle_checked": oracle_checked})
+                     "ideals": [{"kind": args.kind, "elements": list(e)} for e in lattice.elements],
+                     "oracle_checked": oracle_checked})
         return 0
     print(f"ring {ring.label}  kind {args.kind}  {len(lattice)} ideal(s)")
-    for i in lattice:
-        print(f"  size {i.size:>3}  {_ideal_text(i.elements)}")
+    for elems in lattice.elements:
+        print(f"  size {len(elems):>3}  {_ideal_text(elems)}")
     if oracle_note:
         print(oracle_note)
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .classify import PREDICATE_NAMES, RingContext, ring_context
-from .ideals import TWO_SIDED, mask_elements
+from .ideals import TWO_SIDED
 from .rings import Ring
 from .specs import MAX_NESTING
 
@@ -149,10 +149,10 @@ def run_hunt(rings: Sequence[Ring], query: HuntQuery) -> Iterator[HuntMatch]:
     """Yield every matching (ring, ideal) instance, in corpus order."""
     for r in rings:
         ctx = ring_context(r)
-        masks = (1,) if query.target == "ring-zero-ideal" else ctx.lattice_masks(TWO_SIDED)
-        for mask in masks:
+        idx = None if query.target == "ring-zero-ideal" else ctx.index(TWO_SIDED)
+        for mask, elements in [(1, (0,))] if idx is None else zip(idx.masks, idx.elements):
             if _eval(query.expression, ctx, mask):
-                yield HuntMatch(r.label, mask_elements(mask))
+                yield HuntMatch(r.label, elements)
 
 
 __all__ = ["FACT_ATOMS", "HuntMatch", "HuntQuery", "TARGETS", "parse_query", "run_hunt"]

@@ -15,11 +15,11 @@ q with q∘q' = 0, x∘y = x + y + xy, since then (a + aq) = (a); G° grows from
 over one walk of every element. Lattices are the principal ideals closed under
 coset-wise joins, where a join that re-finds a known ideal is recognised by its
 size and generators and only new ideals are spanned; they record which members
-are principal and the generators their spans used, so that
-:class:`nilary.classify.RingContext` multiplies lattice members without spanning
-them again. One walk picks each coset's least element, for joins, element scans
-and quotients. The 2^n subset scan is kept as an independent oracle for small
-orders. Everything here is immutable and pure.
+are principal and, for each member, the generators and the elements its span
+listed, so that :class:`nilary.classify.RingContext` multiplies and reads lattice
+members without spanning or decoding them again. One walk picks each coset's
+least element, for joins, element scans and quotients. The 2^n subset scan is
+kept as an independent oracle for small orders. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class Ideal:
     @property
     def proper(self) -> bool:
         return self.mask != full_mask(self.ring)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "elements": list(self.elements)}
 
 
 def zero_ideal(r: Ring, kind: str = TWO_SIDED) -> Ideal:
@@ -238,33 +235,37 @@ def element_power_in(r: Ring, a: int, i: Ideal) -> Optional[int]:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals of one kind, sorted by (size, mask)."""
+    """All ideals of one kind, sorted by (size, mask), with the elements each one's span listed."""
 
     ring: Ring
     kind: str
-    ideals: tuple[Ideal, ...]
+    ideal_masks: tuple[int, ...]
+    elements: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
     # additive generators of each ideal, as enumerate_ideals' spans recorded them
     generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
     # positions of the principal ideals, as enumerate_ideals found them
     principal: tuple[int, ...] = field(default=(), compare=False)
 
+    @property
+    def ideals(self) -> tuple[Ideal, ...]:  # built when read
+        return tuple(Ideal(self.ring, m, self.kind) for m in self.ideal_masks)
+
     def __iter__(self):
         return iter(self.ideals)
 
     def __len__(self) -> int:
-        return len(self.ideals)
+        return len(self.ideal_masks)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(i.mask for i in self.ideals)
+        return self.ideal_masks
 
 
-def _sorted_lattice(
-    r: Ring, kind: str, masks: Iterable[int], gens: Optional[dict[int, tuple[int, ...]]] = None,
-    principal: Iterable[int] = (),
-) -> IdealLattice:
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+def _sorted_lattice(r: Ring, kind: str, elems: dict[int, tuple[int, ...]],
+                    gens: Optional[dict[int, tuple[int, ...]]] = None,
+                    principal: Iterable[int] = ()) -> IdealLattice:
+    ordered = sorted(sorted(elems), key=int.bit_count)  # a stable sort: (size, mask) order
     principal = set(principal)
-    return IdealLattice(r, kind, tuple(Ideal(r, m, kind) for m in ordered),
+    return IdealLattice(r, kind, tuple(ordered), tuple(elems[m] for m in ordered),
                         () if gens is None else tuple(gens[m] for m in ordered),
                         tuple(j for j, m in enumerate(ordered) if m in principal))
 
@@ -289,22 +290,28 @@ def _circle_group(r: Ring) -> list[int]:
     return gens
 
 
+def _ring_circle(r: Ring) -> tuple[tuple[int, ...], Sequence[int]]:
+    """A's additive generators and, unless A is cyclic, the generators of its circle group G°."""
+    gs = additive_generators(r, full_mask(r))
+    return gs, _circle_group(r) if len(gs) > 1 else ()  # cyclic: x + xq is a coprime multiple of x
+
+
 def _principal_spans(
-    r: Ring, kind: str = TWO_SIDED
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], dict[int, list[int]]]:
+    r: Ring, kind: str = TWO_SIDED, circle: tuple = ()
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
     """Mask of the principal ideal (a) of the kind for every element a, plus the
-    additive generators and the elements of each principal ideal.
+    additive generators and the elements, ascending, of each principal ideal.
 
     (a) spans :func:`_sides` of a and is (ka), gcd(k, ord a) = 1, and (a + aq) for q in the
     circle group G° of x∘y = x + y + xy: a = (a + aq) + (a + aq)q' when q∘q' = 0 (left: a + qa;
     two-sided: both). So a ascending spans (a) once per orbit, which a worklist marks over a's
     coprime multiples and G°'s generators, found by one walk of every element, each ∘-power
-    walked at most once. First spans win.
+    walked at most once. First spans win. ``circle`` is :func:`_ring_circle`'s pair, if known.
     """
     _check_kind(kind)
-    add, mul, gs = r.add, r.mul, additive_generators(r, full_mask(r))
+    (gs, qs), add, mul = circle or _ring_circle(r), r.add, r.mul
     left, right, moves = kind != RIGHT, kind != LEFT, []  # moves: x + xq (right), x + qx (left)
-    for q in _circle_group(r) if len(gs) > 1 else ():  # cyclic A: x + xq is a coprime multiple of x
+    for q in qs:
         if right:
             moves.append([s[row[q]] for s, row in zip(add, mul)])
         if left:
@@ -315,7 +322,7 @@ def _principal_spans(
             continue
         m, e, g = _span(r, _sides(mul, gs, a, left, right))
         if m not in gens:
-            gens[m], elems[m] = g, e
+            gens[m], elems[m] = g, tuple(sorted(e))
         row, cyc, orbit = add[a], [a], []  # a, 2a, ... up to the first zero: ord a elements
         while cyc[-1]:
             cyc.append(row[cyc[-1]])
@@ -343,23 +350,22 @@ def coset_walk(r: Ring, ideal_elems: Sequence[int]) -> tuple[list[int], list[int
     return q_of, reps
 
 
-def enumerate_ideals(
-    r: Ring, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP
-) -> IdealLattice:
+def enumerate_ideals(r: Ring, kind: str = TWO_SIDED, max_ideals: int = DEFAULT_LATTICE_COUNT_CAP,
+                     *, _circle: tuple = ()) -> IdealLattice:
     """All ideals of the kind: the principal ones closed under the joins I + (a).
 
-    Every ideal is a sum of principal ideals. I + (a) depends only on the
-    coset a + I, since (a + i) + I = (a) + I, so each ideal is joined once
-    with each distinct (a) over the least element a of each coset outside
-    it, as :func:`coset_walk` lists them; the zero ideal and an (a) that holds
-    I need no join, as I + (a) is (a) then. |I + (a)| is |I||(a)|/|I & (a)|
-    (second isomorphism theorem), and a found ideal of that size holding
-    the generators of I and (a) is the join, so a join is spanned, seeded
-    with I, only when it is new. Its generators are I's plus those the span
-    adds. The lattice records which ideals are principal.
+    Every ideal is a sum of principal ideals. I + (a) depends only on the coset a + I,
+    since (a + i) + I = (a) + I, so each ideal is joined once with each distinct (a) over
+    the least element a of each coset outside it, as :func:`coset_walk` lists them; the
+    zero ideal and an (a) that holds I need no join, as I + (a) is (a) then. |I + (a)| is
+    |I||(a)|/|I & (a)| (second isomorphism theorem), and a found ideal of that size holding
+    the generators of I and (a) is the join, so a join is spanned, seeded with I, only when
+    it is new. Its generators are I's plus those the span adds. The lattice records which
+    ideals are principal and the elements each span listed. ``_circle`` is
+    :func:`_ring_circle`'s pair, when the caller has it.
     """
     _check_kind(kind)
-    of, gens, elems = _principal_spans(r, kind)  # gens: every ideal found so far, with its generators
+    of, gens, elems = _principal_spans(r, kind, _circle)  # gens, elems: every ideal found so far
     principal = tuple(gens)
     holds, by_size = [0] * r.order, {}  # bit t: the t-th ideal found holds x / has that size
 
@@ -393,10 +399,10 @@ def enumerate_ideals(
                 known &= holds[g]
             if not known:
                 jm, jelems, new = _span(r, pm, (im, ielems))
-                gens[jm] = gens[im] + new
+                gens[jm], elems[jm] = gens[im] + new, (jelems := tuple(sorted(jelems)))
                 queue.append((jm, jelems))
                 above |= found(len(gens) - 1, jelems)
-    return _sorted_lattice(r, kind, gens.keys(), gens, principal)
+    return _sorted_lattice(r, kind, elems, gens, principal)
 
 
 def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
@@ -429,24 +435,24 @@ def enumerate_ideals_bruteforce(r: Ring, kind: str = TWO_SIDED) -> IdealLattice:
             row = r.mul[x]
             for z in range(n):
                 ok &= ~has[x] | has[row[z]]
-    return _sorted_lattice(r, kind, (int(m) for m in idx[ok]))
+    return _sorted_lattice(r, kind, {m: mask_elements(m) for m in idx[ok].tolist()})
 
 
 # ---------------------------------------------------------------------------
 # quotients
 
 
-def make_quotient(r: Ring, i: Ideal) -> tuple[Ring, tuple[int, ...]]:
+def make_quotient(r: Ring, i: Ideal, *, _elements: tuple = ()) -> tuple[Ring, tuple[int, ...]]:
     """Quotient ring on least-index coset representatives, and the projection a -> a + I onto it.
 
-    The kernel is exactly ``i``, whose cosets :func:`coset_walk` numbers; that numbering, one
-    entry per element, is the projection. Both tables are read off the parent's through it.
+    The kernel is ``i``, of elements ``_elements`` when the caller holds them; the numbering of
+    its cosets by :func:`coset_walk` is the projection, and both tables are read through it.
     """
     if i.ring != r:
         raise ValueError("ideal belongs to a different ring")
     if i.kind != TWO_SIDED or _close(r, i.mask, True, True) != i.mask:
         raise ValueError(f"{i!r} is not a two-sided ideal of {r.label}")
-    q_of, reps = coset_walk(r, elems := i.elements)
+    q_of, reps = coset_walk(r, elems := _elements or i.elements)
     qadd = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.add[a] for a in reps))
     qmul = tuple(tuple(q_of[row[b]] for b in reps) for row in (r.mul[a] for a in reps))
     qone = q_of[r.one] if r.one is not None else None

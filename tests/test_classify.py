@@ -44,7 +44,7 @@ from nilary import (
     principal_ideal,
     zero_ideal,
 )
-from nilary import classify
+from nilary import classify, hunt, ideals
 from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, clear_caches, ring_context
 from nilary.ideals import coset_walk, elements_mask, full_mask, mask_elements
 from nilary.replay import replay_verdict
@@ -500,6 +500,34 @@ def test_indexes_own_the_decodes(builtin_rings, monkeypatch):
                 classify.REGISTRY[name](ctx, m)
             ctx.quotient(m)
     assert len(decoded) == 0
+
+
+def test_lattice_members_are_decoded_only_by_their_spans(builtin_rings, monkeypatch):
+    """From fresh contexts, reports, hunt matches and the builtin run decode no mask.
+
+    Enumeration lists each lattice member's elements once; indexes, walks, quotients,
+    witnesses, reports and matches read those lists.
+    """
+    ladder, hunted = ([parse_ring_spec(s) for s in specs] for specs in (LADDER, HUNT_SHAPES))
+    query = hunt.parse_query("(weakly_nilary_right and not weakly_nilary_left) or completely_prime"
+                             " or (weakly_nilary and not nilary)", "any-ideal")
+    decoded = []
+
+    def counting_decode(mask):
+        decoded.append(mask)
+        return mask_elements(mask)
+
+    for module in (ideals, classify, hunt):
+        monkeypatch.setattr(module, "mask_elements", counting_decode, raising=False)
+    clear_caches()
+    try:
+        for r in ladder:
+            full_report(r)
+        assert len(list(hunt.run_hunt(hunted, query))) == 35
+        run_all(builtin_rings)
+    finally:
+        clear_caches()
+    assert decoded == []
 
 
 def test_threads_sharing_rings_match_the_serial_run():

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from nilary import (
     KINDS,
+    Ideal,
+    IdealLattice,
     PREDICATE_NAMES,
     SizeCapError,
     builtin_specs,
@@ -23,7 +25,7 @@ from nilary import (
 from nilary import classify, ideals
 from nilary.classify import RingContext, full_report, ring_context
 from nilary.cli import main
-from nilary.ideals import _principal_spans, additive_closure_mask, elements_mask
+from nilary.ideals import _principal_spans, additive_closure_mask, elements_mask, mask_elements
 from nilary.theorems import run_all
 
 LADDER = ("Zn:64", "Zn:210", "T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "dsum(M:2:Zn:2,Zn:12)",
@@ -72,6 +74,22 @@ def test_recorded_generators_are_pinned(oracle_rings):
                 assert additive_closure_mask(r, elements_mask(gens)) == m, (r.label, kind, m)
             got.append(lattice.generators)
     assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == GENERATORS_SHA256
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lattice_records_each_members_elements(oracle_rings, kind):
+    """Each member's elements are its span's list, ascending; Ideals are built when read."""
+    for r in oracle_rings:
+        lattice = enumerate_ideals(r, kind)
+        masks = lattice.masks()
+        assert masks == tuple(sorted(masks, key=lambda m: (m.bit_count(), m))), r.label
+        assert len(lattice) == len(masks) == len(lattice.elements), r.label
+        for j, elems in enumerate(lattice.elements):
+            assert elems == mask_elements(masks[j]), (r.label, masks[j])
+        assert list(lattice) == list(lattice.ideals) == [Ideal(r, m, kind) for m in masks], r.label
+        assert lattice == IdealLattice(r, kind, masks)  # the masks alone make the lattice
+    empty = IdealLattice(oracle_rings[0], kind, ())
+    assert (len(empty), empty.masks(), empty.ideals, empty.elements) == (0, (), (), ())
 
 
 def test_every_seeded_span_finds_a_new_ideal(monkeypatch):

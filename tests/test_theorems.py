@@ -229,9 +229,9 @@ def test_builtin_run_all_builds_only_proper_nonzero_quotients(builtin_rings, mon
     """Of the 346 quotients a builtin run asks for, the 182 by 0 < I < A are built, once."""
     built = []
 
-    def counting(r, i):
+    def counting(r, i, **kw):
         built.append((r.label, i.mask))
-        return make_quotient(r, i)
+        return make_quotient(r, i, **kw)
 
     monkeypatch.setattr(classify, "make_quotient", counting)
     clear_caches()
