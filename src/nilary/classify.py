@@ -199,7 +199,9 @@ class RingContext:
     their labels share a context, and :attr:`ring` is just one of them.
     Caches a :class:`_LatticeIndex` per enumerated lattice kind, one quotient record
     per kernel K (A/K's context, this one for A/0 and else the shared context of its
-    tables, with the images of the ideals above K), the last ideal walked and verdicts.
+    tables, with the images of the ideals above K), the last ideal walked, verdicts and
+    :attr:`outcomes`, the case memo: each theorem case's unlabelled outcome on these
+    tables, by case id, filled and replayed by the case's sweep; clear_caches drops it.
     :attr:`commutative`, :attr:`characteristic` and :attr:`idempotents` are built
     whole on first use. :meth:`product` multiplies any two masks and :meth:`chain`
     computes power chains; neither keeps what it returns, since index rows hold
@@ -222,6 +224,7 @@ class RingContext:
         self._indexes: dict[str, _LatticeIndex] = {}
         self._quotients: dict[int, tuple[RingContext, tuple[tuple[int, int], ...]]] = {}
         self._verdicts: dict[tuple, Verdict] = {}
+        self.outcomes: dict[str, tuple] = {}  # the case memo, filled by theorems' sweeps
 
     @property
     def commutative(self) -> bool:

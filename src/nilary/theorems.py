@@ -10,18 +10,23 @@ A case is a body ``body(run, ctx)`` over one ring's context, and
 :func:`_case` is the one loop that sweeps it over the corpus's (ring,
 context) pairs: it creates the case's one record, a :class:`TheoremResult`,
 sets ``run.label`` to each ring's label in turn (rings that differ only in
-their labels share a context), calls the body, and stamps the elapsed time
-on the record. :func:`run_all` resolves each ring's context once and hands
-the pairs to every sweep, so a context lives for the whole run. The record
-does the counting. A body only reports: ``run.instance(hypothesis)`` once
-per instance (or ``run.count`` for many at once), ``run.violate(description,
-ideal_mask, witnesses)`` per failure (the record adds the ring's label and
-keeps the mask; no result holds a ring, so replay finds it by label in the
-corpus), and an early ``return`` skips a ring whose hypothesis fails
-outright. A case built with ``own=`` checks that one ring instead of the
-corpus, so the worked examples of the paper run whatever corpus is given;
-their rings, Z_6 and M_2(Z_2), are module constants built once at import, so
-a second run builds no ring.
+their labels share a context), has the record visit the context, and stamps
+the elapsed time on the record. The body runs only if the context's case
+memo, ``RingContext.outcomes``, lacks the case: it keeps the body's counts
+and unlabelled violations on those tables, so a repeated run (whose
+``render_table`` ms column shows replay time), or a ring with an earlier
+ring's tables, replays them under the swept ring's label; ``clear_caches()``
+drops it with the contexts. :func:`run_all` resolves each ring's context
+once and hands the pairs to every sweep, so a context lives for the whole
+run. The record does the counting. A body only reports:
+``run.instance(hypothesis)`` once per instance (or ``run.count`` for many at
+once), ``run.violate(description, ideal_mask, witnesses)`` per failure (the
+record adds the ring's label and keeps the mask; no result holds a ring, so
+replay finds it by label in the corpus), and an early ``return`` skips a
+ring whose hypothesis fails outright. A case built with ``own=`` checks that
+one ring instead of the corpus, so the worked examples of the paper run
+whatever corpus is given; their rings, Z_6 and M_2(Z_2), are module
+constants built once at import, so a second run builds no ring.
 """
 
 from __future__ import annotations
@@ -104,20 +109,33 @@ class TheoremResult:
         pairs = tuple((name, v.witness) for name, v in witnesses)
         self.violations.append(Violation(self.label, description, ideal_mask, pairs))
 
+    def visit(self, body: Callable[[TheoremResult, RingContext], None], ctx: RingContext) -> None:
+        """Add body's outcome on ctx, from the context's case memo or, on a miss, run into it."""
+        got = ctx.outcomes.get(self.case_id)
+        if got is None:
+            i, h, v = self.instances, self.hypothesis_instances, len(self.violations)
+            body(self, ctx)
+            ctx.outcomes[self.case_id] = (self.instances - i, self.hypothesis_instances - h, tuple(
+                (x.description, x.ideal_mask, x.witnesses) for x in self.violations[v:]))
+        else:
+            self.count(got[0], got[1])
+            self.violations.extend(Violation(self.label, *x) for x in got[2])
+
 
 def _case(
     case_id: str,
     body: Callable[[TheoremResult, RingContext], None],
     own: Optional[Ring] = None,
 ) -> Callable[[Sequence[tuple[Ring, RingContext]]], TheoremResult]:
-    """The sweep of body over (ring, context) pairs, or own's; run.label is the swept ring's."""
+    """The sweep of body over (ring, context) pairs, or own's, replaying each context's case
+    memo if it holds case_id, else running body; run.label is the swept ring's."""
 
     def sweep(pairs: Sequence[tuple[Ring, RingContext]]) -> TheoremResult:
         t0 = time.perf_counter()
         run = TheoremResult(case_id)
         for ring, ctx in pairs if own is None else ((own, ring_context(own)),):
             run.label = ring.label
-            body(run, ctx)
+            run.visit(body, ctx)
         run.elapsed = time.perf_counter() - t0
         return run
 

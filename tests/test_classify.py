@@ -42,12 +42,13 @@ from nilary import (
     matrix_entry_index,
     parse_ring_spec,
     principal_ideal,
+    validate_ring,
     zero_ideal,
 )
 from nilary import classify, hunt, ideals
 from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, clear_caches, ring_context
 from nilary.ideals import coset_walk, elements_mask, full_mask, mask_elements
-from nilary.replay import replay_verdict
+from nilary.replay import replay_report, replay_verdict
 from nilary.theorems import run_all
 
 # implication chains over proper ideals; each pair (weaker <- stronger)
@@ -556,3 +557,36 @@ def test_threads_sharing_rings_match_the_serial_run():
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected[k % 2] for k in range(8)]
+
+
+# the zero ideal of R = <e11, e12> in M_2(Z_2) has each left form and none of the right ones
+LEFT_FORMS = ("left_primary", "p_left_primary", "completely_left_primary")
+RIGHT_FORMS = ("right_primary", "p_right_primary", "completely_right_primary")
+
+
+def test_e11_e12_subring_separates_left_from_right_primary():
+    """R = <e11, e12> in M_2(Z_2) and its opposite: one side's primary forms without the other's.
+
+    Element a0 + 2a1 is a0 e11 + a1 e12, so addition is XOR and ab = a0 b, as
+    e11 e11 = e11, e11 e12 = e12 and e12 kills both from the left. R^op swaps
+    the sides. Every verdict of both rings is checked against the plain scan
+    and replayed, so a lie from any one-sided primary predicate fails here.
+    """
+    add = [[a ^ b for b in range(4)] for a in range(4)]
+    mul = [[b if a & 1 else 0 for b in range(4)] for a in range(4)]
+    r = Ring.from_tables(4, add, mul, None, "<e11,e12>")
+    op = Ring.from_tables(4, add, [list(col) for col in zip(*mul)], None, "<e11,e12>^op")
+    clear_caches()
+    try:
+        for ring, holds in ((r, LEFT_FORMS), (op, RIGHT_FORMS)):
+            ctx, scan = ring_context(ring), PredicateScan(ring)
+            assert validate_ring(ring).ok and not ctx.commutative
+            for name in LEFT_FORMS + RIGHT_FORMS:
+                assert ctx.verdict(name, 1).holds == (name in holds), (ring.label, name)
+            for m in ctx.lattice_masks():
+                for name in classify.REGISTRY:
+                    assert ctx.verdict(name, m).to_json() == scan.verdict(name, m), (name, m)
+            for rep in full_report(ring):
+                assert all(replay_report(ring, rep).values()), (ring.label, rep.ideal_elements)
+    finally:
+        clear_caches()

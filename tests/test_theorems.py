@@ -666,6 +666,81 @@ def test_hunt_and_reports_name_each_rings_own_label():
         clear_caches()
 
 
+def test_a_warm_run_replays_every_case_from_the_case_memo(builtin_rings, monkeypatch):
+    """After a cold builtin run, a second run asks no predicate and no verdict, and reports
+    byte for byte the same: every case replays its outcome from each context's case memo."""
+    def text():
+        return json.dumps(report_json(run_all(builtin_rings), builtin_rings), sort_keys=True)
+
+    calls: Counter = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args):
+            calls[label] += 1
+            return fn(*args)
+        return wrapper
+
+    clear_caches()
+    try:
+        cold = text()
+        for pred, fn in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, pred, counted(pred, fn))
+        monkeypatch.setattr(RingContext, "verdict", counted("verdict", RingContext.verdict))
+        warm = text()
+        monkeypatch.undo()
+    finally:
+        clear_caches()
+    assert calls == Counter(), calls
+    assert warm == cold
+
+
+# three labels on Z_4's tables, the first creating the context, then two more rings
+MEMO_SPECS = ("Zn:4", "dsum(Zn:1,Zn:4)", "quot(Zn:12,gen(4))", "Zn:6", "Zn:12")
+
+
+def test_replayed_outcomes_equal_one_ring_runs_under_their_own_labels():
+    """Under a lie, each corpus-swept case's counts and violations are those of one-ring runs
+    with fresh caches, concatenated in corpus order; a ring whose tables an earlier ring has
+    replays that ring's outcome under its own label."""
+    rings = [parse_ring_spec(s) for s in MEMO_SPECS]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            assert len({id(ring_context(r)) for r in rings[:3]}) == 1
+            shared = run_all(rings)
+            alone = []
+            for r in rings:
+                clear_caches()
+                alone.append(run_all([r]))
+    finally:
+        clear_caches()
+    swept = [i for i, cid in enumerate(CASE_IDS) if cid not in ("E2.2", "EM2Z2")]
+    for i in swept:
+        res, runs = shared[i], [results[i] for results in alone]
+        assert (res.instances, res.hypothesis_instances, res.violations) == (
+            sum(one.instances for one in runs), sum(one.hypothesis_instances for one in runs),
+            [v for one in runs for v in one.violations]), CASE_IDS[i]
+    named = {v.ring_label for i in swept for v in shared[i].violations}
+    assert named == set(MEMO_SPECS)
+
+
+def test_a_partial_run_leaves_a_full_run_as_a_fresh_one():
+    """A run of one case memoizes that case alone: a full run after it equals a fresh full run."""
+    rings = [parse_ring_spec(s) for s in MEMO_SPECS]
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _patch(mp, ZERO_LIAR)
+            fresh = report_json(run_all(rings), rings)
+            clear_caches()
+            run_all(rings, ["P1.2"])
+            after = report_json(run_all(rings), rings)
+    finally:
+        clear_caches()
+    assert after == fresh
+
+
 _HONEST_STABLE_POWERS = _LatticeIndex.stable_powers
 
 
