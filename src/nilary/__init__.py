@@ -17,25 +17,10 @@ from .classify import (
     clear_caches,
     full_report,
     ideal_product,
-    is_completely_left_primary,
-    is_completely_nilary,
-    is_completely_prime,
-    is_completely_right_primary,
-    is_completely_semiprime,
-    is_left_primary,
-    is_nilary,
-    is_p_left_primary,
-    is_p_nilary,
-    is_p_right_primary,
-    is_prime_ideal,
-    is_right_primary,
-    is_semiprime_ideal,
-    is_weakly_nilary,
-    is_weakly_nilary_onesided,
-    is_weakly_p_nilary,
     power_chain,
     ring_context,
     some_power_contained,
+    verdict,
 )
 from .corpus import CorpusConfig, build_builtin_corpus, build_rings, builtin_specs
 from .hunt import HuntMatch, HuntQuery, parse_query, run_hunt

@@ -1,5 +1,9 @@
 """Ideal predicates with concrete witnesses.
 
+The public entry point is ``verdict(i, name)``: the registered predicate
+``name`` (any key of ``REGISTRY``) on the two-sided ideal ``i``, memoized
+in the ring's context. ``classify_ideal`` evaluates every report column.
+
 Each predicate decides one containment property of a two-sided ideal by
 exhaustive quantification and returns a :class:`Verdict` carrying a
 witness for false verdicts. Quantifier evaluation order is deterministic
@@ -591,40 +595,11 @@ def _require_two_sided(i: Ideal) -> RingContext:
     return ring_context(i.ring)
 
 
-def _public(name: str) -> Callable[[Ideal], Verdict]:
-    """The registered predicate ``name`` as a function of a two-sided Ideal."""
-
-    def check(i: Ideal) -> Verdict:
-        return _require_two_sided(i).verdict(name, i.mask)
-
-    return check
-
-
-is_completely_prime = _public("completely_prime")
-is_completely_semiprime = _public("completely_semiprime")
-is_completely_nilary = _public("completely_nilary")
-is_prime_ideal = _public("prime")
-is_semiprime_ideal = _public("semiprime")
-is_nilary = _public("nilary")
-is_p_nilary = _public("p_nilary")
-is_right_primary = _public("right_primary")
-is_left_primary = _public("left_primary")
-is_p_right_primary = _public("p_right_primary")
-is_p_left_primary = _public("p_left_primary")
-is_completely_right_primary = _public("completely_right_primary")
-is_completely_left_primary = _public("completely_left_primary")
-is_weakly_nilary = _public("weakly_nilary")
-is_weakly_p_nilary = _public("weakly_p_nilary")
-
-
-def is_weakly_nilary_onesided(l: Ideal, side: str, principal: bool = False) -> Verdict:
-    """Weakly (p-)nilary via one-sided ideals of the given side; needs unity."""
-    if side not in (LEFT, RIGHT):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx = _require_two_sided(l)
-    if not ctx.unital:
-        raise ValueError("unity required")
-    return ctx.verdict(f"weakly_{'p_' if principal else ''}nilary_{side}", l.mask)
+def verdict(i: Ideal, name: str) -> Verdict:
+    """The registered predicate ``name`` on the two-sided ideal ``i``, memoized per ring."""
+    if name not in REGISTRY:
+        raise ValueError(f"unknown predicate {name!r}; expected one of: {', '.join(REGISTRY)}")
+    return _require_two_sided(i).verdict(name, i.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -697,23 +672,8 @@ __all__ = [
     "clear_caches",
     "full_report",
     "ideal_product",
-    "is_completely_left_primary",
-    "is_completely_nilary",
-    "is_completely_prime",
-    "is_completely_right_primary",
-    "is_completely_semiprime",
-    "is_left_primary",
-    "is_nilary",
-    "is_p_left_primary",
-    "is_p_nilary",
-    "is_p_right_primary",
-    "is_right_primary",
-    "is_prime_ideal",
-    "is_semiprime_ideal",
-    "is_weakly_nilary",
-    "is_weakly_nilary_onesided",
-    "is_weakly_p_nilary",
     "power_chain",
     "ring_context",
     "some_power_contained",
+    "verdict",
 ]

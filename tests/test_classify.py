@@ -24,18 +24,6 @@ from nilary import (
     enumerate_ideals,
     full_report,
     ideal_generated_by,
-    is_completely_nilary,
-    is_completely_prime,
-    is_completely_right_primary,
-    is_completely_semiprime,
-    is_nilary,
-    is_p_nilary,
-    is_prime_ideal,
-    is_right_primary,
-    is_semiprime_ideal,
-    is_weakly_nilary,
-    is_weakly_nilary_onesided,
-    is_weakly_p_nilary,
     make_quotient,
     make_zero_mul,
     make_zn,
@@ -43,10 +31,11 @@ from nilary import (
     parse_ring_spec,
     principal_ideal,
     validate_ring,
+    verdict,
     zero_ideal,
 )
 from nilary import classify, hunt, ideals
-from nilary.classify import PREDICATE_NAMES, RingContext, _element_pair, clear_caches, ring_context
+from nilary.classify import PREDICATE_NAMES, REGISTRY, RingContext, _element_pair, clear_caches, ring_context
 from nilary.ideals import coset_walk, elements_mask, full_mask, mask_elements
 from nilary.replay import replay_report, replay_verdict
 from nilary.theorems import run_all
@@ -64,82 +53,83 @@ CHAINS = (
 
 
 def test_completely_prime(z6):
-    assert is_completely_prime(ideal_generated_by(z6, [2])).holds  # quotient Z_2
-    v = is_completely_prime(zero_ideal(z6))
+    assert verdict(ideal_generated_by(z6, [2]), "completely_prime").holds  # quotient Z_2
+    v = verdict(zero_ideal(z6), "completely_prime")
     assert not v.holds and (v.witness.a, v.witness.b) == (2, 3)
-    assert is_completely_prime(zero_ideal(make_zn(5))).holds
-    assert not is_completely_prime(Ideal(z6, full_mask(z6))).holds  # improper
+    assert verdict(zero_ideal(make_zn(5)), "completely_prime").holds
+    assert not verdict(Ideal(z6, full_mask(z6)), "completely_prime").holds  # improper
 
 
 def test_completely_semiprime(z6, z12):
-    v = is_completely_semiprime(ideal_generated_by(z12, [4]))
+    v = verdict(ideal_generated_by(z12, [4]), "completely_semiprime")
     assert not v.holds and v.witness.a == 2 and v.witness.n == 2
-    assert is_completely_semiprime(zero_ideal(z6)).holds
-    assert is_completely_semiprime(Ideal(z6, full_mask(z6))).holds
+    assert verdict(zero_ideal(z6), "completely_semiprime").holds
+    assert verdict(Ideal(z6, full_mask(z6)), "completely_semiprime").holds
 
 
 def test_completely_nilary(z4, z6, m2z2):
-    v = is_completely_nilary(zero_ideal(z6))
+    v = verdict(zero_ideal(z6), "completely_nilary")
     assert not v.holds and (v.witness.a, v.witness.b) == (2, 3)
     e11 = matrix_entry_index(make_zn(2), 2, [[1, 0], [0, 0]])
     e22 = matrix_entry_index(make_zn(2), 2, [[0, 0], [0, 1]])
-    vm = is_completely_nilary(zero_ideal(m2z2))
+    vm = verdict(zero_ideal(m2z2), "completely_nilary")
     assert not vm.holds and (vm.witness.a, vm.witness.b) == (e11, e22)
-    assert is_completely_nilary(zero_ideal(z4)).holds
+    assert verdict(zero_ideal(z4), "completely_nilary").holds
 
 
 def test_prime_and_semiprime(z4, z6, m2z2):
-    assert is_prime_ideal(zero_ideal(m2z2)).holds
-    v = is_prime_ideal(zero_ideal(z6))
+    assert verdict(zero_ideal(m2z2), "prime").holds
+    v = verdict(zero_ideal(z6), "prime")
     assert not v.holds
     assert {v.witness.j, v.witness.k} == {(0, 3), (0, 2, 4)}
-    assert is_semiprime_ideal(zero_ideal(z6)).holds
-    vs = is_semiprime_ideal(zero_ideal(z4))
+    assert verdict(zero_ideal(z6), "semiprime").holds
+    vs = verdict(zero_ideal(z4), "semiprime")
     assert not vs.holds and vs.witness.j == vs.witness.k == (0, 2)
 
 
 def test_nilary_family(z6, m2z2):
-    v = is_nilary(zero_ideal(z6))
+    v = verdict(zero_ideal(z6), "nilary")
     assert not v.holds and {v.witness.j, v.witness.k} == {(0, 3), (0, 2, 4)}
-    assert is_nilary(zero_ideal(m2z2)).holds
-    assert is_p_nilary(zero_ideal(m2z2)).holds
-    assert is_nilary(Ideal(z6, full_mask(z6))).holds  # improper: trivially true
+    assert verdict(zero_ideal(m2z2), "nilary").holds
+    assert verdict(zero_ideal(m2z2), "p_nilary").holds
+    assert verdict(Ideal(z6, full_mask(z6)), "nilary").holds  # improper: trivially true
 
 
 def test_primary_family(z12, m2z2):
     z2 = make_zn(2)
-    assert is_right_primary(zero_ideal(m2z2)).holds
-    v = is_completely_right_primary(zero_ideal(m2z2))
+    assert verdict(zero_ideal(m2z2), "right_primary").holds
+    v = verdict(zero_ideal(m2z2), "completely_right_primary")
     e11 = matrix_entry_index(z2, 2, [[1, 0], [0, 0]])
     e22 = matrix_entry_index(z2, 2, [[0, 0], [0, 1]])
     assert not v.holds and (v.witness.a, v.witness.b) == (e11, e22)
-    assert is_right_primary(ideal_generated_by(z12, [4])).holds
+    assert verdict(ideal_generated_by(z12, [4]), "right_primary").holds
 
 
 def test_completely_prime_implies_completely_right_primary(small_rings):
     for r in small_rings:
         for i in enumerate_ideals(r):
-            if is_completely_prime(i).holds:
-                assert is_completely_right_primary(i).holds
+            if verdict(i, "completely_prime").holds:
+                assert verdict(i, "completely_right_primary").holds
 
 
 def test_weakly_nilary(z6):
-    assert is_weakly_nilary(zero_ideal(z6)).holds
-    assert is_weakly_p_nilary(zero_ideal(z6)).holds
+    assert verdict(zero_ideal(z6), "weakly_nilary").holds
+    assert verdict(zero_ideal(z6), "weakly_p_nilary").holds
     three = ideal_generated_by(z6, [3])
-    assert is_weakly_nilary(three).holds == is_nilary(three).holds
-    v = is_weakly_nilary(Ideal(z6, full_mask(z6)))
+    assert verdict(three, "weakly_nilary").holds == verdict(three, "nilary").holds
+    v = verdict(Ideal(z6, full_mask(z6)), "weakly_nilary")
     assert v.na and not v.holds
 
 
 def test_weakly_onesided(z6, m2z2):
-    assert is_weakly_nilary_onesided(zero_ideal(z6), RIGHT).holds
-    got = is_weakly_nilary_onesided(zero_ideal(m2z2), RIGHT)
-    assert got.holds == is_weakly_nilary(zero_ideal(m2z2)).holds
-    with pytest.raises(ValueError, match="unity required"):
-        is_weakly_nilary_onesided(zero_ideal(make_zero_mul(4)), RIGHT)
-    with pytest.raises(ValueError, match="side"):
-        is_weakly_nilary_onesided(zero_ideal(z6), "up")
+    assert verdict(zero_ideal(z6), "weakly_nilary_right").holds
+    got = verdict(zero_ideal(m2z2), "weakly_nilary_right")
+    assert got.holds == verdict(zero_ideal(m2z2), "weakly_nilary").holds
+    # without unity the one-sided forms are not applicable, as classify and hunt report them
+    v = verdict(zero_ideal(make_zero_mul(4)), "weakly_nilary_right")
+    assert v.na and not v.holds
+    with pytest.raises(ValueError, match="unknown predicate 'weakly_nilary_up'"):
+        verdict(zero_ideal(z6), "weakly_nilary_up")
 
 
 def test_power_table_and_nil_flag(builtin_rings):
@@ -249,7 +239,7 @@ def test_completely_nilary_matches_quotient(small_rings):
             if not i.proper:
                 continue
             quot, _ = make_quotient(r, i)
-            assert is_completely_nilary(i).holds == (
+            assert verdict(i, "completely_nilary").holds == (
                 classify_ring(quot).verdicts["completely_nilary"].holds
             ), (r.label, i.elements)
 
@@ -262,9 +252,21 @@ def test_p_nilary_equals_completely_nilary_on_commutative(small_rings):
         assert ctx.verdict("p_nilary", 1).holds == ctx.verdict("completely_nilary", 1).holds
 
 
+def test_verdict_is_the_contexts_memoized_verdict(builtin_rings):
+    for r in builtin_rings:
+        ctx = ring_context(r)
+        for m in ctx.lattice_masks(TWO_SIDED):
+            for name in REGISTRY:
+                assert verdict(Ideal(r, m), name) is ctx.verdict(name, m), (r.label, m, name)
+
+
 def test_predicates_reject_one_sided_input(z6):
     with pytest.raises(ValueError, match="two-sided"):
-        is_nilary(principal_ideal(z6, 2, LEFT))
+        verdict(principal_ideal(z6, 2, LEFT), "nilary")
+    # an unknown name is refused with the list of every registered one
+    with pytest.raises(ValueError, match="unknown predicate 'nilary_up'") as err:
+        verdict(zero_ideal(z6), "nilary_up")
+    assert str(err.value).endswith(": " + ", ".join(REGISTRY))
 
 
 def test_report_json_schema_keys(z6):
@@ -310,9 +312,9 @@ def test_verdicts_are_isomorphism_invariant(small_rings):
 # non-unital, and a copy of T:2:Zn:4 whose nonzero elements are renumbered
 PAIR_SCAN_EXTRA = ["T:2:Zn:4", "T:3:Zn:2", "M:2:Zn:3", "T:2:dsum(Zn:2,Zn:2)",
                    "dsum(T:3:Zn:2,zmul:2)", "relabeled T:2:Zn:4"]
-# the one-sided weakly forms, by (side, principal), under their plain-scan names
-ONESIDED_SCAN_NAMES = {(RIGHT, False): "weakly_nilary_right", (LEFT, False): "weakly_nilary_left",
-                       (RIGHT, True): "weakly_p_nilary_right", (LEFT, True): "weakly_p_nilary_left"}
+# the one-sided weakly forms, full and principal, under their registry and plain-scan names
+ONESIDED_SCAN_NAMES = ("weakly_nilary_right", "weakly_nilary_left",
+                       "weakly_p_nilary_right", "weakly_p_nilary_left")
 
 
 @pytest.mark.parametrize("spec", list(builtin_specs()) + PAIR_SCAN_EXTRA)
@@ -333,10 +335,10 @@ def test_pair_searches_match_plain_scan(spec):
         for name in ("nilary", "right_primary", "left_primary"):
             assert ctx.verdict("p_" + name, m).holds == ctx.verdict(name, m).holds, (name, m)
         if r.one is not None:
-            for (side, principal), name in ONESIDED_SCAN_NAMES.items():
-                got = is_weakly_nilary_onesided(Ideal(r, m), side, principal)
+            for name in ONESIDED_SCAN_NAMES:
+                got = verdict(Ideal(r, m), name)
                 assert got.to_json() == scan.verdict(name, m), (name, m)
-                assert is_weakly_nilary_onesided(Ideal(r, m), side, principal) is got  # memoized
+                assert verdict(Ideal(r, m), name) is got  # memoized
                 assert replay_verdict(r, mask_elements(m), name, got.holds, got.witness, got.na)
 
 

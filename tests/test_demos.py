@@ -39,7 +39,8 @@ def test_readme_library_tour():
         [(0,), (0, 6), (0, 4, 8), (0, 3, 6, 9), (0, 2, 4, 6, 8, 10), tuple(range(12))],
         (2, (0, 4, 8)),
         (True, False),
+        (False, (0, 3), (0, 2, 4)),
     ]
     for shown in ("# [(0,), (0, 6), (0, 4, 8), (0, 3, 6, 9), (0, 2, 4, 6, 8, 10), (0, ..., 11)]",
-                  "# (2, (0, 4, 8))", "# (True, False)"):
+                  "# (2, (0, 4, 8))", "# (True, False)", "# (False, (0, 3), (0, 2, 4))"):
         assert shown in block

@@ -13,9 +13,9 @@ from nilary import (
     replay,
     replay_report,
     replay_verdict,
+    verdict,
     zero_ideal,
 )
-from nilary.classify import is_completely_nilary, is_nilary
 
 
 def test_all_small_corpus_reports_replay(small_rings):
@@ -27,7 +27,7 @@ def test_all_small_corpus_reports_replay(small_rings):
 
 
 def test_tampered_element_witness_fails(z6):
-    v = is_completely_nilary(zero_ideal(z6))
+    v = verdict(zero_ideal(z6), "completely_nilary")
     assert not v.holds
     good = v.witness
     assert replay_verdict(z6, (0,), "completely_nilary", False, good)
@@ -42,7 +42,7 @@ def test_tampered_element_witness_fails(z6):
 
 
 def test_tampered_ideal_witness_fails(z6):
-    v = is_nilary(zero_ideal(z6))
+    v = verdict(zero_ideal(z6), "nilary")
     assert not v.holds
     assert replay_verdict(z6, (0,), "nilary", False, v.witness)
     swapped = dataclasses.replace(v.witness, j=(0, 1), k=(0, 3))
